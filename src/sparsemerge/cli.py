@@ -1,9 +1,12 @@
 """Single command-line entry point for the whole experiment pipeline.
 
-Every command resolves its settings as CLI flags > config file > defaults,
-echoes the resolved configuration into the run directory, and draws all
-randomness from one master seed. Timestamps are confined to run.log so that
-two runs with identical configuration produce byte-identical artifacts.
+Every command resolves each setting as CLI flag > --config file > the
+experts run's config.txt (task settings only) > built-in default, echoes the
+resolved configuration into the run directory, and draws all randomness from
+one master seed. Timestamps are confined to run.log so that two runs with
+identical configuration produce byte-identical artifacts. Bad input ends with
+one ``error:`` line, or one ``invalid config:`` line per violated setting,
+and exit code 2.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .evolve import (
     write_trace,
 )
 from .landscape import (
-    ConvexityResult,
+    DirectionPair,
     EigConfig,
     GridSpec,
     convexity_grid,
@@ -37,11 +40,13 @@ from .landscape import (
     write_pgm,
 )
 from .merge import MergeConfig, RedenseMode, task_arithmetic, weight_average
-from .params import ParameterSet, load_checkpoint, save_checkpoint
+from .params import CheckpointError, ConfigError, ParameterSet, load_checkpoint, save_checkpoint
 from .seeding import TAG_EIG, derive_seed
 from .sparsity import Granularity, SparsityMeasure, SparsitySchedule
 from .tasks import (
+    LAYER_NAMES,
     ExpertTrainConfig,
+    MlpSpec,
     ModularOp,
     ModularTaskSpec,
     accuracy,
@@ -50,10 +55,13 @@ from .tasks import (
     gen_dataset,
     pool_sizes,
     sample_pairs,
-    twin_tasks,
 )
 
 SUMMARY_HEADER = ["method", "task_a", "task_b", "avg"]
+EXPERT_NAMES = ("base", "expert_add", "expert_sub")
+
+Row = tuple[str, float, float, float]
+Outcome = tuple[list[Row], list[str]]  # a command's summary rows and stdout lines
 
 
 @dataclass(frozen=True)
@@ -63,6 +71,7 @@ class Opt:
     default: Any
     choices: tuple[str, ...] | None = None
     help: str = ""
+    required: bool = False
 
     @property
     def dest(self) -> str:
@@ -73,20 +82,22 @@ class Opt:
         return self.flag.lstrip("-")
 
 
+OUT_OPT = Opt("--out", str, None, help="output directory", required=True)
+
 SHARED_OPTS = [
     Opt("--seed", int, 0, help="master seed; all randomness derives from it"),
-    Opt("--out", str, None, help="output directory"),
-    Opt("--config", str, None, help="flat key=value config file; flags override it"),
-    Opt("--jobs", int, 1, help="worker cap; results are independent of it"),
+    OUT_OPT,
 ]
 
+# The only settings an experts run's config.txt passes on to the runs that
+# load its checkpoints.
 TASK_OPTS = [
     Opt("--m", int, 13, help="modulus of the twin tasks"),
-    Opt("--hidden", int, 32, help="hidden width of the network"),
     Opt("--split-seed", int, None, help="train/test partition seed (defaults to --seed)"),
 ]
 
 TRAIN_OPTS = [
+    Opt("--hidden", int, 32, help="hidden width of the network"),
     Opt("--base-epochs", int, 30),
     Opt("--expert-epochs", int, 8000),
     Opt("--lr", float, 0.5),
@@ -94,8 +105,10 @@ TRAIN_OPTS = [
     Opt("--weight-decay", float, 0.012),
 ]
 
+EXPERTS_OPT = Opt("--experts", str, None, help="directory produced by train-experts", required=True)
+
 EVOLVE_OPTS = [
-    Opt("--experts", str, None, help="directory produced by train-experts"),
+    EXPERTS_OPT,
     Opt("--pop", int, 8),
     Opt("--steps", int, 12),
     Opt("--s-min", float, 0.1),
@@ -112,7 +125,7 @@ EVOLVE_OPTS = [
 ]
 
 PSO_OPTS = [
-    Opt("--experts", str, None),
+    EXPERTS_OPT,
     Opt("--swarm", int, 8),
     Opt("--iters", int, 12),
     Opt("--w", float, 0.729),
@@ -124,18 +137,22 @@ PSO_OPTS = [
 ]
 
 BASELINE_OPTS = [
-    Opt("--experts", str, None),
-    Opt("--method", str, None, choices=("weight-average", "task-arithmetic")),
+    EXPERTS_OPT,
+    Opt("--method", str, None, choices=("weight-average", "task-arithmetic"), required=True),
     Opt("--scale", float, 1.0),
 ]
 
-GRID_OPTS = [
-    Opt("--ckpt", str, None, help="checkpoint to scan around"),
+SCAN_OPTS = [
+    Opt("--ckpt", str, None, help="checkpoint to scan around", required=True),
     Opt("--op", str, "add", choices=("add", "sub")),
-    Opt("--split", str, "train", choices=("train", "test")),
     Opt("--grid", int, 21),
     Opt("--alpha-max", float, 1.0),
     Opt("--beta-max", float, 1.0),
+]
+
+LANDSCAPE_OPTS = [Opt("--split", str, "train", choices=("train", "test"))]
+
+CONVEXITY_OPTS = [
     Opt("--eps", float, 1e-8),
     Opt("--eig-iters", int, 100),
     Opt("--eig-tol", float, 1e-6),
@@ -149,7 +166,7 @@ GEN_DATA_OPTS = [
 ]
 
 EVAL_OPTS = [
-    Opt("--ckpt", str, None),
+    Opt("--ckpt", str, None, required=True),
     Opt("--label", str, "model"),
 ]
 
@@ -160,14 +177,16 @@ COMMAND_OPTS: dict[str, list[Opt]] = {
     "pso": SHARED_OPTS + TASK_OPTS + PSO_OPTS,
     "baseline": SHARED_OPTS + TASK_OPTS + BASELINE_OPTS,
     "eval": SHARED_OPTS + TASK_OPTS + EVAL_OPTS,
-    "landscape": SHARED_OPTS + TASK_OPTS + GRID_OPTS,
-    "convexity": SHARED_OPTS + TASK_OPTS + GRID_OPTS,
-    "report": SHARED_OPTS,
+    "landscape": SHARED_OPTS + TASK_OPTS + SCAN_OPTS + LANDSCAPE_OPTS,
+    "convexity": SHARED_OPTS + TASK_OPTS + SCAN_OPTS + CONVEXITY_OPTS,
+    "report": [OUT_OPT],
 }
 
-# Keys that never enter the echoed config: they either locate the run or
-# cannot affect results.
-NON_SCIENCE_KEYS = {"out", "config", "jobs", "runs"}
+# Keys that never enter the echoed config: they locate the run, not its science.
+NON_SCIENCE_KEYS = {"out", "runs"}
+
+# Config fields whose flag is not the field name.
+FIELD_FLAGS = {"capacity": "--pop", "total_steps": "--steps"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,12 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     for command, opts in COMMAND_OPTS.items():
         sp = sub.add_parser(command)
         for opt in opts:
-            kwargs: dict[str, Any] = {"default": None, "help": opt.help}
-            if opt.choices:
-                kwargs["choices"] = opt.choices
-            sp.add_argument(opt.flag, **kwargs)
+            sp.add_argument(opt.flag, default=None, choices=opt.choices, help=opt.help)
+        sp.add_argument("--config", help="flat key=value config file; flags override it")
         if command == "report":
-            sp.add_argument("--runs", nargs="+", default=None,
+            sp.add_argument("--runs", nargs="+", required=True,
                             help="run directories whose summary.csv rows to join")
     return parser
 
@@ -202,33 +219,52 @@ def read_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-def resolve_options(ns: argparse.Namespace, opts: list[Opt]) -> dict[str, Any]:
-    """CLI flag > config file > built-in default."""
-    file_values: dict[str, str] = {}
-    if getattr(ns, "config", None):
-        cfg_path = Path(ns.config)
-        if not cfg_path.is_file():
-            raise FileNotFoundError(f"config file not found: {cfg_path}")
-        file_values = read_config_file(cfg_path)
+def resolve_options(ns: argparse.Namespace) -> dict[str, Any]:
+    """Take each setting from the first source that sets it: flag, --config
+    file, the --experts run's config.txt (TASK_OPTS only), built-in default.
+
+    Each source is a key -> raw string mapping plus where it came from, so
+    that a bad value is reported against its flag or file.
+    """
+    opts = COMMAND_OPTS[ns.command]
+    sources: list[tuple[dict[str, Any], str]] = [
+        ({opt.key: getattr(ns, opt.dest) for opt in opts}, "")
+    ]
+    if ns.config:
+        file_values = read_config_file(Path(ns.config))
         unknown = sorted(set(file_values) - {opt.key for opt in opts})
         if unknown:
-            raise ValueError(f"unknown config keys for this command: {', '.join(unknown)}")
-    resolved: dict[str, Any] = {}
+            raise ValueError(f"{ns.config}: unknown keys for {ns.command}: {', '.join(unknown)}")
+        sources.append((file_values, ns.config))
+    experts = next((src["experts"] for src, _ in sources if src.get("experts")), None)
+    if experts and (Path(experts) / "config.txt").is_file():
+        meta_path = Path(experts) / "config.txt"
+        meta = read_config_file(meta_path)
+        sources.append(({opt.key: meta.get(opt.key) for opt in TASK_OPTS}, str(meta_path)))
+    cfg: dict[str, Any] = {"runs": ns.runs} if "runs" in ns else {}
     for opt in opts:
-        raw = getattr(ns, opt.dest, None)
-        if raw is None and opt.key in file_values:
-            raw = file_values[opt.key]
-        if raw is None:
-            resolved[opt.dest] = opt.default
-        else:
-            resolved[opt.dest] = opt.kind(raw) if isinstance(raw, str) else raw
-    return resolved
+        found = [(src[opt.key], where) for src, where in sources if src.get(opt.key)]
+        if not found:
+            if opt.required:
+                raise ValueError(f"{opt.flag} is required")
+            cfg[opt.dest] = opt.default
+            continue
+        raw, where = found[0]
+        label = f"{opt.key} in {where}" if where else opt.flag
+        try:
+            value = opt.kind(raw)
+        except ValueError:
+            raise ValueError(f"{label}: expected {opt.kind.__name__}, got {raw!r}") from None
+        if opt.choices and value not in opt.choices:
+            raise ValueError(f"{label}: expected one of {', '.join(opt.choices)}, got {raw!r}")
+        cfg[opt.dest] = value
+    return cfg
 
 
 def echo_config(out_dir: Path, values: dict[str, Any]) -> None:
     lines = []
     for key in sorted(values):
-        if key in NON_SCIENCE_KEYS or key.startswith("_") or values[key] is None:
+        if key in NON_SCIENCE_KEYS or values[key] is None:
             continue
         value = values[key]
         rendered = repr(value) if isinstance(value, float) else str(value)
@@ -242,7 +278,7 @@ def log_line(out_dir: Path, message: str) -> None:
         f.write(f"[{stamp}] {message}\n")
 
 
-def write_summary(path: Path, rows: list[tuple[str, float, float, float]]) -> None:
+def write_summary(path: Path, rows: list[Row]) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(SUMMARY_HEADER)
@@ -258,91 +294,96 @@ def read_summary(path: Path) -> list[list[str]]:
     return rows[1:]
 
 
-def fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+def task_spec(cfg: dict[str, Any], op: ModularOp) -> ModularTaskSpec:
+    """Task ``op`` modulo --m, partitioned by --split-seed (default: --seed)."""
+    seed, split_seed = cfg["seed"], cfg["split_seed"]
+    return ModularTaskSpec(cfg["m"], op, seed if split_seed is None else split_seed)
 
 
-def report_violations(violations: list[str]) -> int:
-    for v in violations:
-        print(f"invalid config: {v}", file=sys.stderr)
-    return 2
-
-
-def task_specs(cfg: dict[str, Any]) -> tuple[ModularTaskSpec, ModularTaskSpec]:
-    split_seed = cfg["split_seed"] if cfg["split_seed"] is not None else cfg["seed"]
-    return twin_tasks(cfg["m"], split_seed=split_seed)
+def task_specs(cfg: dict[str, Any]) -> tuple[ModularTaskSpec, ...]:
+    return tuple(task_spec(cfg, op) for op in ModularOp)
 
 
 def evaluate_model(
-    params: ParameterSet, specs: tuple[ModularTaskSpec, ModularTaskSpec]
+    params: ParameterSet, specs: tuple[ModularTaskSpec, ...]
 ) -> tuple[float, float, float]:
     acc_a = accuracy(params, full_split(specs[0], "test"))
     acc_b = accuracy(params, full_split(specs[1], "test"))
     return acc_a, acc_b, (acc_a + acc_b) / 2.0
 
 
-def load_experts_dir(path_str: str | None) -> tuple[ParameterSet, ParameterSet, ParameterSet, dict[str, str]]:
-    if not path_str:
-        raise FileNotFoundError("--experts directory is required")
-    path = Path(path_str)
-    for name in ("base.ckpt", "expert_add.ckpt", "expert_sub.ckpt"):
-        if not (path / name).is_file():
-            raise FileNotFoundError(f"missing {path / name}")
-    meta: dict[str, str] = {}
-    if (path / "config.txt").is_file():
-        meta = read_config_file(path / "config.txt")
-    return (
-        load_checkpoint(path / "base.ckpt"),
-        load_checkpoint(path / "expert_add.ckpt"),
-        load_checkpoint(path / "expert_sub.ckpt"),
-        meta,
-    )
+def score_line(method: str, a: float, b: float, avg: float) -> str:
+    return f"{method}: task_a={a:.4f} task_b={b:.4f} avg={avg:.4f}"
 
 
-def inherit_task_settings(cfg: dict[str, Any], meta: dict[str, str]) -> None:
-    """Fill task settings from the experts run unless set explicitly."""
-    if cfg["split_seed"] is None and "split-seed" in meta:
-        cfg["split_seed"] = int(meta["split-seed"])
-    if cfg["split_seed"] is None and "seed" in meta:
-        cfg["split_seed"] = int(meta["seed"])
-    if "m" in meta and cfg.get("_m_explicit") is not True:
-        cfg["m"] = int(meta["m"])
-    if "hidden" in meta and cfg.get("_hidden_explicit") is not True:
-        cfg["hidden"] = int(meta["hidden"])
+def load_model(path, m: int) -> ParameterSet:
+    """Load a checkpoint and check that it is the MLP for modulus m.
+
+    The hidden width is read from fc1_w; every layer must then have the
+    shape MlpSpec(m, hidden) gives it.
+    """
+    try:
+        params = load_checkpoint(path)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    if params.names != LAYER_NAMES:
+        raise ValueError(f"{path}: layers {', '.join(params.names)}, expected {', '.join(LAYER_NAMES)}")
+    spec = MlpSpec(m, params["fc1_w"].shape[-1])
+    wrong = [
+        f"{name} is {list(arr.shape)}, expected {list(shape)}"
+        for (name, arr), shape in zip(params.items(), spec.shapes)
+        if arr.shape != shape
+    ]
+    if wrong:
+        raise ValueError(f"{path} does not fit widths {list(spec.widths)} (m={m}): {'; '.join(wrong)}")
+    return params
 
 
-def prepare_out(cfg: dict[str, Any]) -> Path:
-    if not cfg.get("out"):
-        raise FileNotFoundError("--out directory is required")
+def load_experts(cfg: dict[str, Any]) -> tuple[ParameterSet, ...]:
+    """(base, expert_add, expert_sub) of the --experts run."""
+    return tuple(load_model(Path(cfg["experts"]) / f"{name}.ckpt", cfg["m"]) for name in EXPERT_NAMES)
+
+
+def run_command(command: str, cfg: dict[str, Any]) -> int:
+    """Run one command in its --out directory.
+
+    The handler writes the command's own artifacts and returns its summary
+    rows and stdout lines; this then writes summary.csv (if there are rows),
+    config.txt and run.log. report only joins earlier runs, so it writes
+    neither config.txt nor run.log.
+    """
     out_dir = Path(cfg["out"])
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ValueError(f"--out {out_dir} exists and is not a directory")
     out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
+    started = time.time()
+    rows, lines = HANDLERS[command](cfg, out_dir)
+    if rows:
+        write_summary(out_dir / "summary.csv", rows)
+    if command != "report":
+        echo_config(out_dir, cfg)
+        log_line(out_dir, f"{command} finished in {time.time() - started:.1f}s")
+    print("\n".join(lines))
+    return 0
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each takes the resolved settings and the run directory, and
+# returns (summary rows, stdout lines).
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen_data(cfg: dict[str, Any]) -> int:
-    out_dir = prepare_out(cfg)
-    split_seed = cfg["split_seed"] if cfg["split_seed"] is not None else cfg["seed"]
-    spec = ModularTaskSpec(
-        cfg["m"], ModularOp.ADD if cfg["op"] == "add" else ModularOp.SUB, split_seed
-    )
+def cmd_gen_data(cfg: dict[str, Any], out_dir: Path) -> Outcome:
+    spec = task_spec(cfg, ModularOp(cfg["op"]))
     n = cfg["n"] or _pool_len(spec, cfg["which"])
     pairs = sample_pairs(spec, cfg["which"], n, cfg["seed"])
-    name = f"{cfg['op']}_{cfg['which']}.csv"
-    with open(out_dir / name, "w", newline="") as f:
+    path = out_dir / f"{cfg['op']}_{cfg['which']}.csv"
+    with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["a", "b", "label"])
         for a, b in pairs:
             writer.writerow([int(a), int(b), spec.label(int(a), int(b))])
-    echo_config(out_dir, cfg)
-    log_line(out_dir, f"gen-data wrote {name} with {len(pairs)} rows")
-    print(f"wrote {out_dir / name}")
-    return 0
+    return [], [f"wrote {path}"]
 
 
 def _pool_len(spec: ModularTaskSpec, which: str) -> int:
@@ -350,9 +391,9 @@ def _pool_len(spec: ModularTaskSpec, which: str) -> int:
     return test_n if which == "test" else train_n
 
 
-def cmd_train_experts(cfg: dict[str, Any]) -> int:
-    out_dir = prepare_out(cfg)
+def cmd_train_experts(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     specs = task_specs(cfg)
+    cfg["split_seed"] = specs[0].split_seed  # passed on to runs on these experts
     recipe = ExpertTrainConfig(
         base_epochs=cfg["base_epochs"],
         expert_epochs=cfg["expert_epochs"],
@@ -360,60 +401,32 @@ def cmd_train_experts(cfg: dict[str, Any]) -> int:
         batch_size=cfg["batch_size"],
         weight_decay=cfg["weight_decay"],
     )
-    started = time.time()
-    base, expert_add, expert_sub = build_experts(
-        cfg["seed"], cfg["m"], cfg["hidden"], recipe
-    )
-    save_checkpoint(base, out_dir / "base.ckpt")
-    save_checkpoint(expert_add, out_dir / "expert_add.ckpt")
-    save_checkpoint(expert_sub, out_dir / "expert_sub.ckpt")
-    rows = [
-        ("base", *evaluate_model(base, specs)),
-        ("expert_add", *evaluate_model(expert_add, specs)),
-        ("expert_sub", *evaluate_model(expert_sub, specs)),
-    ]
-    write_summary(out_dir / "summary.csv", rows)
-    cfg["split_seed"] = specs[0].split_seed
-    echo_config(out_dir, cfg)
-    log_line(out_dir, f"train-experts finished in {time.time() - started:.1f}s")
-    for method, a, b, avg in rows:
-        print(f"{method}: task_a={a:.4f} task_b={b:.4f} avg={avg:.4f}")
-    return 0
+    models = build_experts(cfg["seed"], cfg["m"], cfg["hidden"], recipe)
+    rows = []
+    for name, model in zip(EXPERT_NAMES, models):
+        save_checkpoint(model, out_dir / f"{name}.ckpt")
+        rows.append((name, *evaluate_model(model, specs)))
+    return rows, [score_line(*row) for row in rows]
 
 
-def validate_evolve(cfg: dict[str, Any]) -> list[str]:
-    bad = []
-    if cfg["pop"] < 2 or cfg["pop"] % 2 != 0:
-        bad.append(f"pop must be even and >= 2, got {cfg['pop']}")
-    if not (0.0 <= cfg["s_min"] <= cfg["s_max"] <= 1.0):
-        bad.append(f"need 0 <= s-min <= s-max <= 1, got ({cfg['s_min']}, {cfg['s_max']})")
-    if cfg["t0"] < 1:
-        bad.append(f"t0 must be >= 1, got {cfg['t0']}")
-    if cfg["t_mult"] < 1:
-        bad.append(f"t-mult must be >= 1, got {cfg['t_mult']}")
-    if cfg["steps"] < 0:
-        bad.append(f"steps must be >= 0, got {cfg['steps']}")
-    if not (0.0 <= cfg["gamma"] <= 1.0):
-        bad.append(f"gamma must be in [0, 1], got {cfg['gamma']}")
-    if cfg["opt_batch"] < 1:
-        bad.append(f"opt-batch must be >= 1, got {cfg['opt_batch']}")
-    return bad
+def evolve_config(cfg: dict[str, Any], specs: tuple[ModularTaskSpec, ...]) -> EvolveConfig:
+    """The evolve settings; violations of all three nested configs are reported together."""
+    violations: list[tuple[str, str]] = []
 
+    def build(cls, *args, **kwargs):
+        try:
+            return cls(*args, **kwargs)
+        except ConfigError as exc:
+            violations.extend(exc.violations)
 
-def cmd_evolve(cfg: dict[str, Any]) -> int:
-    violations = validate_evolve(cfg)
-    if violations:
-        return report_violations(violations)
-    _, expert_add, expert_sub, meta = load_experts_dir(cfg["experts"])
-    inherit_task_settings(cfg, meta)
-    out_dir = prepare_out(cfg)
-    specs = task_specs(cfg)
-    evolve_cfg = EvolveConfig(
+    evolve_cfg = build(
+        EvolveConfig,
         capacity=cfg["pop"],
-        schedule=SparsitySchedule(
-            cfg["s_min"], cfg["s_max"], cfg["t0"], cfg["t_mult"], cfg["steps"]
+        schedule=build(
+            SparsitySchedule, cfg["s_min"], cfg["s_max"], cfg["t0"], cfg["t_mult"], cfg["steps"]
         ),
-        merge_cfg=MergeConfig(
+        merge_cfg=build(
+            MergeConfig,
             measure=SparsityMeasure(cfg["measure"]),
             granularity=Granularity(cfg["granularity"]),
             redense_mode=RedenseMode(cfg["redense"]),
@@ -422,45 +435,28 @@ def cmd_evolve(cfg: dict[str, Any]) -> int:
         seed=cfg["seed"],
         tasks=specs,
         opt_batch=cfg["opt_batch"],
-        anneal=AnnealTarget.OFFSPRING_ONLY
-        if cfg["anneal"] == "offspring"
-        else AnnealTarget.OFFSPRING_AND_ARCHIVE,
+        anneal=AnnealTarget(cfg["anneal"]),
     )
-    started = time.time()
+    if violations:
+        raise ConfigError(violations)
+    return evolve_cfg
+
+
+def cmd_evolve(cfg: dict[str, Any], out_dir: Path) -> Outcome:
+    specs = task_specs(cfg)
+    evolve_cfg = evolve_config(cfg, specs)
+    _, expert_add, expert_sub = load_experts(cfg)
     best, records = run_sae([expert_add, expert_sub], evolve_cfg)
     write_trace(out_dir / "trace.csv", records)
     save_checkpoint(best.params, out_dir / "best.ckpt")
     row = (cfg["label"], *evaluate_model(best.params, specs))
-    write_summary(out_dir / "summary.csv", [row])
-    cfg["split_seed"] = specs[0].split_seed
-    echo_config(out_dir, cfg)
-    log_line(out_dir, f"evolve finished in {time.time() - started:.1f}s")
-    print(
+    return [row], [
         f"{row[0]}: best id={best.id} total_score={best.total_score:.4f} "
         f"task_a={row[1]:.4f} task_b={row[2]:.4f} avg={row[3]:.4f}"
-    )
-    return 0
+    ]
 
 
-def validate_pso(cfg: dict[str, Any]) -> list[str]:
-    bad = []
-    if cfg["swarm"] < 2:
-        bad.append(f"swarm must be >= 2, got {cfg['swarm']}")
-    if cfg["iters"] < 1:
-        bad.append(f"iters must be >= 1, got {cfg['iters']}")
-    for key in ("w", "c1", "c2", "vmax"):
-        if cfg[key] <= 0:
-            bad.append(f"{key} must be > 0, got {cfg[key]}")
-    return bad
-
-
-def cmd_pso(cfg: dict[str, Any]) -> int:
-    violations = validate_pso(cfg)
-    if violations:
-        return report_violations(violations)
-    _, expert_add, expert_sub, meta = load_experts_dir(cfg["experts"])
-    inherit_task_settings(cfg, meta)
-    out_dir = prepare_out(cfg)
+def cmd_pso(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     specs = task_specs(cfg)
     pso_cfg = PsoConfig(
         swarm=cfg["swarm"],
@@ -471,120 +467,77 @@ def cmd_pso(cfg: dict[str, Any]) -> int:
         vmax=cfg["vmax"],
         seed=cfg["seed"],
     )
-    started = time.time()
+    _, expert_add, expert_sub = load_experts(cfg)
     best, trace = run_pso([expert_add, expert_sub], pso_cfg, specs, opt_batch=cfg["opt_batch"])
     write_pso_trace(out_dir / "trace.csv", trace)
     save_checkpoint(best, out_dir / "best.ckpt")
     row = (cfg["label"], *evaluate_model(best, specs))
-    write_summary(out_dir / "summary.csv", [row])
-    cfg["split_seed"] = specs[0].split_seed
-    echo_config(out_dir, cfg)
-    log_line(out_dir, f"pso finished in {time.time() - started:.1f}s")
-    print(f"{row[0]}: task_a={row[1]:.4f} task_b={row[2]:.4f} avg={row[3]:.4f}")
-    return 0
+    return [row], [score_line(*row)]
 
 
-def cmd_baseline(cfg: dict[str, Any]) -> int:
-    if cfg["method"] is None:
-        return fail("--method is required (weight-average or task-arithmetic)")
-    base, expert_add, expert_sub, meta = load_experts_dir(cfg["experts"])
-    inherit_task_settings(cfg, meta)
-    out_dir = prepare_out(cfg)
-    specs = task_specs(cfg)
+def cmd_baseline(cfg: dict[str, Any], out_dir: Path) -> Outcome:
+    base, expert_add, expert_sub = load_experts(cfg)
     if cfg["method"] == "weight-average":
         merged = weight_average([expert_add, expert_sub])
     else:
         merged = task_arithmetic(base, [expert_add, expert_sub], cfg["scale"])
     save_checkpoint(merged, out_dir / "merged.ckpt")
-    row = (cfg["method"], *evaluate_model(merged, specs))
-    write_summary(out_dir / "summary.csv", [row])
-    cfg["split_seed"] = specs[0].split_seed
-    echo_config(out_dir, cfg)
-    log_line(out_dir, f"baseline {cfg['method']} done")
-    print(f"{row[0]}: task_a={row[1]:.4f} task_b={row[2]:.4f} avg={row[3]:.4f}")
-    return 0
+    row = (cfg["method"], *evaluate_model(merged, task_specs(cfg)))
+    return [row], [score_line(*row)]
 
 
-def cmd_eval(cfg: dict[str, Any]) -> int:
-    if not cfg["ckpt"] or not Path(cfg["ckpt"]).is_file():
-        return fail(f"checkpoint not found: {cfg['ckpt']}")
-    out_dir = prepare_out(cfg)
-    specs = task_specs(cfg)
-    params = load_checkpoint(cfg["ckpt"])
-    row = (cfg["label"], *evaluate_model(params, specs))
-    write_summary(out_dir / "summary.csv", [row])
-    echo_config(out_dir, cfg)
-    log_line(out_dir, f"eval of {cfg['ckpt']} done")
-    print(f"{row[0]}: task_a={row[1]:.4f} task_b={row[2]:.4f} avg={row[3]:.4f}")
-    return 0
+def cmd_eval(cfg: dict[str, Any], out_dir: Path) -> Outcome:
+    params = load_model(cfg["ckpt"], cfg["m"])
+    row = (cfg["label"], *evaluate_model(params, task_specs(cfg)))
+    return [row], [score_line(*row)]
 
 
-def _grid_inputs(cfg: dict[str, Any]):
-    if not cfg["ckpt"] or not Path(cfg["ckpt"]).is_file():
-        raise FileNotFoundError(f"checkpoint not found: {cfg['ckpt']}")
-    params = load_checkpoint(cfg["ckpt"])
-    split_seed = cfg["split_seed"] if cfg["split_seed"] is not None else cfg["seed"]
-    spec = ModularTaskSpec(
-        cfg["m"], ModularOp.ADD if cfg["op"] == "add" else ModularOp.SUB, split_seed
-    )
-    grid = GridSpec(cfg["alpha_max"], cfg["beta_max"], cfg["grid"], cfg["eps"])
-    dirs = random_directions(params, cfg["seed"])
-    return params, spec, grid, dirs
+def _scan_inputs(cfg: dict[str, Any]) -> tuple[ParameterSet, ModularTaskSpec, DirectionPair]:
+    params = load_model(cfg["ckpt"], cfg["m"])
+    return params, task_spec(cfg, ModularOp(cfg["op"])), random_directions(params, cfg["seed"])
 
 
-def cmd_landscape(cfg: dict[str, Any]) -> int:
-    params, spec, grid, dirs = _grid_inputs(cfg)
-    out_dir = prepare_out(cfg)
-    dataset = full_split(spec, cfg["split"])
-    started = time.time()
-    losses = loss_grid(params, dirs, grid, dataset)
+def cmd_landscape(cfg: dict[str, Any], out_dir: Path) -> Outcome:
+    params, spec, dirs = _scan_inputs(cfg)
+    grid = GridSpec(cfg["alpha_max"], cfg["beta_max"], cfg["grid"])
+    losses = loss_grid(params, dirs, grid, full_split(spec, cfg["split"]))
     write_grid_csv(out_dir / "landscape.csv", grid, losses)
     write_pgm(out_dir / "landscape.pgm", losses)
-    echo_config(out_dir, cfg)
-    log_line(out_dir, f"landscape finished in {time.time() - started:.1f}s")
-    print(f"landscape grid {grid.resolution}x{grid.resolution}: "
-          f"min={losses.min():.4f} center={losses[grid.resolution // 2, grid.resolution // 2]:.4f}")
-    return 0
+    center = grid.resolution // 2
+    return [], [
+        f"landscape grid {grid.resolution}x{grid.resolution}: "
+        f"min={losses.min():.4f} center={losses[center, center]:.4f}"
+    ]
 
 
-def cmd_convexity(cfg: dict[str, Any]) -> int:
-    params, spec, grid, dirs = _grid_inputs(cfg)
-    out_dir = prepare_out(cfg)
+def cmd_convexity(cfg: dict[str, Any], out_dir: Path) -> Outcome:
+    params, spec, dirs = _scan_inputs(cfg)
+    grid = GridSpec(cfg["alpha_max"], cfg["beta_max"], cfg["grid"], cfg["eps"])
     batch = gen_dataset(spec, "opt", cfg["hess_batch"], derive_seed(cfg["seed"], TAG_EIG))
     eig_cfg = EigConfig(iters=cfg["eig_iters"], tol=cfg["eig_tol"], seed=cfg["seed"])
-    started = time.time()
-    result: ConvexityResult = convexity_grid(params, dirs, grid, batch, eig_cfg)
+    result = convexity_grid(params, dirs, grid, batch, eig_cfg)
     write_convexity_csv(out_dir / "convexity.csv", grid, result)
     write_pgm(out_dir / "convexity.pgm", result.convexity)
-    echo_config(out_dir, cfg)
-    log_line(out_dir, f"convexity finished in {time.time() - started:.1f}s")
-    print(
+    return [], [
         f"convexity grid {grid.resolution}x{grid.resolution}: "
         f"mean={result.convexity.mean():.4f} "
         f"converged={int(result.converged.sum())}/{result.converged.size}"
-    )
-    return 0
+    ]
 
 
-def cmd_report(cfg: dict[str, Any], runs: list[str]) -> int:
-    if not runs:
-        return fail("--runs requires at least one run directory")
-    out_dir = prepare_out(cfg)
+def cmd_report(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     rows: list[list[str]] = []
-    for run in runs:
-        summary = Path(run) / "summary.csv"
-        if not summary.is_file():
-            return fail(f"missing summary: {summary}")
-        rows.extend(read_summary(summary))
-    with open(out_dir / "report.csv", "w", newline="") as f:
+    for run in cfg["runs"]:
+        rows.extend(read_summary(Path(run) / "summary.csv"))
+    path = out_dir / "report.csv"
+    with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(SUMMARY_HEADER)
         writer.writerows(rows)
-    print(f"report with {len(rows)} rows -> {out_dir / 'report.csv'}")
-    return 0
+    return [], [f"report with {len(rows)} rows -> {path}"]
 
 
-HANDLERS = {
+HANDLERS: dict[str, Callable[[dict[str, Any], Path], Outcome]] = {
     "gen-data": cmd_gen_data,
     "train-experts": cmd_train_experts,
     "evolve": cmd_evolve,
@@ -593,26 +546,22 @@ HANDLERS = {
     "eval": cmd_eval,
     "landscape": cmd_landscape,
     "convexity": cmd_convexity,
+    "report": cmd_report,
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    opts = COMMAND_OPTS[ns.command]
+    ns = build_parser().parse_args(argv)
     try:
-        cfg = resolve_options(ns, opts)
-        # Track explicit task flags so experts-dir settings do not override them.
-        cfg["_m_explicit"] = getattr(ns, "m", None) is not None
-        cfg["_hidden_explicit"] = getattr(ns, "hidden", None) is not None
-        if ns.command == "report":
-            return cmd_report(cfg, ns.runs or [])
-        code = HANDLERS[ns.command](cfg)
-        return code
-    except FileNotFoundError as exc:
-        return fail(str(exc))
-    except ValueError as exc:
-        return fail(str(exc))
+        return run_command(ns.command, resolve_options(ns))
+    except ConfigError as exc:
+        for field, reason in exc.violations:
+            flag = FIELD_FLAGS.get(field, "--" + field.replace("_", "-"))
+            print(f"invalid config: {flag}: {reason}", file=sys.stderr)
+        return 2
+    except (CheckpointError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .merge import MergeConfig, RedenseMode, merge_models, redense, weight_average
-from .params import ParameterSet, require_compatible
+from .params import ParameterSet, check_fields, require_compatible
 from .seeding import (
     TAG_INIT_EVAL,
     TAG_OPT_BATCH,
@@ -35,13 +35,6 @@ from .tasks import Dataset, ModularTaskSpec, accuracy, gen_dataset
 class AnnealTarget(Enum):
     OFFSPRING_ONLY = "offspring"
     OFFSPRING_AND_ARCHIVE = "archive"
-
-
-class ReplacementPolicy(Enum):
-    # Global competition: challenge the archive-wide weakest member.
-    REPLACE_WORST = "worst"
-    # Local competition: challenge only the weaker of the two parents.
-    REPLACE_WORSE_PARENT = "worse-parent"
 
 
 @dataclass(frozen=True)
@@ -80,18 +73,14 @@ class EvolveConfig:
     tasks: tuple[ModularTaskSpec, ...] = ()
     opt_batch: int = 64
     anneal: AnnealTarget = AnnealTarget.OFFSPRING_ONLY
-    replacement: ReplacementPolicy = ReplacementPolicy.REPLACE_WORST
-    # When True, the parents' mixing-ratio scores are recomputed on the
-    # step's fresh batch instead of reusing their cached evaluations.
-    refresh_parent_scores: bool = False
 
     def __post_init__(self):
-        if self.capacity < 2 or self.capacity % 2 != 0:
-            raise ValueError(f"capacity must be even and >= 2, got {self.capacity}")
-        if self.opt_batch < 1:
-            raise ValueError(f"opt_batch must be >= 1, got {self.opt_batch}")
-        if not self.tasks:
-            raise ValueError("need at least one task")
+        check_fields(
+            (self.capacity >= 2 and self.capacity % 2 == 0, "capacity",
+             f"must be even and >= 2, got {self.capacity}"),
+            (self.opt_batch >= 1, "opt_batch", f"must be >= 1, got {self.opt_batch}"),
+            (bool(self.tasks), "tasks", "need at least one task"),
+        )
 
 
 @dataclass(frozen=True)
@@ -113,16 +102,22 @@ def blend_score(perf_mean: float, zero_frac: float, gamma: float) -> float:
     return (1.0 - gamma) * perf_mean + gamma * zero_frac
 
 
+def _score_with_stats(
+    params: ParameterSet, batches: list[Dataset], gamma: float
+) -> tuple[tuple[float, ...], SparsityStats, float]:
+    if not batches or any(len(b) == 0 for b in batches):
+        raise ValueError("empty optimization batch")
+    perf = tuple(accuracy(params, b) for b in batches)
+    stats = collect_stats(params)
+    return perf, stats, blend_score(float(np.mean(perf)), stats.zero_frac, gamma)
+
+
 def score(
     params: ParameterSet, batches: list[Dataset], gamma: float
 ) -> tuple[tuple[float, ...], float]:
     """Per-task accuracy plus the gamma-blended selection score."""
-    if not batches or any(len(b) == 0 for b in batches):
-        raise ValueError("empty optimization batch")
-    perf = tuple(accuracy(params, b) for b in batches)
-    perf_mean = float(np.mean(perf))
-    zero_frac = collect_stats(params).zero_frac
-    return perf, blend_score(perf_mean, zero_frac, gamma)
+    perf, _, total = _score_with_stats(params, batches, gamma)
+    return perf, total
 
 
 def _evaluate(
@@ -132,13 +127,13 @@ def _evaluate(
     ind_id: int,
     lineage: Lineage,
 ) -> Individual:
-    perf, total = score(params, batches, gamma)
+    perf, stats, total = _score_with_stats(params, batches, gamma)
     return Individual(
         id=ind_id,
         params=params,
         perf=perf,
         perf_mean=float(np.mean(perf)),
-        stats=collect_stats(params),
+        stats=stats,
         total_score=total,
         lineage=lineage,
     )
@@ -212,16 +207,11 @@ def evolve_step(
     offspring = []
     for k, (i, j) in enumerate(pairs):
         parent_a, parent_b = snapshot[i], snapshot[j]
-        if cfg.refresh_parent_scores:
-            s_a = float(np.mean([accuracy(parent_a.params, b) for b in batches]))
-            s_b = float(np.mean([accuracy(parent_b.params, b) for b in batches]))
-        else:
-            s_a, s_b = parent_a.perf_mean, parent_b.perf_mean
         merged, lambdas = merge_models(
             parent_a.params,
             parent_b.params,
-            s_a,
-            s_b,
+            parent_a.perf_mean,
+            parent_b.perf_mean,
             cfg.merge_cfg,
         )
         child_params = prune(merged, rate, Granularity.GLOBAL)
@@ -239,25 +229,13 @@ def evolve_step(
     records = []
     members = list(snapshot)
     for child, lambdas in offspring:
-        if cfg.replacement is ReplacementPolicy.REPLACE_WORST:
-            target = _worst_index(members)
-        else:
-            # Weaker surviving parent; the offspring dies with its lineage if
-            # both parents were already displaced this step.
-            present = [
-                idx for idx, m in enumerate(members) if m.id in child.lineage.parent_ids
-            ]
-            target = (
-                min(present, key=lambda q: (members[q].total_score, members[q].id))
-                if present
-                else None
-            )
+        target = _worst_index(members)
         packed_lams = ";".join(f"{name}={lam!r}" for name, lam in lambdas.items())
         base_event = (
             f"offspring parents={child.lineage.parent_ids[0]}"
             f"|{child.lineage.parent_ids[1]} rate={rate!r}"
         )
-        if target is not None and child.total_score > members[target].total_score:
+        if child.total_score > members[target].total_score:
             event = f"{base_event} accepted replaced={members[target].id} lambdas={packed_lams}"
             members[target] = child
         else:
@@ -276,15 +254,7 @@ def evolve_step(
             if member.lineage.root_dense:
                 continue
             pruned = prune(member.params, rate, Granularity.GLOBAL)
-            perf, total = score(pruned, batches, gamma)
-            members[idx] = replace(
-                member,
-                params=pruned,
-                perf=perf,
-                perf_mean=float(np.mean(perf)),
-                stats=collect_stats(pruned),
-                total_score=total,
-            )
+            members[idx] = _evaluate(pruned, batches, gamma, member.id, member.lineage)
 
     for member in members:
         records.append(
@@ -353,12 +323,14 @@ class PsoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.swarm < 2:
-            raise ValueError(f"swarm size must be >= 2, got {self.swarm}")
-        if min(self.w, self.c1, self.c2) <= 0:
-            raise ValueError("w, c1, c2 must be > 0")
-        if self.vmax <= 0 or self.iters < 1:
-            raise ValueError("vmax must be > 0 and iters >= 1")
+        check_fields(
+            (self.swarm >= 2, "swarm", f"must be >= 2, got {self.swarm}"),
+            (self.iters >= 1, "iters", f"must be >= 1, got {self.iters}"),
+            (self.w > 0, "w", f"must be > 0, got {self.w}"),
+            (self.c1 > 0, "c1", f"must be > 0, got {self.c1}"),
+            (self.c2 > 0, "c2", f"must be > 0, got {self.c2}"),
+            (self.vmax > 0, "vmax", f"must be > 0, got {self.vmax}"),
+        )
 
 
 @dataclass(frozen=True)

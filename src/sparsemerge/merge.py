@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from .params import ParameterSet, require_compatible
+from .params import ParameterSet, check_fields, require_compatible
 from .sparsity import Granularity, SparsityMeasure, sparsity_weights
 
 
@@ -24,8 +24,7 @@ class MergeConfig:
     gamma: float = 0.2
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
+        check_fields((0.0 <= self.gamma <= 1.0, "gamma", f"must be in [0, 1], got {self.gamma}"))
 
 
 def compute_lambda(s_a: float, s_b: float, w_a: float, w_b: float) -> float:

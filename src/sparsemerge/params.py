@@ -21,6 +21,21 @@ class CheckpointError(Exception):
     """Malformed, truncated, or wrong-version checkpoint file."""
 
 
+class ConfigError(ValueError):
+    """Invalid settings, one (field, reason) pair per violated check."""
+
+    def __init__(self, violations):
+        self.violations = list(violations)
+        super().__init__("; ".join(f"{field}: {reason}" for field, reason in self.violations))
+
+
+def check_fields(*checks: tuple[bool, str, str]) -> None:
+    """Raise ConfigError listing every (ok, field, reason) check that fails."""
+    failed = [(field, reason) for ok, field, reason in checks if not ok]
+    if failed:
+        raise ConfigError(failed)
+
+
 def _freeze_layer(name: str, values) -> np.ndarray:
     arr = np.array(values, dtype=np.float64, order="C", copy=True)
     if arr.ndim == 0:

@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from .params import ParameterSet, flatten, param_count, require_compatible, unflatten
+from .params import ParameterSet, check_fields, flatten, param_count, require_compatible, unflatten
 
 # Pair-normalization guard for the magnitude measure.
 MAGNITUDE_EPS = 1e-12
@@ -23,20 +23,14 @@ class Granularity(Enum):
     LOCAL = "local"
 
 
-class RampKind(Enum):
-    LINEAR = "linear"
-    COSINE = "cosine"
-
-
 @dataclass(frozen=True)
 class SparsitySchedule:
     """Cyclic ramp of the prune rate.
 
-    Within each cycle the rate ramps from ``s_min`` to ``s_max`` (linearly by
-    default; a half-cosine ramp hits the same endpoints); every restart
-    returns to ``s_min`` and multiplies the cycle length by ``t_mult``. The
-    final cycle may be cut short by ``total_steps``, in which case the ramp
-    slope is still that of the full nominal cycle.
+    Within each cycle the rate ramps linearly from ``s_min`` to ``s_max``;
+    every restart returns to ``s_min`` and multiplies the cycle length by
+    ``t_mult``. The final cycle may be cut short by ``total_steps``, in which
+    case the ramp slope is still that of the full nominal cycle.
     """
 
     s_min: float = 0.1
@@ -44,18 +38,16 @@ class SparsitySchedule:
     t0: int = 3
     t_mult: int = 2
     total_steps: int = 12
-    ramp: RampKind = RampKind.LINEAR
 
     def __post_init__(self):
-        if not (0.0 <= self.s_min <= self.s_max <= 1.0):
-            raise ValueError(f"need 0 <= s_min <= s_max <= 1, got ({self.s_min}, {self.s_max})")
-        if self.t0 < 1:
-            raise ValueError(f"t0 must be >= 1, got {self.t0}")
-        if self.t_mult < 1:
-            raise ValueError(f"t_mult must be >= 1, got {self.t_mult}")
         # total_steps == 0 is allowed so a zero-step run stays constructible.
-        if self.total_steps < 0:
-            raise ValueError(f"total_steps must be >= 0, got {self.total_steps}")
+        check_fields(
+            (0.0 <= self.s_min <= self.s_max <= 1.0, "s_min",
+             f"need 0 <= s_min <= s_max <= 1, got ({self.s_min}, {self.s_max})"),
+            (self.t0 >= 1, "t0", f"must be >= 1, got {self.t0}"),
+            (self.t_mult >= 1, "t_mult", f"must be >= 1, got {self.t_mult}"),
+            (self.total_steps >= 0, "total_steps", f"must be >= 0, got {self.total_steps}"),
+        )
 
 
 def schedule_rate(sched: SparsitySchedule, step: int) -> float:
@@ -69,8 +61,6 @@ def schedule_rate(sched: SparsitySchedule, step: int) -> float:
     if t_i == 1:
         return sched.s_max
     progress = t_cur / (t_i - 1)
-    if sched.ramp is RampKind.COSINE:
-        progress = 0.5 * (1.0 - np.cos(np.pi * progress))
     return sched.s_min + (sched.s_max - sched.s_min) * progress
 
 

@@ -129,23 +129,26 @@ class MlpSpec:
     def widths(self) -> tuple[int, int, int, int]:
         return (2 * self.modulus, self.hidden, self.hidden, self.modulus)
 
+    @property
+    def shapes(self) -> tuple[tuple[int, ...], ...]:
+        """Shape of each layer in LAYER_NAMES, in order."""
+        d_in, h, _, d_out = self.widths
+        return ((d_in, h), (h,), (h, h), (h,), (h, d_out), (d_out,))
+
 
 LAYER_NAMES = ("fc1_w", "fc1_b", "fc2_w", "fc2_b", "fc3_w", "fc3_b")
 
 
 def init_mlp(spec: MlpSpec, seed: int) -> ParameterSet:
-    d_in, h, _, d_out = spec.widths
+    """He-normal weights drawn layer by layer, zero biases."""
     rng = substream(seed, TAG_INIT)
-    return ParameterSet.from_pairs(
-        [
-            ("fc1_w", rng.standard_normal((d_in, h)) * np.sqrt(2.0 / d_in)),
-            ("fc1_b", np.zeros(h)),
-            ("fc2_w", rng.standard_normal((h, h)) * np.sqrt(2.0 / h)),
-            ("fc2_b", np.zeros(h)),
-            ("fc3_w", rng.standard_normal((h, d_out)) * np.sqrt(2.0 / h)),
-            ("fc3_b", np.zeros(d_out)),
-        ]
-    )
+    layers = []
+    for name, shape in zip(LAYER_NAMES, spec.shapes):
+        if len(shape) == 2:
+            layers.append((name, rng.standard_normal(shape) * np.sqrt(2.0 / shape[0])))
+        else:
+            layers.append((name, np.zeros(shape)))
+    return ParameterSet.from_pairs(layers)
 
 
 def _forward_cached(p: ParameterSet, x: np.ndarray):

@@ -1,11 +1,14 @@
 import csv
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sparsemerge.cli import main, read_config_file
-from sparsemerge.params import load_checkpoint
+from conftest import rand_pset
+from sparsemerge import cli
+from sparsemerge.cli import COMMAND_OPTS, main, read_config_file
+from sparsemerge.params import load_checkpoint, save_checkpoint
 
 FAST_TRAIN = ["--base-epochs", "3", "--expert-epochs", "40", "--seed", "0"]
 
@@ -165,11 +168,11 @@ def test_report_missing_summary_fails(tmp_path):
 
 def test_invalid_config_lists_every_violation(fast_experts_dir, tmp_path, capsys):
     code = main(["evolve", "--experts", str(fast_experts_dir), "--pop", "7",
-                 "--gamma", "1.5", "--s-min", "0.9", "--s-max", "0.2",
+                 "--gamma", "1.5", "--s-min", "0.9", "--s-max", "0.2", "--t0", "0",
                  "--out", str(tmp_path / "o")])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.count("invalid config") == 3
+    assert err.count("invalid config") == 4
     assert "pop" in err and "gamma" in err and "s-min" in err
 
 
@@ -191,3 +194,122 @@ def test_landscape_and_convexity_outputs(fast_experts_dir, tmp_path):
     assert rows[0] == ["i", "j", "alpha", "beta", "value", "lambda_max", "lambda_min", "converged"]
     values = [float(r[4]) for r in rows[1:]]
     assert all(0.0 <= v <= 0.5 for v in values)
+
+
+def _write(path: Path, text: str) -> str:
+    path.write_text(text)
+    return str(path)
+
+
+def _truncated(src: Path, dst: Path) -> str:
+    dst.write_bytes(src.read_bytes()[:50])
+    return str(dst)
+
+
+def _experts_with_truncated_sub(experts: Path, tmp: Path) -> str:
+    copy = shutil.copytree(experts, tmp / "experts")
+    _truncated(experts / "expert_sub.ckpt", copy / "expert_sub.ckpt")
+    return str(copy)
+
+
+def _not_an_mlp(tmp: Path) -> str:
+    save_checkpoint(rand_pset(0), tmp / "other.ckpt")
+    return str(tmp / "other.ckpt")
+
+
+M7_MISMATCH = "fc1_w is [26, 32], expected [14, 32]"
+
+# name -> (experts dir, scratch dir) -> (argv, text the error line must contain)
+BAD_INPUTS = {
+    "eval-truncated-checkpoint": lambda ex, tmp: (
+        ["eval", "--ckpt", _truncated(ex / "expert_add.ckpt", tmp / "cut.ckpt")], "truncated"),
+    "baseline-truncated-expert": lambda ex, tmp: (
+        ["baseline", "--method", "weight-average", "--experts", _experts_with_truncated_sub(ex, tmp)],
+        "expert_sub.ckpt: truncated"),
+    "evolve-truncated-expert": lambda ex, tmp: (
+        ["evolve", "--experts", _experts_with_truncated_sub(ex, tmp)], "expert_sub.ckpt: truncated"),
+    "eval-modulus-mismatch": lambda ex, tmp: (
+        ["eval", "--ckpt", str(ex / "expert_add.ckpt"), "--m", "7"], M7_MISMATCH),
+    "evolve-modulus-mismatch": lambda ex, tmp: (
+        ["evolve", "--experts", str(ex), "--m", "7"], M7_MISMATCH),
+    "convexity-modulus-mismatch": lambda ex, tmp: (
+        ["convexity", "--ckpt", str(ex / "expert_add.ckpt"), "--m", "7", "--grid", "3"], M7_MISMATCH),
+    "config-modulus-beats-experts": lambda ex, tmp: (
+        ["evolve", "--experts", str(ex), "--config", _write(tmp / "m.cfg", "m=7\n")], M7_MISMATCH),
+    "eval-not-an-mlp": lambda ex, tmp: (
+        ["eval", "--ckpt", _not_an_mlp(tmp)], "expected fc1_w"),
+    "out-is-a-file": lambda ex, tmp: (
+        ["eval", "--ckpt", str(ex / "expert_add.ckpt"), "--out", _write(tmp / "file", "")], "--out"),
+    "flag-not-an-int": lambda ex, tmp: (
+        ["evolve", "--experts", str(ex), "--pop", "abc"], "--pop"),
+    "config-not-an-int": lambda ex, tmp: (
+        ["evolve", "--experts", str(ex), "--config", _write(tmp / "p.cfg", "pop=abc\n")],
+        f"pop in {tmp / 'p.cfg'}"),
+    "config-not-a-choice": lambda ex, tmp: (
+        ["evolve", "--experts", str(ex), "--config", _write(tmp / "c.cfg", "measure=bogus\n")],
+        f"measure in {tmp / 'c.cfg'}"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exits_with_one_error_line(case, fast_experts_dir, tmp_path, capsys):
+    argv, expected = BAD_INPUTS[case](fast_experts_dir, tmp_path)
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert expected in lines[0]
+
+
+class RecordingConfig(dict):
+    """Resolved settings that remember which keys were read."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read: set[str] = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+# Per command: arguments that make a quick run take every option's code path.
+GUARD_ARGS = {
+    "gen-data": ["--n", "5"],
+    "train-experts": ["--base-epochs", "1", "--expert-epochs", "1"],
+    "evolve": ["--experts", "{experts}", "--steps", "1"],
+    "pso": ["--experts", "{experts}", "--iters", "1"],
+    "baseline": ["--experts", "{experts}", "--method", "task-arithmetic"],
+    "eval": ["--ckpt", "{experts}/expert_add.ckpt"],
+    "landscape": ["--ckpt", "{experts}/expert_add.ckpt", "--grid", "2"],
+    "convexity": ["--ckpt", "{experts}/expert_add.ckpt", "--grid", "2", "--eig-iters", "2"],
+    "report": ["--runs", "{experts}"],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_OPTS))
+def test_every_option_is_read(command, fast_experts_dir, tmp_path, monkeypatch):
+    """A flag that no code path reads is dead; the config echo does not count."""
+    configs = []
+    resolve, echo = cli.resolve_options, cli.echo_config
+
+    def recording_resolve(ns):
+        configs.append(RecordingConfig(resolve(ns)))
+        return configs[-1]
+
+    def echo_unrecorded(out_dir, values):
+        before = set(values.read)
+        echo(out_dir, values)
+        values.read &= before
+
+    monkeypatch.setattr(cli, "resolve_options", recording_resolve)
+    monkeypatch.setattr(cli, "echo_config", echo_unrecorded)
+    args = [a.format(experts=fast_experts_dir) for a in GUARD_ARGS[command]]
+    assert main([command, *args, "--out", str(tmp_path / "o")]) == 0
+    unread = {opt.dest for opt in COMMAND_OPTS[command]} - configs[0].read
+    assert not unread, f"{command} never reads {sorted(unread)}"

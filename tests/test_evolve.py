@@ -5,7 +5,6 @@ from sparsemerge.evolve import (
     AnnealTarget,
     EvolveConfig,
     PsoConfig,
-    ReplacementPolicy,
     _mix_position,
     best_member,
     blend_score,
@@ -229,52 +228,6 @@ def test_archive_annealing_never_touches_roots(expert_bundle):
     for member in stepped.members:
         if not member.lineage.root_dense:
             assert member.stats.zero_frac >= np.floor(rate * n) / n - 1e-12
-
-
-def test_replace_worse_parent_only_displaces_parents(expert_bundle):
-    _, expert_add, expert_sub, specs = expert_bundle
-    cfg = make_cfg(specs, replacement=ReplacementPolicy.REPLACE_WORSE_PARENT)
-    archive = init_archive([expert_add, expert_sub], cfg)
-    before = {m.id: m for m in archive.members}
-    stepped, records = evolve_step(archive, cfg, 0, substream(cfg.seed, TAG_PAIRING, 0))
-    for record in records:
-        if "accepted" in record.event:
-            parents = parse_parents(record.event)
-            replaced = int(
-                [t for t in record.event.split() if t.startswith("replaced=")][0]
-                .removeprefix("replaced=")
-            )
-            assert replaced in parents
-    surviving_ids = {m.id for m in stepped.members}
-    untouched = surviving_ids & set(before)
-    for member in stepped.members:
-        if member.id in untouched:
-            assert member.total_score == before[member.id].total_score
-
-
-def test_replace_worse_parent_best_score_still_monotone(expert_bundle):
-    _, expert_add, expert_sub, specs = expert_bundle
-    cfg = make_cfg(specs, replacement=ReplacementPolicy.REPLACE_WORSE_PARENT, seed=3)
-    _, records = run_sae([expert_add, expert_sub], cfg)
-    member_rows = {}
-    for r in records:
-        if r.event in ("init", "member"):
-            member_rows.setdefault(r.step, []).append(r.total_score)
-    series = [max(member_rows[s]) for s in sorted(member_rows)]
-    assert all(b >= a for a, b in zip(series, series[1:]))
-
-
-def test_refresh_parent_scores_changes_mixing_inputs(expert_bundle):
-    _, expert_add, expert_sub, specs = expert_bundle
-    cached_cfg = make_cfg(specs, seed=5)
-    fresh_cfg = make_cfg(specs, seed=5, refresh_parent_scores=True)
-    _, cached_records = run_sae([expert_add, expert_sub], cached_cfg)
-    _, fresh_records = run_sae([expert_add, expert_sub], fresh_cfg)
-    cached_lams = [r.event for r in cached_records if "lambdas=" in r.event]
-    fresh_lams = [r.event for r in fresh_records if "lambdas=" in r.event]
-    assert cached_lams != fresh_lams
-    _, fresh_again = run_sae([expert_add, expert_sub], fresh_cfg)
-    assert fresh_records == fresh_again
 
 
 def test_pso_update_clamps_positions_and_velocity():

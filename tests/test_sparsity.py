@@ -5,7 +5,6 @@ from conftest import rand_pset
 from sparsemerge.params import ParameterSet, flatten, param_count
 from sparsemerge.sparsity import (
     Granularity,
-    RampKind,
     SparsityMeasure,
     SparsitySchedule,
     collect_stats,
@@ -79,19 +78,6 @@ def test_schedule_invariants_over_random_configs():
                 if prev is not None:
                     assert rate >= prev - 1e-12
                 prev = rate
-
-
-def test_cosine_ramp_shares_endpoints_with_linear():
-    linear = SparsitySchedule(0.1, 0.6, 4, 1, 8)
-    cosine = SparsitySchedule(0.1, 0.6, 4, 1, 8, ramp=RampKind.COSINE)
-    # Cycle boundaries agree exactly; interior points differ but stay
-    # monotone within the cycle.
-    for step in (0, 3, 4, 7):
-        assert schedule_rate(cosine, step) == schedule_rate(linear, step)
-    assert schedule_rate(cosine, 1) != schedule_rate(linear, 1)
-    rates = [schedule_rate(cosine, s) for s in range(4)]
-    assert all(b >= a for a, b in zip(rates, rates[1:]))
-    assert all(0.1 <= r <= 0.6 for r in rates)
 
 
 def test_schedule_validation():
