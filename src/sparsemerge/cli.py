@@ -89,10 +89,12 @@ SHARED_OPTS = [
     OUT_OPT,
 ]
 
+M_OPT = Opt("--m", int, 13, help="modulus of the twin tasks")
+
 # The only settings an experts run's config.txt passes on to the runs that
 # load its checkpoints.
 TASK_OPTS = [
-    Opt("--m", int, 13, help="modulus of the twin tasks"),
+    M_OPT,
     Opt("--split-seed", int, None, help="train/test partition seed (defaults to --seed)"),
 ]
 
@@ -172,7 +174,8 @@ EVAL_OPTS = [
 
 COMMAND_OPTS: dict[str, list[Opt]] = {
     "gen-data": SHARED_OPTS + TASK_OPTS + GEN_DATA_OPTS,
-    "train-experts": SHARED_OPTS + TASK_OPTS + TRAIN_OPTS,
+    # Experts train on the partition of --seed, which their config.txt records.
+    "train-experts": SHARED_OPTS + [M_OPT] + TRAIN_OPTS,
     "evolve": SHARED_OPTS + TASK_OPTS + EVOLVE_OPTS,
     "pso": SHARED_OPTS + TASK_OPTS + PSO_OPTS,
     "baseline": SHARED_OPTS + TASK_OPTS + BASELINE_OPTS,
@@ -392,8 +395,8 @@ def _pool_len(spec: ModularTaskSpec, which: str) -> int:
 
 
 def cmd_train_experts(cfg: dict[str, Any], out_dir: Path) -> Outcome:
+    cfg["split_seed"] = cfg["seed"]  # passed on to runs on these experts
     specs = task_specs(cfg)
-    cfg["split_seed"] = specs[0].split_seed  # passed on to runs on these experts
     recipe = ExpertTrainConfig(
         base_epochs=cfg["base_epochs"],
         expert_epochs=cfg["expert_epochs"],
@@ -476,6 +479,8 @@ def cmd_pso(cfg: dict[str, Any], out_dir: Path) -> Outcome:
 
 
 def cmd_baseline(cfg: dict[str, Any], out_dir: Path) -> Outcome:
+    if cfg["method"] == "weight-average" and cfg["scale"] != 1.0:
+        raise ValueError("--scale applies only to --method task-arithmetic")
     base, expert_add, expert_sub = load_experts(cfg)
     if cfg["method"] == "weight-average":
         merged = weight_average([expert_add, expert_sub])

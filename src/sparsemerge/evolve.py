@@ -9,7 +9,7 @@ from enum import Enum
 import numpy as np
 
 from .merge import MergeConfig, RedenseMode, merge_models, redense, weight_average
-from .params import ParameterSet, check_fields, require_compatible
+from .params import ParameterSet, check_fields, flatten, repeat_per_layer, require_compatible, unflatten
 from .seeding import (
     TAG_INIT_EVAL,
     TAG_OPT_BATCH,
@@ -346,15 +346,13 @@ PSO_TRACE_HEADER = "iteration,gbest_fitness,iter_best,iter_mean"
 
 def _mix_position(experts: list[ParameterSet], position: np.ndarray) -> ParameterSet:
     """Fold experts pairwise with per-layer interpolation weights."""
-    n_layers = len(experts[0].layers)
-    lams = position.reshape(len(experts) - 1, n_layers)
-    current = experts[0]
-    for k in range(1, len(experts)):
-        current = ParameterSet.from_pairs(
-            (name, lams[k - 1, li] * arr + (1.0 - lams[k - 1, li]) * experts[k][name])
-            for li, (name, arr) in enumerate(current.items())
-        )
-    return current
+    layout = experts[0]
+    lams = position.reshape(len(experts) - 1, len(layout.names))
+    current = flatten(layout)
+    for row, expert in zip(lams, experts[1:]):
+        lam = repeat_per_layer(layout, row)
+        current = lam * current + (1.0 - lam) * flatten(expert)
+    return unflatten(layout, current)
 
 
 def pso_update(
@@ -384,7 +382,7 @@ def run_pso(
         raise ValueError("need at least two experts")
     for e in experts[1:]:
         require_compatible(experts[0], e)
-    n_dim = (len(experts) - 1) * len(experts[0].layers)
+    n_dim = (len(experts) - 1) * len(experts[0].names)
     rng = substream(cfg.seed, TAG_PSO)
     if init_positions is None:
         x = rng.random((cfg.swarm, n_dim))

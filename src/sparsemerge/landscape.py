@@ -9,6 +9,7 @@ random directions rescaled layer-wise to the anchor model's norms.
 from __future__ import annotations
 
 import csv
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
@@ -84,10 +85,7 @@ def random_directions(theta0: ParameterSet, seed: int) -> DirectionPair:
 def point_params(
     theta0: ParameterSet, dirs: DirectionPair, alpha: float, beta: float
 ) -> ParameterSet:
-    return ParameterSet.from_pairs(
-        (name, arr + alpha * dirs.d1[name] + beta * dirs.d2[name])
-        for name, arr in theta0.items()
-    )
+    return unflatten(theta0, flatten(theta0) + alpha * flatten(dirs.d1) + beta * flatten(dirs.d2))
 
 
 def loss_grid(
@@ -229,13 +227,7 @@ def convexity_grid(
     for i, alpha in enumerate(grid.alphas):
         for j, beta in enumerate(grid.betas):
             theta = point_params(theta0, dirs, float(alpha), float(beta))
-            cell_cfg = EigConfig(
-                iters=eig_cfg.iters,
-                tol=eig_cfg.tol,
-                h=eig_cfg.h,
-                seed=derive_seed(eig_cfg.seed, TAG_EIG, i, j),
-                zero_tol=eig_cfg.zero_tol,
-            )
+            cell_cfg = dataclasses.replace(eig_cfg, seed=derive_seed(eig_cfg.seed, TAG_EIG, i, j))
             result = extreme_eigs(grad_fn, theta, cell_cfg)
             conv[i, j] = convexity_score(result.lam_max, result.lam_min, grid.eps)
             lmax[i, j] = result.lam_max

@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from .params import ParameterSet, check_fields, require_compatible
+from .params import ParameterSet, check_fields, flatten, repeat_per_layer, require_compatible, unflatten
 from .sparsity import Granularity, SparsityMeasure, sparsity_weights
 
 
@@ -47,16 +47,17 @@ def compute_lambda(s_a: float, s_b: float, w_a: float, w_b: float) -> float:
     return 1.0 - num_b / den
 
 
-def merge_layer(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
+def merge_layer(a: np.ndarray, b: np.ndarray, lam) -> np.ndarray:
     """Blend two tensors elementwise with zero-attraction.
 
     Where both entries are nonzero the result is lam*a + (1-lam)*b; where
     exactly one is zero the other entry survives unchanged (a pruned slot
     attracts the co-parent's value); where both are zero the slot stays 0.
+    ``lam`` is one ratio or one ratio per entry.
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    if not 0.0 <= lam <= 1.0:
+    if not np.all((0.0 <= lam) & (lam <= 1.0)):
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
     interp = lam * a + (1.0 - lam) * b
     return np.where(a == 0.0, b, np.where(b == 0.0, a, interp))
@@ -75,22 +76,15 @@ def merge_models(
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"evaluation scores must be in [0, 1], got {s}")
     weights = sparsity_weights(a, b, cfg.measure, cfg.granularity)
-    lambdas: dict[str, float] = {}
-    merged = []
-    for name, arr_a in a.items():
-        w_a, w_b = weights[name]
-        lam = compute_lambda(s_a, s_b, w_a, w_b)
-        lambdas[name] = lam
-        merged.append((name, merge_layer(arr_a, b[name], lam)))
-    return ParameterSet.from_pairs(merged), lambdas
+    lambdas = {name: compute_lambda(s_a, s_b, *weights[name]) for name in a.names}
+    lam = repeat_per_layer(a, list(lambdas.values()))
+    return unflatten(a, merge_layer(flatten(a), flatten(b), lam)), lambdas
 
 
 def redense(p: ParameterSet, donor: ParameterSet) -> ParameterSet:
     """Fill every exactly-zero entry of p with the donor's value there."""
     require_compatible(p, donor)
-    return ParameterSet.from_pairs(
-        (name, np.where(arr == 0.0, donor[name], arr)) for name, arr in p.items()
-    )
+    return unflatten(p, np.where(flatten(p) == 0.0, flatten(donor), flatten(p)))
 
 
 def weight_average(models: list[ParameterSet]) -> ParameterSet:
@@ -98,11 +92,7 @@ def weight_average(models: list[ParameterSet]) -> ParameterSet:
         raise ValueError("need at least one model to average")
     for m in models[1:]:
         require_compatible(models[0], m)
-    out = []
-    for name, first in models[0].items():
-        stacked = np.stack([m[name] for m in models])
-        out.append((name, stacked.mean(axis=0)))
-    return ParameterSet.from_pairs(out)
+    return unflatten(models[0], np.mean([flatten(m) for m in models], axis=0))
 
 
 def task_arithmetic(
@@ -113,11 +103,7 @@ def task_arithmetic(
         raise ValueError("need at least one expert")
     for e in experts:
         require_compatible(base, e)
-    base_coeff = 1.0 - scale * len(experts)
-    out = []
-    for name, b_arr in base.items():
-        acc = base_coeff * b_arr
-        for e in experts:
-            acc = acc + scale * e[name]
-        out.append((name, acc))
-    return ParameterSet.from_pairs(out)
+    acc = (1.0 - scale * len(experts)) * flatten(base)
+    for e in experts:
+        acc = acc + scale * flatten(e)
+    return unflatten(base, acc)

@@ -1,4 +1,11 @@
-"""Named parameter tensors, compatibility checks, and checkpoint files.
+"""Named parameter tensors in one flat buffer, layout checks, and checkpoint files.
+
+A ``ParameterSet`` keeps a model's values in one read-only contiguous
+float64 vector together with its layout (layer names and shapes); each layer
+is a read-only view of its slice. ``flatten`` returns that vector without a
+copy, and ``unflatten`` copies a vector into a new set with a given layout,
+so whole-model operations (updates, merges, probes) are single vector
+expressions between the two. Every set is validated once, when it is built.
 
 Everything downstream (pruning, merging, evolution, curvature scans) operates
 on ``ParameterSet`` values. Sets are immutable after construction and all
@@ -7,6 +14,8 @@ operations on them are pure, so they can be shared freely.
 
 from __future__ import annotations
 
+import itertools
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,54 +45,76 @@ def check_fields(*checks: tuple[bool, str, str]) -> None:
         raise ConfigError(failed)
 
 
-def _freeze_layer(name: str, values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, order="C", copy=True)
-    if arr.ndim == 0:
-        raise ValueError(f"layer {name!r} must have at least one dimension")
-    if any(d <= 0 for d in arr.shape):
-        raise ValueError(f"layer {name!r} has a non-positive dimension {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"layer {name!r} contains non-finite values")
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
 class ParameterSet:
-    """Ordered, immutable collection of named float64 tensors.
+    """Ordered, immutable collection of named float64 tensors in one buffer.
 
-    Layer order is part of model identity: merging walks layers positionally
-    and serialization preserves order, so two models with the same layers in
-    a different order are not compatible.
+    The values sit in one read-only contiguous float64 vector, layer after
+    layer in row-major order; each layer is a read-only view of its slice.
+    The layout is ``names`` and ``shapes``. Layer order is part of model
+    identity: serialization preserves it, so two models with the same layers
+    in a different order are not compatible.
+
+    The constructor copies ``flat`` and validates the whole set once: names
+    non-empty and unique, every dimension positive, every value finite.
+    Callers build sets with ``from_pairs`` or ``unflatten``.
     """
 
-    layers: tuple[tuple[str, np.ndarray], ...]
+    __slots__ = ("names", "shapes", "layers", "_flat", "_views")
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "ParameterSet":
+    def __init__(self, names, shapes, flat):
+        names = tuple(names)
+        shapes = tuple(tuple(int(d) for d in shape) for shape in shapes)
         seen: set[str] = set()
-        out = []
-        for name, values in pairs:
+        for name, shape in zip(names, shapes, strict=True):
             if not name:
                 raise ValueError("layer names must be non-empty")
             if name in seen:
                 raise ValueError(f"duplicate layer name {name!r}")
             seen.add(name)
-            out.append((name, _freeze_layer(name, values)))
-        return cls(tuple(out))
+            if not shape:
+                raise ValueError(f"layer {name!r} must have at least one dimension")
+            if any(d <= 0 for d in shape):
+                raise ValueError(f"layer {name!r} has a non-positive dimension {shape}")
+        sizes = [math.prod(shape) for shape in shapes]
+        flat = np.array(flat, dtype=np.float64)
+        if flat.shape != (sum(sizes),):
+            raise ValueError(f"flat vector has {flat.shape} entries, layout needs {sum(sizes)}")
+        # Freeze before slicing, so that every view inherits read-only.
+        flat.flags.writeable = False
+        ends = list(itertools.accumulate(sizes))
+        views = [
+            flat[end - size : end].reshape(shape) for end, size, shape in zip(ends, sizes, shapes)
+        ]
+        if not np.isfinite(flat).all():
+            bad = next(name for name, v in zip(names, views) if not np.isfinite(v).all())
+            raise ValueError(f"layer {bad!r} contains non-finite values")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "shapes", shapes)
+        object.__setattr__(self, "layers", tuple(zip(names, views)))
+        object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, "_views", dict(zip(names, views)))
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.layers)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ParameterSet is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ParameterSet is immutable; cannot delete {name!r}")
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "ParameterSet":
+        """Copy (name, array-like) pairs, in order, into a new set."""
+        arrays = [(name, np.asarray(values, dtype=np.float64)) for name, values in pairs]
+        return cls(
+            (name for name, _ in arrays),
+            (arr.shape for _, arr in arrays),
+            np.concatenate([arr.ravel() for _, arr in arrays]) if arrays else (),
+        )
 
     def __getitem__(self, name: str) -> np.ndarray:
-        for n, arr in self.layers:
-            if n == name:
-                return arr
-        raise KeyError(name)
+        return self._views[name]
 
     def __contains__(self, name: str) -> bool:
-        return any(n == name for n, _ in self.layers)
+        return name in self._views
 
     def items(self):
         return iter(self.layers)
@@ -96,20 +127,18 @@ class CompatibilityReport:
 
 
 def assert_compatible(a: ParameterSet, b: ParameterSet) -> CompatibilityReport:
-    """Check that two sets share layer names, order, and shapes.
+    """Check that two sets share a layout: layer names, order, and shapes.
 
     Never raises; failures are listed in the returned report.
     """
     mismatches: list[tuple[str, str]] = []
-    if len(a.layers) != len(b.layers):
-        mismatches.append(
-            ("<model>", f"layer count {len(a.layers)} vs {len(b.layers)}")
-        )
-    for (na, ta), (nb, tb) in zip(a.layers, b.layers):
+    if len(a.names) != len(b.names):
+        mismatches.append(("<model>", f"layer count {len(a.names)} vs {len(b.names)}"))
+    for na, nb, sa, sb in zip(a.names, b.names, a.shapes, b.shapes):
         if na != nb:
             mismatches.append((na, f"layer name/order mismatch: {na!r} vs {nb!r}"))
-        elif ta.shape != tb.shape:
-            mismatches.append((na, f"dims {list(ta.shape)} vs {list(tb.shape)}"))
+        elif sa != sb:
+            mismatches.append((na, f"dims {list(sa)} vs {list(sb)}"))
     return CompatibilityReport(not mismatches, tuple(mismatches))
 
 
@@ -121,7 +150,7 @@ def require_compatible(a: ParameterSet, b: ParameterSet) -> None:
 
 
 def param_count(p: ParameterSet) -> int:
-    return sum(arr.size for _, arr in p.layers)
+    return p._flat.size
 
 
 def zero_positions(p: ParameterSet, layer: str) -> set[int]:
@@ -135,22 +164,18 @@ def zero_positions(p: ParameterSet, layer: str) -> set[int]:
 
 
 def flatten(p: ParameterSet) -> np.ndarray:
-    if not p.layers:
-        return np.zeros(0, dtype=np.float64)
-    return np.concatenate([arr.ravel() for _, arr in p.layers])
+    """The set's own read-only value vector; no copy is made."""
+    return p._flat
 
 
 def unflatten(template: ParameterSet, flat: np.ndarray) -> ParameterSet:
-    if flat.shape != (param_count(template),):
-        raise ValueError(
-            f"flat vector has {flat.shape} entries, template needs {param_count(template)}"
-        )
-    out = []
-    offset = 0
-    for name, arr in template.layers:
-        out.append((name, flat[offset : offset + arr.size].reshape(arr.shape)))
-        offset += arr.size
-    return ParameterSet.from_pairs(out)
+    """Copy ``flat`` into a new set with the template's layout."""
+    return ParameterSet(template.names, template.shapes, flat)
+
+
+def repeat_per_layer(p: ParameterSet, values) -> np.ndarray:
+    """Repeat one value per layer over that layer's entries, aligned with flatten(p)."""
+    return np.repeat(np.asarray(values, dtype=np.float64), [v.size for _, v in p.layers])
 
 
 def save_checkpoint(p: ParameterSet, path) -> None:

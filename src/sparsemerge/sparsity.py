@@ -64,18 +64,6 @@ def schedule_rate(sched: SparsitySchedule, step: int) -> float:
     return sched.s_min + (sched.s_max - sched.s_min) * progress
 
 
-def _prune_flat(flat: np.ndarray, rate: float) -> np.ndarray:
-    quota = int(np.floor(rate * flat.size))
-    if quota == 0:
-        return flat
-    out = flat.copy()
-    # Stable sort on |value| puts existing zeros first and breaks magnitude
-    # ties by ascending flat index.
-    order = np.argsort(np.abs(flat), kind="stable")
-    out[order[:quota]] = 0.0
-    return out
-
-
 def prune(p: ParameterSet, rate: float, granularity: Granularity = Granularity.GLOBAL) -> ParameterSet:
     """Zero the smallest-magnitude entries up to ``floor(rate * n)``.
 
@@ -84,11 +72,20 @@ def prune(p: ParameterSet, rate: float, granularity: Granularity = Granularity.G
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"prune rate must be in [0, 1], got {rate}")
+    flat = flatten(p)
     if granularity is Granularity.GLOBAL:
-        return unflatten(p, _prune_flat(flatten(p), rate))
-    return ParameterSet.from_pairs(
-        (name, _prune_flat(arr.ravel(), rate).reshape(arr.shape)) for name, arr in p.items()
-    )
+        sizes = np.array([flat.size])
+    else:
+        sizes = np.array([arr.size for _, arr in p.items()])
+    group = np.repeat(np.arange(sizes.size), sizes)
+    # Stable sort by (group, |value|) puts each group's existing zeros first
+    # and breaks magnitude ties by ascending flat index.
+    order = np.lexsort((np.abs(flat), group))
+    rank = np.arange(flat.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    quota = np.floor(rate * sizes).astype(np.int64)
+    out = flat.copy()
+    out[order[rank < np.repeat(quota, sizes)]] = 0.0
+    return unflatten(p, out)
 
 
 @dataclass(frozen=True)

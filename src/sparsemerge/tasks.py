@@ -14,7 +14,7 @@ from typing import Literal
 
 import numpy as np
 
-from .params import ParameterSet, require_compatible
+from .params import ParameterSet, flatten, require_compatible, unflatten
 from .seeding import TAG_DATA, TAG_INIT, TAG_SHUFFLE, substream
 
 
@@ -200,17 +200,8 @@ def loss_and_grad(p: ParameterSet, batch: Dataset) -> tuple[float, ParameterSet]
     d_z1 = d_a1 * (z1 > 0)
     g_w1 = x.T @ d_z1
     g_b1 = d_z1.sum(axis=0)
-    grad = ParameterSet.from_pairs(
-        [
-            ("fc1_w", g_w1),
-            ("fc1_b", g_b1),
-            ("fc2_w", g_w2),
-            ("fc2_b", g_b2),
-            ("fc3_w", g_w3),
-            ("fc3_b", g_b3),
-        ]
-    )
-    return value, grad
+    grads = dict(zip(LAYER_NAMES, (g_w1, g_b1, g_w2, g_b2, g_w3, g_b3)))
+    return value, unflatten(p, np.concatenate([grads[name].ravel() for name in p.names]))
 
 
 def accuracy(p: ParameterSet, dataset: Dataset) -> float:
@@ -250,10 +241,7 @@ def train(p: ParameterSet, dataset: Dataset, cfg: TrainConfig) -> ParameterSet:
             idx = order[start : start + cfg.batch_size]
             batch = Dataset(dataset.inputs[idx], dataset.labels[idx])
             _, grad = loss_and_grad(params, batch)
-            params = ParameterSet.from_pairs(
-                (name, arr * shrink - cfg.learning_rate * grad[name])
-                for name, arr in params.items()
-            )
+            params = unflatten(params, flatten(params) * shrink - cfg.learning_rate * flatten(grad))
     return params
 
 

@@ -245,10 +245,20 @@ BAD_INPUTS = {
     "config-not-an-int": lambda ex, tmp: (
         ["evolve", "--experts", str(ex), "--config", _write(tmp / "p.cfg", "pop=abc\n")],
         f"pop in {tmp / 'p.cfg'}"),
+    "weight-average-with-scale": lambda ex, tmp: (
+        ["baseline", "--method", "weight-average", "--experts", str(ex), "--scale", "0.3"],
+        "--scale"),
     "config-not-a-choice": lambda ex, tmp: (
         ["evolve", "--experts", str(ex), "--config", _write(tmp / "c.cfg", "measure=bogus\n")],
         f"measure in {tmp / 'c.cfg'}"),
 }
+
+
+def test_train_experts_rejects_split_seed(tmp_path):
+    """Experts train on the partition of --seed; a second seed would only mislabel them."""
+    with pytest.raises(SystemExit) as exc:
+        main(["train-experts", *FAST_TRAIN, "--split-seed", "3", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))

@@ -175,3 +175,18 @@ def test_layers_are_immutable():
     p = rand_pset(0)
     with pytest.raises(ValueError):
         p["w1"][0, 0] = 5.0
+
+
+def test_flat_buffer_layout_contract():
+    p = rand_pset(4)
+    flat = flatten(p)
+    assert not flat.flags.writeable
+    for name in p.names:
+        assert np.shares_memory(flat, p[name])
+    values = flat.copy()
+    q = unflatten(p, values)
+    values[:] = 9.0
+    assert np.array_equal(flatten(q), flat)
+    values[13] = np.nan  # b1 follows the 12 entries of w1
+    with pytest.raises(ValueError, match="'b1'"):
+        unflatten(p, values)
