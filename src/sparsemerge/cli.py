@@ -189,7 +189,12 @@ COMMAND_OPTS: dict[str, list[Opt]] = {
 NON_SCIENCE_KEYS = {"out", "runs"}
 
 # Config fields whose flag is not the field name.
-FIELD_FLAGS = {"capacity": "--pop", "total_steps": "--steps"}
+FIELD_FLAGS = {
+    "capacity": "--pop",
+    "total_steps": "--steps",
+    "learning_rate": "--lr",
+    "modulus": "--m",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,7 +5,9 @@ float64 vector together with its layout (layer names and shapes); each layer
 is a read-only view of its slice. ``flatten`` returns that vector without a
 copy, and ``unflatten`` copies a vector into a new set with a given layout,
 so whole-model operations (updates, merges, probes) are single vector
-expressions between the two. Every set is validated once, when it is built.
+expressions between the two. A ``Layout`` (names and shapes) is checked once,
+when it is built, and is shared by every set that ``unflatten`` derives from
+it; each set's values are checked once, when the set is built.
 
 Everything downstream (pruning, merging, evolution, curvature scans) operates
 on ``ParameterSet`` values. Sets are immutable after construction and all
@@ -45,23 +47,18 @@ def check_fields(*checks: tuple[bool, str, str]) -> None:
         raise ConfigError(failed)
 
 
-class ParameterSet:
-    """Ordered, immutable collection of named float64 tensors in one buffer.
+class Layout:
+    """Layer names and shapes of a ParameterSet, checked once when built.
 
-    The values sit in one read-only contiguous float64 vector, layer after
-    layer in row-major order; each layer is a read-only view of its slice.
-    The layout is ``names`` and ``shapes``. Layer order is part of model
-    identity: serialization preserves it, so two models with the same layers
-    in a different order are not compatible.
-
-    The constructor copies ``flat`` and validates the whole set once: names
-    non-empty and unique, every dimension positive, every value finite.
-    Callers build sets with ``from_pairs`` or ``unflatten``.
+    Names must be non-empty and unique and every dimension positive. The
+    layout also holds each layer's slice of the flat vector, so sets that
+    share a layout (every set ``unflatten`` builds shares its template's)
+    never repeat these checks.
     """
 
-    __slots__ = ("names", "shapes", "layers", "_flat", "_views")
+    __slots__ = ("names", "shapes", "slices", "size")
 
-    def __init__(self, names, shapes, flat):
+    def __init__(self, names, shapes):
         names = tuple(names)
         shapes = tuple(tuple(int(d) for d in shape) for shape in shapes)
         seen: set[str] = set()
@@ -75,24 +72,59 @@ class ParameterSet:
                 raise ValueError(f"layer {name!r} must have at least one dimension")
             if any(d <= 0 for d in shape):
                 raise ValueError(f"layer {name!r} has a non-positive dimension {shape}")
-        sizes = [math.prod(shape) for shape in shapes]
-        flat = np.array(flat, dtype=np.float64)
-        if flat.shape != (sum(sizes),):
-            raise ValueError(f"flat vector has {flat.shape} entries, layout needs {sum(sizes)}")
-        # Freeze before slicing, so that every view inherits read-only.
-        flat.flags.writeable = False
-        ends = list(itertools.accumulate(sizes))
-        views = [
-            flat[end - size : end].reshape(shape) for end, size, shape in zip(ends, sizes, shapes)
-        ]
-        if not np.isfinite(flat).all():
-            bad = next(name for name, v in zip(names, views) if not np.isfinite(v).all())
-            raise ValueError(f"layer {bad!r} contains non-finite values")
+        ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "shapes", shapes)
-        object.__setattr__(self, "layers", tuple(zip(names, views)))
+        object.__setattr__(self, "slices", tuple(map(slice, [0, *ends], ends)))
+        object.__setattr__(self, "size", ends[-1] if ends else 0)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Layout is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Layout is immutable; cannot delete {name!r}")
+
+
+class ParameterSet:
+    """Ordered, immutable collection of named float64 tensors in one buffer.
+
+    The values sit in one read-only contiguous float64 vector, layer after
+    layer in row-major order; each layer is a read-only view of its slice.
+    Layer order is part of model identity: serialization preserves it, so
+    two models with the same layers in a different order are not compatible.
+
+    A stack of K models with one layout is itself a set whose every layer has
+    a leading model axis of length K (see ``stack``).
+
+    The constructor takes an already-checked ``Layout``, copies ``flat`` and
+    checks its length and that every value is finite. Callers build sets
+    with ``from_pairs`` or ``unflatten``.
+    """
+
+    __slots__ = ("layout", "layers", "_flat", "_views")
+
+    def __init__(self, layout: Layout, flat):
+        flat = np.array(flat, dtype=np.float64)
+        if flat.shape != (layout.size,):
+            raise ValueError(f"flat vector has {flat.shape} entries, layout needs {layout.size}")
+        # Freeze before slicing, so that every view inherits read-only.
+        flat.flags.writeable = False
+        views = [flat[s].reshape(shape) for s, shape in zip(layout.slices, layout.shapes)]
+        if not np.isfinite(flat).all():
+            bad = next(name for name, v in zip(layout.names, views) if not np.isfinite(v).all())
+            raise ValueError(f"layer {bad!r} contains non-finite values")
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "layers", tuple(zip(layout.names, views)))
         object.__setattr__(self, "_flat", flat)
-        object.__setattr__(self, "_views", dict(zip(names, views)))
+        object.__setattr__(self, "_views", dict(zip(layout.names, views)))
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return self.layout.names
+
+    @property
+    def shapes(self) -> tuple[tuple[int, ...], ...]:
+        return self.layout.shapes
 
     def __setattr__(self, name, value):
         raise AttributeError(f"ParameterSet is immutable; cannot set {name!r}")
@@ -105,8 +137,7 @@ class ParameterSet:
         """Copy (name, array-like) pairs, in order, into a new set."""
         arrays = [(name, np.asarray(values, dtype=np.float64)) for name, values in pairs]
         return cls(
-            (name for name, _ in arrays),
-            (arr.shape for _, arr in arrays),
+            Layout((name for name, _ in arrays), (arr.shape for _, arr in arrays)),
             np.concatenate([arr.ravel() for _, arr in arrays]) if arrays else (),
         )
 
@@ -169,8 +200,22 @@ def flatten(p: ParameterSet) -> np.ndarray:
 
 
 def unflatten(template: ParameterSet, flat: np.ndarray) -> ParameterSet:
-    """Copy ``flat`` into a new set with the template's layout."""
-    return ParameterSet(template.names, template.shapes, flat)
+    """Copy ``flat`` into a new set that shares the template's layout."""
+    return ParameterSet(template.layout, flat)
+
+
+def stack(sets) -> ParameterSet:
+    """K compatible sets as one set whose layers have a leading axis of length K."""
+    sets = list(sets)
+    for other in sets[1:]:
+        require_compatible(sets[0], other)
+    return ParameterSet.from_pairs((name, np.stack([p[name] for p in sets])) for name in sets[0].names)
+
+
+def unstack(stacked: ParameterSet) -> list[ParameterSet]:
+    """The K sets of a stack, in order; the inverse of ``stack``."""
+    count = stacked.shapes[0][0]
+    return [ParameterSet.from_pairs((name, arr[k]) for name, arr in stacked.layers) for k in range(count)]
 
 
 def repeat_per_layer(p: ParameterSet, values) -> np.ndarray:

@@ -8,13 +8,14 @@ gives the merging experiments genuine tension between parents.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Literal
 
 import numpy as np
 
-from .params import ParameterSet, flatten, require_compatible, unflatten
+from .params import ParameterSet, check_fields, flatten, stack, unflatten, unstack
 from .seeding import TAG_DATA, TAG_INIT, TAG_SHUFFLE, substream
 
 
@@ -39,10 +40,11 @@ class ModularTaskSpec:
     test_fraction: float = 0.25
 
     def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        check_fields(
+            (self.modulus >= 2, "modulus", f"must be >= 2, got {self.modulus}"),
+            (0.0 < self.test_fraction < 1.0, "test_fraction",
+             f"must be in (0, 1), got {self.test_fraction}"),
+        )
 
     def label(self, a: int, b: int) -> int:
         if self.op is ModularOp.ADD:
@@ -52,11 +54,14 @@ class ModularTaskSpec:
 
 @dataclass(frozen=True)
 class Dataset:
-    inputs: np.ndarray  # (n, 2m) one-hot pairs
-    labels: np.ndarray  # (n,) class indices in [0, m)
+    """Rows of one task, or of K tasks stacked along a leading model axis."""
+
+    inputs: np.ndarray  # (n, 2m) one-hot pairs, or (K, n, 2m) for a stack
+    labels: np.ndarray  # (n,) class indices in [0, m), or (K, n)
 
     def __len__(self) -> int:
-        return len(self.labels)
+        """Rows per model."""
+        return self.labels.shape[-1]
 
 
 Split = Literal["train", "opt", "test"]
@@ -122,8 +127,10 @@ class MlpSpec:
     hidden: int = 32
 
     def __post_init__(self):
-        if self.modulus < 2 or self.hidden < 1:
-            raise ValueError(f"bad MlpSpec ({self.modulus}, {self.hidden})")
+        check_fields(
+            (self.modulus >= 2, "modulus", f"must be >= 2, got {self.modulus}"),
+            (self.hidden >= 1, "hidden", f"must be >= 1, got {self.hidden}"),
+        )
 
     @property
     def widths(self) -> tuple[int, int, int, int]:
@@ -152,11 +159,13 @@ def init_mlp(spec: MlpSpec, seed: int) -> ParameterSet:
 
 
 def _forward_cached(p: ParameterSet, x: np.ndarray):
-    z1 = x @ p["fc1_w"] + p["fc1_b"]
+    """Pre- and post-activations of one model on x (b, 2m), or of a stack of
+    K models (every layer with a leading model axis) on x (K, b, 2m)."""
+    z1 = x @ p["fc1_w"] + p["fc1_b"][..., None, :]
     a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ p["fc2_w"] + p["fc2_b"]
+    z2 = a1 @ p["fc2_w"] + p["fc2_b"][..., None, :]
     a2 = np.maximum(z2, 0.0)
-    logits = a2 @ p["fc3_w"] + p["fc3_b"]
+    logits = a2 @ p["fc3_w"] + p["fc3_b"][..., None, :]
     return z1, a1, z2, a2, logits
 
 
@@ -165,9 +174,9 @@ def forward(p: ParameterSet, inputs: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def loss(p: ParameterSet, batch: Dataset) -> float:
@@ -176,30 +185,37 @@ def loss(p: ParameterSet, batch: Dataset) -> float:
     return float(-np.log(np.maximum(picked, 1e-300)).mean())
 
 
-def loss_and_grad(p: ParameterSet, batch: Dataset) -> tuple[float, ParameterSet]:
-    """Mean cross-entropy and its exact gradient via backpropagation."""
+def loss_and_grad(p: ParameterSet, batch: Dataset) -> tuple[float | np.ndarray, ParameterSet]:
+    """Mean cross-entropy and its exact gradient via backpropagation.
+
+    For a stack of K models (see ``params.stack``) on a batch with inputs
+    (K, b, 2m) and labels (K, b), the loss is one mean per model and the
+    gradient is a stack laid out like ``p``.
+    """
     if len(batch) == 0:
         raise ValueError("empty batch")
     x, y = batch.inputs, batch.labels
-    n = len(y)
+    n = len(batch)
     z1, a1, z2, a2, logits = _forward_cached(p, x)
     probs = softmax(logits)
-    picked = probs[np.arange(n), y]
-    value = float(-np.log(np.maximum(picked, 1e-300)).mean())
+    # Each row's label, picked through a (rows, m) view of the probabilities.
+    rows, labels = np.arange(y.size), y.ravel()
+    picked = probs.reshape(-1, probs.shape[-1])[rows, labels].reshape(y.shape)
+    value = -np.log(np.maximum(picked, 1e-300)).mean(axis=-1)
 
     g = probs.copy()
-    g[np.arange(n), y] -= 1.0
+    g.reshape(-1, g.shape[-1])[rows, labels] -= 1.0
     g /= n
-    g_w3 = a2.T @ g
-    g_b3 = g.sum(axis=0)
-    d_a2 = g @ p["fc3_w"].T
+    g_w3 = a2.swapaxes(-1, -2) @ g
+    g_b3 = g.sum(axis=-2)
+    d_a2 = g @ p["fc3_w"].swapaxes(-1, -2)
     d_z2 = d_a2 * (z2 > 0)
-    g_w2 = a1.T @ d_z2
-    g_b2 = d_z2.sum(axis=0)
-    d_a1 = d_z2 @ p["fc2_w"].T
+    g_w2 = a1.swapaxes(-1, -2) @ d_z2
+    g_b2 = d_z2.sum(axis=-2)
+    d_a1 = d_z2 @ p["fc2_w"].swapaxes(-1, -2)
     d_z1 = d_a1 * (z1 > 0)
-    g_w1 = x.T @ d_z1
-    g_b1 = d_z1.sum(axis=0)
+    g_w1 = x.swapaxes(-1, -2) @ d_z1
+    g_b1 = d_z1.sum(axis=-2)
     grads = dict(zip(LAYER_NAMES, (g_w1, g_b1, g_w2, g_b2, g_w3, g_b3)))
     return value, unflatten(p, np.concatenate([grads[name].ravel() for name in p.names]))
 
@@ -220,27 +236,48 @@ class TrainConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning rate must be > 0, got {self.learning_rate}")
-        if self.epochs < 0 or self.batch_size < 1 or self.weight_decay < 0:
-            raise ValueError("bad training configuration")
+        check_fields(
+            (self.epochs >= 0, "epochs", f"must be >= 0, got {self.epochs}"),
+            *_step_checks(self.learning_rate, self.batch_size, self.weight_decay),
+        )
+
+
+def _step_checks(learning_rate: float, batch_size: int, weight_decay: float):
+    """The checks on the SGD step that TrainConfig and ExpertTrainConfig share."""
+    return (
+        (learning_rate > 0, "learning_rate", f"must be > 0, got {learning_rate}"),
+        (batch_size >= 1, "batch_size", f"must be >= 1, got {batch_size}"),
+        (weight_decay >= 0, "weight_decay", f"must be >= 0, got {weight_decay}"),
+    )
 
 
 def train(p: ParameterSet, dataset: Dataset, cfg: TrainConfig) -> ParameterSet:
     """Plain mini-batch gradient descent, optionally with decoupled L2 shrink.
 
     No optimizer state: the result is a pure function of (p, dataset, cfg).
+    A stack of K models (see ``params.stack``) trains on a stacked dataset in
+    lockstep, one step per batch for all K. Model k shuffles with seed
+    ``cfg.seed + k``, so it takes exactly the steps it would take alone.
     """
-    if len(dataset) == 0:
+    n = len(dataset)
+    if n == 0:
         raise ValueError("empty dataset")
+    lead = dataset.labels.shape[:-1]  # () for one model, (K,) for a stack
+    if p["fc1_w"].shape[:-2] != lead:
+        raise ValueError(f"stack of models {p['fc1_w'].shape[:-2]} does not match dataset stack {lead}")
+    seeds = [cfg.seed + k for k in range(math.prod(lead))]
+    # Model k's rows start at k*n once the stack's rows are laid end to end.
+    offsets = n * np.arange(len(seeds)).reshape(lead + (1,))
+    inputs = dataset.inputs.reshape(-1, dataset.inputs.shape[-1])
+    labels = dataset.labels.reshape(-1)
     params = p
     shrink = 1.0 - cfg.learning_rate * cfg.weight_decay
     for epoch in range(cfg.epochs):
-        order = substream(cfg.seed, TAG_SHUFFLE, epoch).permutation(len(dataset))
-        for start in range(0, len(dataset), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            batch = Dataset(dataset.inputs[idx], dataset.labels[idx])
-            _, grad = loss_and_grad(params, batch)
+        orders = [substream(seed, TAG_SHUFFLE, epoch).permutation(n) for seed in seeds]
+        order = np.reshape(orders, lead + (n,)) + offsets
+        for start in range(0, n, cfg.batch_size):
+            idx = order[..., start : start + cfg.batch_size]
+            _, grad = loss_and_grad(params, Dataset(inputs[idx], labels[idx]))
             params = unflatten(params, flatten(params) * shrink - cfg.learning_rate * flatten(grad))
     return params
 
@@ -268,6 +305,13 @@ class ExpertTrainConfig:
     batch_size: int = 32
     weight_decay: float = 0.012
 
+    def __post_init__(self):
+        check_fields(
+            (self.base_epochs >= 0, "base_epochs", f"must be >= 0, got {self.base_epochs}"),
+            (self.expert_epochs >= 0, "expert_epochs", f"must be >= 0, got {self.expert_epochs}"),
+            *_step_checks(self.learning_rate, self.batch_size, self.weight_decay),
+        )
+
 
 def build_experts(
     seed: int,
@@ -275,7 +319,12 @@ def build_experts(
     hidden: int = 32,
     recipe: ExpertTrainConfig = ExpertTrainConfig(),
 ) -> tuple[ParameterSet, ParameterSet, ParameterSet]:
-    """Train (base, expert_add, expert_sub) on the twin tasks."""
+    """Train (base, expert_add, expert_sub) on the twin tasks.
+
+    Both experts fine-tune from the base in lockstep, as one stack of two
+    models; expert_add shuffles with seed 7*seed + 1 and expert_sub with
+    7*seed + 2.
+    """
     add_spec, sub_spec = twin_tasks(modulus, split_seed=seed)
     add_train = full_split(add_spec, "train")
     sub_train = full_split(sub_spec, "train")
@@ -289,9 +338,14 @@ def build_experts(
         mixture,
         TrainConfig(recipe.learning_rate, recipe.base_epochs, recipe.batch_size, seed),
     )
-    expert_add = train(
-        base,
-        add_train,
+    # The two train pools always have the same size, so they stack.
+    pools = Dataset(
+        np.stack([add_train.inputs, sub_train.inputs]),
+        np.stack([add_train.labels, sub_train.labels]),
+    )
+    experts = train(
+        stack([base, base]),
+        pools,
         TrainConfig(
             recipe.learning_rate,
             recipe.expert_epochs,
@@ -300,16 +354,5 @@ def build_experts(
             recipe.weight_decay,
         ),
     )
-    expert_sub = train(
-        base,
-        sub_train,
-        TrainConfig(
-            recipe.learning_rate,
-            recipe.expert_epochs,
-            recipe.batch_size,
-            seed * 7 + 2,
-            recipe.weight_decay,
-        ),
-    )
-    require_compatible(expert_add, expert_sub)
+    expert_add, expert_sub = unstack(experts)
     return base, expert_add, expert_sub

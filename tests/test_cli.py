@@ -176,6 +176,18 @@ def test_invalid_config_lists_every_violation(fast_experts_dir, tmp_path, capsys
     assert "pop" in err and "gamma" in err and "s-min" in err
 
 
+def test_bad_expert_recipe_names_every_flag_before_training(tmp_path, capsys):
+    out = tmp_path / "experts"
+    code = main(["train-experts", "--expert-epochs", "-1", "--weight-decay", "-0.5",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid config: --expert-epochs: must be >= 0, got -1",
+        "invalid config: --weight-decay: must be >= 0, got -0.5",
+    ]
+    assert not list(out.glob("*.ckpt"))
+
+
 def test_landscape_and_convexity_outputs(fast_experts_dir, tmp_path):
     ckpt = fast_experts_dir / "expert_add.ckpt"
     land = tmp_path / "land"

@@ -10,11 +10,13 @@ from sparsemerge.params import (
     load_checkpoint,
     param_count,
     save_checkpoint,
+    stack,
     unflatten,
+    unstack,
     zero_positions,
 )
 from sparsemerge.sparsity import Granularity, prune
-from sparsemerge.tasks import MlpSpec, init_mlp
+from sparsemerge.tasks import Dataset, MlpSpec, ModularOp, ModularTaskSpec, gen_dataset, init_mlp
 
 
 def test_compatible_with_itself():
@@ -190,3 +192,46 @@ def test_flat_buffer_layout_contract():
     values[13] = np.nan  # b1 follows the 12 entries of w1
     with pytest.raises(ValueError, match="'b1'"):
         unflatten(p, values)
+
+
+def test_unflatten_rejects_a_vector_of_the_wrong_length():
+    p = rand_pset(0)
+    for size in (param_count(p) - 1, param_count(p) + 1):
+        with pytest.raises(ValueError, match="layout needs"):
+            unflatten(p, np.zeros(size))
+
+
+def test_unflatten_rejects_nan_and_names_the_layer():
+    p = rand_pset(1)
+    values = flatten(p).copy()
+    values[-1] = np.nan  # the last entry belongs to b2
+    with pytest.raises(ValueError, match="'b2'"):
+        unflatten(p, values)
+
+
+def test_unflatten_shares_the_layout_but_not_the_values():
+    p = rand_pset(2)
+    for values in (flatten(p), flatten(p) * 2.0):
+        q = unflatten(p, values)
+        assert q.layout is p.layout
+        assert not np.shares_memory(flatten(q), values)
+        assert not np.shares_memory(flatten(q), flatten(p))
+
+
+def test_stack_adds_a_leading_model_axis_and_unstack_inverts_it():
+    sets = [rand_pset(seed) for seed in range(3)]
+    stacked = stack(sets)
+    assert stacked.names == sets[0].names
+    assert stacked.shapes == tuple((3, *shape) for shape in sets[0].shapes)
+    for k, (original, back) in enumerate(zip(sets, unstack(stacked))):
+        assert back.shapes == original.shapes
+        assert np.array_equal(flatten(back), flatten(original))
+        assert np.array_equal(stacked["w1"][k], original["w1"])
+    with pytest.raises(ValueError, match="incompatible"):
+        stack([sets[0], rand_pset(0, shapes=[("w1", (4, 3))])])
+
+
+def test_len_of_a_stacked_dataset_is_rows_per_model():
+    one = gen_dataset(ModularTaskSpec(5, ModularOp.ADD), "train", 6, seed=0)
+    stacked = Dataset(np.stack([one.inputs] * 3), np.stack([one.labels] * 3))
+    assert len(stacked) == len(one) == 6

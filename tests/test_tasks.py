@@ -1,14 +1,24 @@
 import numpy as np
 import pytest
 
-from sparsemerge.params import ParameterSet, assert_compatible, flatten, param_count, unflatten
+from sparsemerge.params import (
+    ParameterSet,
+    assert_compatible,
+    flatten,
+    param_count,
+    stack,
+    unflatten,
+    unstack,
+)
 from sparsemerge.tasks import (
     Dataset,
+    ExpertTrainConfig,
     MlpSpec,
     ModularOp,
     ModularTaskSpec,
     TrainConfig,
     accuracy,
+    build_experts,
     forward,
     full_split,
     gen_dataset,
@@ -223,3 +233,42 @@ def test_twin_tasks_share_split_seed():
     add_spec, sub_spec = twin_tasks(13, split_seed=7)
     assert add_spec.op is ModularOp.ADD and sub_spec.op is ModularOp.SUB
     assert add_spec.split_seed == sub_spec.split_seed == 7
+
+
+def test_lockstep_experts_equal_separate_training():
+    """build_experts trains both experts as one stack; each must be bit for
+    bit the expert a K=1 train call from the same base gives."""
+    seed, m, hidden = 3, 5, 8
+    recipe = ExpertTrainConfig(base_epochs=3, expert_epochs=40, batch_size=4)
+    base, expert_add, expert_sub = build_experts(seed, m, hidden, recipe)
+    for k, (spec, expert) in enumerate(zip(twin_tasks(m, split_seed=seed), (expert_add, expert_sub))):
+        cfg = TrainConfig(recipe.learning_rate, recipe.expert_epochs, recipe.batch_size,
+                          seed * 7 + 1 + k, recipe.weight_decay)
+        alone = train(base, full_split(spec, "train"), cfg)
+        assert np.array_equal(flatten(expert), flatten(alone))
+
+
+def test_stacked_gradient_slices_equal_single_model_gradients():
+    spec = MlpSpec(5, 8)
+    models = [init_mlp(spec, seed) for seed in range(3)]
+    batches = [
+        gen_dataset(ModularTaskSpec(5, op, split_seed=1), "train", 7, seed=seed)
+        for seed, op in enumerate((ModularOp.ADD, ModularOp.SUB, ModularOp.ADD))
+    ]
+    stacked_batch = Dataset(np.stack([b.inputs for b in batches]), np.stack([b.labels for b in batches]))
+    values, stacked_grad = loss_and_grad(stack(models), stacked_batch)
+    for k, (model, batch, grad) in enumerate(zip(models, batches, unstack(stacked_grad))):
+        value, single = loss_and_grad(model, batch)
+        assert values[k] == value
+        assert np.array_equal(flatten(grad), flatten(single))
+
+
+def test_train_rejects_a_model_stack_that_does_not_match_the_dataset():
+    spec = ModularTaskSpec(5, ModularOp.ADD)
+    one = full_split(spec, "train")
+    two = Dataset(np.stack([one.inputs] * 2), np.stack([one.labels] * 2))
+    net = init_mlp(MlpSpec(5, 4), 0)
+    cfg = TrainConfig(epochs=1)
+    for model, data in ((stack([net, net]), one), (net, two), (stack([net] * 3), two)):
+        with pytest.raises(ValueError, match="does not match"):
+            train(model, data, cfg)
