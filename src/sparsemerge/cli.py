@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 import time
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Any, Callable
 
 from .evolve import (
-    AnnealTarget,
     EvolveConfig,
     PsoConfig,
     run_pso,
@@ -29,7 +30,6 @@ from .evolve import (
     write_trace,
 )
 from .landscape import (
-    DirectionPair,
     EigConfig,
     GridSpec,
     convexity_grid,
@@ -39,10 +39,10 @@ from .landscape import (
     write_grid_csv,
     write_pgm,
 )
-from .merge import MergeConfig, RedenseMode, task_arithmetic, weight_average
+from .merge import MergeConfig, task_arithmetic, weight_average
 from .params import CheckpointError, ConfigError, ParameterSet, load_checkpoint, save_checkpoint
 from .seeding import TAG_EIG, derive_seed
-from .sparsity import Granularity, SparsityMeasure, SparsitySchedule
+from .sparsity import SparsitySchedule
 from .tasks import (
     LAYER_NAMES,
     ExpertTrainConfig,
@@ -53,7 +53,6 @@ from .tasks import (
     build_experts,
     full_split,
     gen_dataset,
-    pool_sizes,
     sample_pairs,
 )
 
@@ -188,13 +187,17 @@ COMMAND_OPTS: dict[str, list[Opt]] = {
 # Keys that never enter the echoed config: they locate the run, not its science.
 NON_SCIENCE_KEYS = {"out", "runs"}
 
-# Config fields whose flag is not the field name.
-FIELD_FLAGS = {
-    "capacity": "--pop",
-    "total_steps": "--steps",
-    "learning_rate": "--lr",
-    "modulus": "--m",
+# Config fields set by an option of another name. A field takes the option of its
+# own name where the command has one (pso --iters), else its alias (convexity --eig-iters).
+FIELD_ALIASES = {
+    "capacity": "pop", "total_steps": "steps", "learning_rate": "lr", "modulus": "m",
+    "resolution": "grid", "redense_mode": "redense", "iters": "eig_iters", "tol": "eig_tol",
 }
+
+
+def option_for(field: str, options) -> str:
+    """The option (dest name) that sets config ``field`` among ``options``."""
+    return field if field in options else FIELD_ALIASES.get(field, field)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,14 +305,61 @@ def read_summary(path: Path) -> list[list[str]]:
     return rows[1:]
 
 
-def task_spec(cfg: dict[str, Any], op: ModularOp) -> ModularTaskSpec:
-    """Task ``op`` modulo --m, partitioned by --split-seed (default: --seed)."""
-    seed, split_seed = cfg["seed"], cfg["split_seed"]
-    return ModularTaskSpec(cfg["m"], op, seed if split_seed is None else split_seed)
+class Settings:
+    """Builds a command's configs from its options and collects every violation;
+    leaving the ``with`` block raises them as one ConfigError, one per field."""
+
+    def __init__(self, cfg: dict[str, Any]):
+        self.cfg = cfg
+        self.violations: dict[str, str] = {}
+
+    def __enter__(self) -> "Settings":
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        if exc_type is None and self.violations:
+            raise ConfigError(self.violations.items())
+
+    def check(self, ok: bool, field: str, reason: str) -> None:
+        if not ok:
+            self.violations.setdefault(field, reason)
+
+    def build(self, cls, **given):
+        """``cls`` with each field not ``given`` taken from its option, if the command
+        has one (an enum as ``type(default)(value)``); None if the result is invalid."""
+        for f in dataclasses.fields(cls):
+            key = option_for(f.name, self.cfg)
+            if f.name not in given and key in self.cfg:
+                value = self.cfg[key]
+                given[f.name] = type(f.default)(value) if isinstance(f.default, Enum) else value
+        try:
+            return cls(**given)
+        except ConfigError as exc:
+            for field, reason in exc.violations:
+                self.check(False, field, reason)
+            return None
 
 
-def task_specs(cfg: dict[str, Any]) -> tuple[ModularTaskSpec, ...]:
-    return tuple(task_spec(cfg, op) for op in ModularOp)
+def build_tasks(s: Settings) -> tuple[ModularTaskSpec | None, ...]:
+    """The task of --op, or both tasks where the command has no --op, modulo
+    --m and partitioned by --split-seed (default: --seed)."""
+    seed, split_seed = s.cfg["seed"], s.cfg.get("split_seed")
+    s.check(seed >= 0, "seed", f"must be >= 0, got {seed}")
+    if split_seed is None:
+        split_seed = max(seed, 0)  # a negative --seed is named once, as --seed
+    ops = [{}] if "op" in s.cfg else [{"op": op} for op in ModularOp]
+    return tuple(s.build(ModularTaskSpec, split_seed=split_seed, **op) for op in ops)
+
+
+def check_draw(s: Settings, field: str, spec: ModularTaskSpec | None, which: str, low: int = 1) -> int | None:
+    """Option ``field`` draws that many pairs from the ``which`` pool, so it must be
+    in low..pool size; returns the size. Checkpoints are loaded first (if all else is
+    valid): one that does not fit --m is the error, not the smaller pool --m gives."""
+    n, pool = s.cfg[field], spec.pool_size(which) if spec else None
+    s.check(n >= low, field, f"must be >= {low}, got {n}")
+    s.check(pool is None or n <= pool, field,
+            f"must be <= {pool}, the size of the pool it draws from, got {n}")
+    return pool
 
 
 def evaluate_model(
@@ -382,9 +432,10 @@ def run_command(command: str, cfg: dict[str, Any]) -> int:
 
 
 def cmd_gen_data(cfg: dict[str, Any], out_dir: Path) -> Outcome:
-    spec = task_spec(cfg, ModularOp(cfg["op"]))
-    n = cfg["n"] or _pool_len(spec, cfg["which"])
-    pairs = sample_pairs(spec, cfg["which"], n, cfg["seed"])
+    with Settings(cfg) as s:
+        (spec,) = build_tasks(s)
+        pool = check_draw(s, "n", spec, cfg["which"], low=0)
+    pairs = sample_pairs(spec, cfg["which"], cfg["n"] or pool, cfg["seed"])
     path = out_dir / f"{cfg['op']}_{cfg['which']}.csv"
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -394,22 +445,13 @@ def cmd_gen_data(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     return [], [f"wrote {path}"]
 
 
-def _pool_len(spec: ModularTaskSpec, which: str) -> int:
-    train_n, test_n = pool_sizes(spec)
-    return test_n if which == "test" else train_n
-
-
 def cmd_train_experts(cfg: dict[str, Any], out_dir: Path) -> Outcome:
+    with Settings(cfg) as s:
+        specs = build_tasks(s)
+        net = s.build(MlpSpec)
+        recipe = s.build(ExpertTrainConfig)
     cfg["split_seed"] = cfg["seed"]  # passed on to runs on these experts
-    specs = task_specs(cfg)
-    recipe = ExpertTrainConfig(
-        base_epochs=cfg["base_epochs"],
-        expert_epochs=cfg["expert_epochs"],
-        learning_rate=cfg["lr"],
-        batch_size=cfg["batch_size"],
-        weight_decay=cfg["weight_decay"],
-    )
-    models = build_experts(cfg["seed"], cfg["m"], cfg["hidden"], recipe)
+    models = build_experts(cfg["seed"], net.modulus, net.hidden, recipe)
     rows = []
     for name, model in zip(EXPERT_NAMES, models):
         save_checkpoint(model, out_dir / f"{name}.ckpt")
@@ -417,43 +459,14 @@ def cmd_train_experts(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     return rows, [score_line(*row) for row in rows]
 
 
-def evolve_config(cfg: dict[str, Any], specs: tuple[ModularTaskSpec, ...]) -> EvolveConfig:
-    """The evolve settings; violations of all three nested configs are reported together."""
-    violations: list[tuple[str, str]] = []
-
-    def build(cls, *args, **kwargs):
-        try:
-            return cls(*args, **kwargs)
-        except ConfigError as exc:
-            violations.extend(exc.violations)
-
-    evolve_cfg = build(
-        EvolveConfig,
-        capacity=cfg["pop"],
-        schedule=build(
-            SparsitySchedule, cfg["s_min"], cfg["s_max"], cfg["t0"], cfg["t_mult"], cfg["steps"]
-        ),
-        merge_cfg=build(
-            MergeConfig,
-            measure=SparsityMeasure(cfg["measure"]),
-            granularity=Granularity(cfg["granularity"]),
-            redense_mode=RedenseMode(cfg["redense"]),
-            gamma=cfg["gamma"],
-        ),
-        seed=cfg["seed"],
-        tasks=specs,
-        opt_batch=cfg["opt_batch"],
-        anneal=AnnealTarget(cfg["anneal"]),
-    )
-    if violations:
-        raise ConfigError(violations)
-    return evolve_cfg
-
-
 def cmd_evolve(cfg: dict[str, Any], out_dir: Path) -> Outcome:
-    specs = task_specs(cfg)
-    evolve_cfg = evolve_config(cfg, specs)
-    _, expert_add, expert_sub = load_experts(cfg)
+    with Settings(cfg) as s:
+        specs = build_tasks(s)
+        evolve_cfg = s.build(EvolveConfig, schedule=s.build(SparsitySchedule),
+                             merge_cfg=s.build(MergeConfig), tasks=specs)
+        experts = None if s.violations else load_experts(cfg)
+        check_draw(s, "opt_batch", specs[0], "opt")
+    _, expert_add, expert_sub = experts
     best, records = run_sae([expert_add, expert_sub], evolve_cfg)
     write_trace(out_dir / "trace.csv", records)
     save_checkpoint(best.params, out_dir / "best.ckpt")
@@ -465,17 +478,12 @@ def cmd_evolve(cfg: dict[str, Any], out_dir: Path) -> Outcome:
 
 
 def cmd_pso(cfg: dict[str, Any], out_dir: Path) -> Outcome:
-    specs = task_specs(cfg)
-    pso_cfg = PsoConfig(
-        swarm=cfg["swarm"],
-        iters=cfg["iters"],
-        w=cfg["w"],
-        c1=cfg["c1"],
-        c2=cfg["c2"],
-        vmax=cfg["vmax"],
-        seed=cfg["seed"],
-    )
-    _, expert_add, expert_sub = load_experts(cfg)
+    with Settings(cfg) as s:
+        specs = build_tasks(s)
+        pso_cfg = s.build(PsoConfig)
+        experts = None if s.violations else load_experts(cfg)
+        check_draw(s, "opt_batch", specs[0], "opt")
+    _, expert_add, expert_sub = experts
     best, trace = run_pso([expert_add, expert_sub], pso_cfg, specs, opt_batch=cfg["opt_batch"])
     write_pso_trace(out_dir / "trace.csv", trace)
     save_checkpoint(best, out_dir / "best.ckpt")
@@ -486,31 +494,31 @@ def cmd_pso(cfg: dict[str, Any], out_dir: Path) -> Outcome:
 def cmd_baseline(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     if cfg["method"] == "weight-average" and cfg["scale"] != 1.0:
         raise ValueError("--scale applies only to --method task-arithmetic")
+    with Settings(cfg) as s:
+        specs = build_tasks(s)
     base, expert_add, expert_sub = load_experts(cfg)
     if cfg["method"] == "weight-average":
         merged = weight_average([expert_add, expert_sub])
     else:
         merged = task_arithmetic(base, [expert_add, expert_sub], cfg["scale"])
     save_checkpoint(merged, out_dir / "merged.ckpt")
-    row = (cfg["method"], *evaluate_model(merged, task_specs(cfg)))
+    row = (cfg["method"], *evaluate_model(merged, specs))
     return [row], [score_line(*row)]
 
 
 def cmd_eval(cfg: dict[str, Any], out_dir: Path) -> Outcome:
-    params = load_model(cfg["ckpt"], cfg["m"])
-    row = (cfg["label"], *evaluate_model(params, task_specs(cfg)))
+    with Settings(cfg) as s:
+        specs = build_tasks(s)
+    row = (cfg["label"], *evaluate_model(load_model(cfg["ckpt"], cfg["m"]), specs))
     return [row], [score_line(*row)]
 
 
-def _scan_inputs(cfg: dict[str, Any]) -> tuple[ParameterSet, ModularTaskSpec, DirectionPair]:
-    params = load_model(cfg["ckpt"], cfg["m"])
-    return params, task_spec(cfg, ModularOp(cfg["op"])), random_directions(params, cfg["seed"])
-
-
 def cmd_landscape(cfg: dict[str, Any], out_dir: Path) -> Outcome:
-    params, spec, dirs = _scan_inputs(cfg)
-    grid = GridSpec(cfg["alpha_max"], cfg["beta_max"], cfg["grid"])
-    losses = loss_grid(params, dirs, grid, full_split(spec, cfg["split"]))
+    with Settings(cfg) as s:
+        (spec,) = build_tasks(s)
+        grid = s.build(GridSpec)
+    params = load_model(cfg["ckpt"], cfg["m"])
+    losses = loss_grid(params, random_directions(params, cfg["seed"]), grid, full_split(spec, cfg["split"]))
     write_grid_csv(out_dir / "landscape.csv", grid, losses)
     write_pgm(out_dir / "landscape.pgm", losses)
     center = grid.resolution // 2
@@ -521,11 +529,14 @@ def cmd_landscape(cfg: dict[str, Any], out_dir: Path) -> Outcome:
 
 
 def cmd_convexity(cfg: dict[str, Any], out_dir: Path) -> Outcome:
-    params, spec, dirs = _scan_inputs(cfg)
-    grid = GridSpec(cfg["alpha_max"], cfg["beta_max"], cfg["grid"], cfg["eps"])
+    with Settings(cfg) as s:
+        (spec,) = build_tasks(s)
+        grid = s.build(GridSpec)
+        eig_cfg = s.build(EigConfig)
+        params = None if s.violations else load_model(cfg["ckpt"], cfg["m"])
+        check_draw(s, "hess_batch", spec, "opt")
     batch = gen_dataset(spec, "opt", cfg["hess_batch"], derive_seed(cfg["seed"], TAG_EIG))
-    eig_cfg = EigConfig(iters=cfg["eig_iters"], tol=cfg["eig_tol"], seed=cfg["seed"])
-    result = convexity_grid(params, dirs, grid, batch, eig_cfg)
+    result = convexity_grid(params, random_directions(params, cfg["seed"]), grid, batch, eig_cfg)
     write_convexity_csv(out_dir / "convexity.csv", grid, result)
     write_pgm(out_dir / "convexity.pgm", result.convexity)
     return [], [
@@ -565,8 +576,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return run_command(ns.command, resolve_options(ns))
     except ConfigError as exc:
+        options = {opt.dest for opt in COMMAND_OPTS[ns.command]}
         for field, reason in exc.violations:
-            flag = FIELD_FLAGS.get(field, "--" + field.replace("_", "-"))
+            flag = "--" + option_for(field, options).replace("_", "-")
             print(f"invalid config: {flag}: {reason}", file=sys.stderr)
         return 2
     except (CheckpointError, OSError, ValueError) as exc:

@@ -15,11 +15,17 @@ from typing import Callable
 
 import numpy as np
 
-from .params import ParameterSet, flatten, unflatten
+from .params import ParameterSet, check_fields, flatten, unflatten
 from .seeding import TAG_DIRECTIONS, TAG_EIG, derive_seed, substream
 from .tasks import Dataset, loss, loss_and_grad
 
 GradFn = Callable[[ParameterSet], ParameterSet]
+
+# Step of the finite-difference Hessian-vector product.
+HVP_STEP = 1e-4
+# Eigenvalue estimates below ZERO_TOL * spread are reported as exactly 0: the
+# finite-difference products cannot resolve eigenvalues that small.
+ZERO_TOL = 1e-9
 
 
 def batch_grad(batch: Dataset) -> GradFn:
@@ -33,7 +39,6 @@ def batch_grad(batch: Dataset) -> GradFn:
 class DirectionPair:
     d1: ParameterSet
     d2: ParameterSet
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -44,10 +49,12 @@ class GridSpec:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.resolution < 2:
-            raise ValueError(f"resolution must be >= 2, got {self.resolution}")
-        if self.alpha_max <= 0 or self.beta_max <= 0 or self.eps <= 0:
-            raise ValueError("grid extents and eps must be > 0")
+        check_fields(
+            (self.alpha_max > 0, "alpha_max", f"must be > 0, got {self.alpha_max}"),
+            (self.beta_max > 0, "beta_max", f"must be > 0, got {self.beta_max}"),
+            (self.resolution >= 2, "resolution", f"must be >= 2, got {self.resolution}"),
+            (self.eps > 0, "eps", f"must be > 0, got {self.eps}"),
+        )
 
     def axis(self, extent: float) -> np.ndarray:
         values = np.linspace(-extent, extent, self.resolution)
@@ -79,7 +86,7 @@ def random_directions(theta0: ParameterSet, seed: int) -> DirectionPair:
             else:
                 layers.append((name, raw * (target / raw_norm)))
         dirs.append(ParameterSet.from_pairs(layers))
-    return DirectionPair(dirs[0], dirs[1], seed)
+    return DirectionPair(dirs[0], dirs[1])
 
 
 def point_params(
@@ -101,11 +108,11 @@ def loss_grid(
     return out
 
 
-def hvp(grad_fn: GradFn, theta: ParameterSet, v: ParameterSet, h: float = 1e-4) -> ParameterSet:
+def hvp(grad_fn: GradFn, theta: ParameterSet, v: ParameterSet) -> ParameterSet:
     """Hessian-vector product by central differences of the gradient.
 
-    Uses (g(theta + h*v_hat) - g(theta - h*v_hat)) / (2h) * ||v|| with the
-    probe normalized, so the step size is independent of ||v||.
+    Uses (g(theta + h*v_hat) - g(theta - h*v_hat)) / (2h) * ||v||, h = HVP_STEP,
+    with the probe normalized so that the step is independent of ||v||.
     """
     flat_v = flatten(v)
     norm = float(np.linalg.norm(flat_v))
@@ -113,26 +120,22 @@ def hvp(grad_fn: GradFn, theta: ParameterSet, v: ParameterSet, h: float = 1e-4) 
         raise ValueError("zero-norm direction")
     flat_theta = flatten(theta)
     vhat = flat_v / norm
-    g_plus = flatten(grad_fn(unflatten(theta, flat_theta + h * vhat)))
-    g_minus = flatten(grad_fn(unflatten(theta, flat_theta - h * vhat)))
-    return unflatten(theta, (g_plus - g_minus) * (norm / (2.0 * h)))
+    g_plus = flatten(grad_fn(unflatten(theta, flat_theta + HVP_STEP * vhat)))
+    g_minus = flatten(grad_fn(unflatten(theta, flat_theta - HVP_STEP * vhat)))
+    return unflatten(theta, (g_plus - g_minus) * (norm / (2.0 * HVP_STEP)))
 
 
 @dataclass(frozen=True)
 class EigConfig:
     iters: int = 100
     tol: float = 1e-6
-    h: float = 1e-4
     seed: int = 0
-    # Estimates below zero_tol * spread are reported as exactly 0: the
-    # finite-difference products cannot resolve eigenvalues that small.
-    zero_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.iters < 1:
-            raise ValueError(f"iters must be >= 1, got {self.iters}")
-        if self.tol <= 0 or self.h <= 0 or self.zero_tol < 0:
-            raise ValueError("tol and h must be > 0, zero_tol >= 0")
+        check_fields(
+            (self.iters >= 1, "iters", f"must be >= 1, got {self.iters}"),
+            (self.tol > 0, "tol", f"must be > 0, got {self.tol}"),
+        )
 
 
 @dataclass(frozen=True)
@@ -177,7 +180,7 @@ def extreme_eigs(
     n = flat_theta.size
 
     def op(u: np.ndarray) -> np.ndarray:
-        return flatten(hvp(grad_fn, theta, unflatten(theta, u), cfg.h))
+        return flatten(hvp(grad_fn, theta, unflatten(theta, u)))
 
     v0 = substream(cfg.seed, TAG_EIG, n).standard_normal(n)
     mu1, _ = _power_iteration(op, v0, cfg.iters, cfg.tol)
@@ -188,9 +191,9 @@ def extreme_eigs(
     lam_max, lam_min = max(mu2, mu3), min(mu2, mu3)
     spread = max(abs(lam_max), abs(lam_min))
     if spread > 0.0:
-        if abs(lam_max) <= cfg.zero_tol * spread:
+        if abs(lam_max) <= ZERO_TOL * spread:
             lam_max = 0.0
-        if abs(lam_min) <= cfg.zero_tol * spread:
+        if abs(lam_min) <= ZERO_TOL * spread:
             lam_min = 0.0
     return EigResult(lam_max, lam_min, ok2 and ok3)
 
@@ -237,30 +240,22 @@ def convexity_grid(
     return ConvexityResult(conv, lmax, lmin, losses, flags)
 
 
-def write_grid_csv(path, grid: GridSpec, value: np.ndarray) -> None:
+def write_grid_csv(path, grid: GridSpec, value: np.ndarray, **columns: np.ndarray) -> None:
+    """One row per cell: i, j, alpha, beta, value, then each extra column;
+    floats are written as repr, boolean flags as 0/1."""
+    maps = [value, *columns.values()]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["i", "j", "alpha", "beta", "value"])
+        writer.writerow(["i", "j", "alpha", "beta", "value", *columns])
         for i, alpha in enumerate(grid.alphas):
             for j, beta in enumerate(grid.betas):
-                writer.writerow([i, j, repr(float(alpha)), repr(float(beta)), repr(float(value[i, j]))])
+                cells = [int(m[i, j]) if m.dtype == bool else repr(float(m[i, j])) for m in maps]
+                writer.writerow([i, j, repr(float(alpha)), repr(float(beta)), *cells])
 
 
 def write_convexity_csv(path, grid: GridSpec, result: ConvexityResult) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["i", "j", "alpha", "beta", "value", "lambda_max", "lambda_min", "converged"])
-        for i, alpha in enumerate(grid.alphas):
-            for j, beta in enumerate(grid.betas):
-                writer.writerow(
-                    [
-                        i, j, repr(float(alpha)), repr(float(beta)),
-                        repr(float(result.convexity[i, j])),
-                        repr(float(result.lam_max[i, j])),
-                        repr(float(result.lam_min[i, j])),
-                        int(result.converged[i, j]),
-                    ]
-                )
+    write_grid_csv(path, grid, result.convexity,
+                   lambda_max=result.lam_max, lambda_min=result.lam_min, converged=result.converged)
 
 
 def write_pgm(path, matrix: np.ndarray) -> None:

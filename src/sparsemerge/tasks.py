@@ -42,9 +42,15 @@ class ModularTaskSpec:
     def __post_init__(self):
         check_fields(
             (self.modulus >= 2, "modulus", f"must be >= 2, got {self.modulus}"),
+            (self.split_seed >= 0, "split_seed", f"must be >= 0, got {self.split_seed}"),
             (0.0 < self.test_fraction < 1.0, "test_fraction",
              f"must be in (0, 1), got {self.test_fraction}"),
         )
+
+    def pool_size(self, which: str) -> int:
+        """Pairs in the test pool, or in the train pool that "train" and "opt" draw from."""
+        n_test = max(1, int(round(self.test_fraction * self.modulus**2)))
+        return n_test if which == "test" else self.modulus**2 - n_test
 
     def label(self, a: int, b: int) -> int:
         if self.op is ModularOp.ADD:
@@ -73,13 +79,8 @@ def _pair_pools(spec: ModularTaskSpec) -> tuple[np.ndarray, np.ndarray]:
     pairs = np.array([(a, b) for a in range(m) for b in range(m)])
     rng = substream(spec.split_seed, TAG_DATA, m, 0 if spec.op is ModularOp.ADD else 1)
     perm = rng.permutation(len(pairs))
-    n_test = max(1, int(round(spec.test_fraction * len(pairs))))
+    n_test = spec.pool_size("test")
     return pairs[perm[n_test:]], pairs[perm[:n_test]]
-
-
-def pool_sizes(spec: ModularTaskSpec) -> tuple[int, int]:
-    train, test = _pair_pools(spec)
-    return len(train), len(test)
 
 
 def _encode(pairs: np.ndarray, spec: ModularTaskSpec) -> Dataset:

@@ -284,6 +284,53 @@ def test_bad_input_exits_with_one_error_line(case, fast_experts_dir, tmp_path, c
     assert expected in lines[0]
 
 
+# name -> (argv, "{experts}" standing for the experts run; the expected
+# "invalid config:" lines, in order)
+BAD_SETTINGS = {
+    "train-experts-recipe-and-sizes": (
+        ["train-experts", "--m", "1", "--hidden", "0", "--lr", "0"],
+        ["--m: must be >= 2, got 1", "--hidden: must be >= 1, got 0", "--lr: must be > 0, got 0.0"]),
+    "convexity-grid-eigen-and-batch": (
+        ["convexity", "--ckpt", "{experts}/expert_add.ckpt", "--grid", "1", "--eps", "0",
+         "--eig-iters", "0", "--eig-tol", "0", "--hess-batch", "0"],
+        ["--grid: must be >= 2, got 1", "--eps: must be > 0, got 0.0",
+         "--eig-iters: must be >= 1, got 0", "--eig-tol: must be > 0, got 0.0",
+         "--hess-batch: must be >= 1, got 0"]),
+    "landscape-grid": (
+        ["landscape", "--ckpt", "{experts}/expert_add.ckpt", "--grid", "1", "--alpha-max", "-1"],
+        ["--alpha-max: must be > 0, got -1.0", "--grid: must be >= 2, got 1"]),
+    "pso-swarm-and-batch": (
+        ["pso", "--experts", "{experts}", "--swarm", "1", "--opt-batch", "0"],
+        ["--swarm: must be >= 2, got 1", "--opt-batch: must be >= 1, got 0"]),
+    "evolve-seed-and-pop": (
+        ["evolve", "--experts", "{experts}", "--seed", "-1", "--pop", "7"],
+        ["--seed: must be >= 0, got -1", "--pop: must be even and >= 2, got 7"]),
+    "eval-split-seed": (
+        ["eval", "--ckpt", "{experts}/expert_add.ckpt", "--split-seed", "-1"],
+        ["--split-seed: must be >= 0, got -1"]),
+    "gen-data-negative-n": (
+        ["gen-data", "--n", "-1"],
+        ["--n: must be >= 0, got -1"]),
+    "evolve-batch-above-pool": (
+        ["evolve", "--experts", "{experts}", "--opt-batch", "500"],
+        ["--opt-batch: must be <= 127, the size of the pool it draws from, got 500"]),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SETTINGS))
+def test_every_bad_setting_is_named_before_any_work(case, fast_experts_dir, tmp_path, capsys):
+    """Exactly one invalid config line per bad setting (no numpy message),
+    and nothing loaded, trained or written first."""
+    argv, expected = BAD_SETTINGS[case]
+    out = tmp_path / "o"
+    argv = [a.format(experts=fast_experts_dir) for a in argv] + ["--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"invalid config: {line}" for line in expected]
+    written = [p.name for p in out.rglob("*")
+               if p.suffix in {".ckpt", ".csv", ".pgm"} or p.name == "config.txt"]
+    assert not written, written
+
+
 class RecordingConfig(dict):
     """Resolved settings that remember which keys were read."""
 
