@@ -306,12 +306,13 @@ def read_summary(path: Path) -> list[list[str]]:
 
 
 class Settings:
-    """Builds a command's configs from its options and collects every violation;
-    leaving the ``with`` block raises them as one ConfigError, one per field."""
+    """Builds a command's configs from its options, loads its checkpoints and
+    collects every violation; leaving the ``with`` block raises them as one
+    ConfigError, one per field, plus the first input that failed to load."""
 
     def __init__(self, cfg: dict[str, Any]):
         self.cfg = cfg
-        self.violations: dict[str, str] = {}
+        self.violations: dict[str | None, str] = {}
 
     def __enter__(self) -> "Settings":
         return self
@@ -332,12 +333,19 @@ class Settings:
             if f.name not in given and key in self.cfg:
                 value = self.cfg[key]
                 given[f.name] = type(f.default)(value) if isinstance(f.default, Enum) else value
+        return self.load(cls, **given)
+
+    def load(self, fn, *args, **kwargs):
+        """``fn(*args, **kwargs)``, or None with its failure recorded: a ConfigError
+        per field, a bad or missing input file under field None (an ``error:`` line)."""
         try:
-            return cls(**given)
+            return fn(*args, **kwargs)
         except ConfigError as exc:
             for field, reason in exc.violations:
                 self.check(False, field, reason)
-            return None
+        except (CheckpointError, OSError, ValueError) as exc:
+            self.check(False, None, str(exc))
+        return None
 
 
 def build_tasks(s: Settings) -> tuple[ModularTaskSpec | None, ...]:
@@ -353,8 +361,8 @@ def build_tasks(s: Settings) -> tuple[ModularTaskSpec | None, ...]:
 
 def check_draw(s: Settings, field: str, spec: ModularTaskSpec | None, which: str, low: int = 1) -> int | None:
     """Option ``field`` draws that many pairs from the ``which`` pool, so it must be
-    in low..pool size; returns the size. Checkpoints are loaded first (if all else is
-    valid): one that does not fit --m is the error, not the smaller pool --m gives."""
+    in low..pool size; returns the size. Pass spec None where a checkpoint does not
+    fit --m: that is the error then, not the pool size --m gives."""
     n, pool = s.cfg[field], spec.pool_size(which) if spec else None
     s.check(n >= low, field, f"must be >= {low}, got {n}")
     s.check(pool is None or n <= pool, field,
@@ -464,8 +472,8 @@ def cmd_evolve(cfg: dict[str, Any], out_dir: Path) -> Outcome:
         specs = build_tasks(s)
         evolve_cfg = s.build(EvolveConfig, schedule=s.build(SparsitySchedule),
                              merge_cfg=s.build(MergeConfig), tasks=specs)
-        experts = None if s.violations else load_experts(cfg)
-        check_draw(s, "opt_batch", specs[0], "opt")
+        experts = s.load(load_experts, cfg)
+        check_draw(s, "opt_batch", specs[0] if experts else None, "opt")
     _, expert_add, expert_sub = experts
     best, records = run_sae([expert_add, expert_sub], evolve_cfg)
     write_trace(out_dir / "trace.csv", records)
@@ -481,8 +489,8 @@ def cmd_pso(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     with Settings(cfg) as s:
         specs = build_tasks(s)
         pso_cfg = s.build(PsoConfig)
-        experts = None if s.violations else load_experts(cfg)
-        check_draw(s, "opt_batch", specs[0], "opt")
+        experts = s.load(load_experts, cfg)
+        check_draw(s, "opt_batch", specs[0] if experts else None, "opt")
     _, expert_add, expert_sub = experts
     best, trace = run_pso([expert_add, expert_sub], pso_cfg, specs, opt_batch=cfg["opt_batch"])
     write_pso_trace(out_dir / "trace.csv", trace)
@@ -496,7 +504,8 @@ def cmd_baseline(cfg: dict[str, Any], out_dir: Path) -> Outcome:
         raise ValueError("--scale applies only to --method task-arithmetic")
     with Settings(cfg) as s:
         specs = build_tasks(s)
-    base, expert_add, expert_sub = load_experts(cfg)
+        experts = s.load(load_experts, cfg)
+    base, expert_add, expert_sub = experts
     if cfg["method"] == "weight-average":
         merged = weight_average([expert_add, expert_sub])
     else:
@@ -509,7 +518,8 @@ def cmd_baseline(cfg: dict[str, Any], out_dir: Path) -> Outcome:
 def cmd_eval(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     with Settings(cfg) as s:
         specs = build_tasks(s)
-    row = (cfg["label"], *evaluate_model(load_model(cfg["ckpt"], cfg["m"]), specs))
+        params = s.load(load_model, cfg["ckpt"], cfg["m"])
+    row = (cfg["label"], *evaluate_model(params, specs))
     return [row], [score_line(*row)]
 
 
@@ -517,7 +527,7 @@ def cmd_landscape(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     with Settings(cfg) as s:
         (spec,) = build_tasks(s)
         grid = s.build(GridSpec)
-    params = load_model(cfg["ckpt"], cfg["m"])
+        params = s.load(load_model, cfg["ckpt"], cfg["m"])
     losses = loss_grid(params, random_directions(params, cfg["seed"]), grid, full_split(spec, cfg["split"]))
     write_grid_csv(out_dir / "landscape.csv", grid, losses)
     write_pgm(out_dir / "landscape.pgm", losses)
@@ -533,8 +543,8 @@ def cmd_convexity(cfg: dict[str, Any], out_dir: Path) -> Outcome:
         (spec,) = build_tasks(s)
         grid = s.build(GridSpec)
         eig_cfg = s.build(EigConfig)
-        params = None if s.violations else load_model(cfg["ckpt"], cfg["m"])
-        check_draw(s, "hess_batch", spec, "opt")
+        params = s.load(load_model, cfg["ckpt"], cfg["m"])
+        check_draw(s, "hess_batch", spec if params else None, "opt")
     batch = gen_dataset(spec, "opt", cfg["hess_batch"], derive_seed(cfg["seed"], TAG_EIG))
     result = convexity_grid(params, random_directions(params, cfg["seed"]), grid, batch, eig_cfg)
     write_convexity_csv(out_dir / "convexity.csv", grid, result)
@@ -578,8 +588,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         options = {opt.dest for opt in COMMAND_OPTS[ns.command]}
         for field, reason in exc.violations:
-            flag = "--" + option_for(field, options).replace("_", "-")
-            print(f"invalid config: {flag}: {reason}", file=sys.stderr)
+            if field is None:
+                print(f"error: {reason}", file=sys.stderr)
+            else:
+                flag = "--" + option_for(field, options).replace("_", "-")
+                print(f"invalid config: {flag}: {reason}", file=sys.stderr)
         return 2
     except (CheckpointError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

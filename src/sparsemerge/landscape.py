@@ -1,9 +1,11 @@
 """Loss-surface scans and Hessian-based convexity maps.
 
-A single gradient routine drives everything: Hessian-vector products come
-from central finite differences of the gradient, and the extreme eigenvalues
-from matrix-free power iteration with spectral shifts. Scans move along two
-random directions rescaled layer-wise to the anchor model's norms.
+The extreme Hessian eigenvalues of each cell come from one matrix-free
+Lanczos run with full reorthogonalisation. Its Hessian-vector products are
+exact on a batch's cross-entropy (Pearlmutter's R-operator, computed by
+``tasks.loss_and_grad``) and central finite differences of any other
+gradient function. Scans move along two random directions rescaled
+layer-wise to the anchor model's norms.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .params import ParameterSet, check_fields, flatten, unflatten
+from .params import ParameterSet, check_fields, flatten, param_count, unflatten
 from .seeding import TAG_DIRECTIONS, TAG_EIG, derive_seed, substream
 from .tasks import Dataset, loss, loss_and_grad
 
@@ -23,16 +25,31 @@ GradFn = Callable[[ParameterSet], ParameterSet]
 
 # Step of the finite-difference Hessian-vector product.
 HVP_STEP = 1e-4
-# Eigenvalue estimates below ZERO_TOL * spread are reported as exactly 0: the
-# finite-difference products cannot resolve eigenvalues that small.
+# Eigenvalue estimates below ZERO_TOL * spread are reported as exactly 0: they
+# are below the rounding error of the products (about 1e-12 relative for the
+# finite-difference ones), so a flat direction scores exactly 0.
 ZERO_TOL = 1e-9
+# A Lanczos residual below BREAKDOWN * spread is rounding error: the Krylov
+# space is invariant and its Ritz values are exact eigenvalues.
+BREAKDOWN = 1e-12
+
+
+class _BatchGrad:
+    """Gradient of the mean cross-entropy on a fixed batch; ``hvp`` takes the
+    exact Hessian-vector product of this function instead of differencing it."""
+
+    __slots__ = ("batch",)
+
+    def __init__(self, batch: Dataset):
+        self.batch = batch
+
+    def __call__(self, theta: ParameterSet) -> ParameterSet:
+        return loss_and_grad(theta, self.batch)[1]
 
 
 def batch_grad(batch: Dataset) -> GradFn:
     """Gradient of the mean cross-entropy on a fixed batch."""
-    def grad(theta: ParameterSet) -> ParameterSet:
-        return loss_and_grad(theta, batch)[1]
-    return grad
+    return _BatchGrad(batch)
 
 
 @dataclass(frozen=True)
@@ -109,15 +126,20 @@ def loss_grid(
 
 
 def hvp(grad_fn: GradFn, theta: ParameterSet, v: ParameterSet) -> ParameterSet:
-    """Hessian-vector product by central differences of the gradient.
+    """Hessian-vector product H(theta) * v of the loss whose gradient is grad_fn.
 
-    Uses (g(theta + h*v_hat) - g(theta - h*v_hat)) / (2h) * ||v||, h = HVP_STEP,
-    with the probe normalized so that the step is independent of ||v||.
+    For a ``batch_grad`` gradient it is exact: one backpropagation with the
+    tangent v (``tasks.loss_and_grad``). For any other gradient function it is
+    the central difference (g(theta + h*v_hat) - g(theta - h*v_hat)) / (2h) * ||v||,
+    h = HVP_STEP, with the probe normalized so that the step is independent
+    of ||v||.
     """
     flat_v = flatten(v)
     norm = float(np.linalg.norm(flat_v))
     if norm == 0.0:
         raise ValueError("zero-norm direction")
+    if isinstance(grad_fn, _BatchGrad):
+        return loss_and_grad(theta, grad_fn.batch, v)[2]
     flat_theta = flatten(theta)
     vhat = flat_v / norm
     g_plus = flatten(grad_fn(unflatten(theta, flat_theta + HVP_STEP * vhat)))
@@ -127,6 +149,9 @@ def hvp(grad_fn: GradFn, theta: ParameterSet, v: ParameterSet) -> ParameterSet:
 
 @dataclass(frozen=True)
 class EigConfig:
+    """Lanczos step limit (capped at the parameter count), Ritz-residual
+    tolerance relative to the spread, and start-vector seed."""
+
     iters: int = 100
     tol: float = 1e-6
     seed: int = 0
@@ -145,57 +170,50 @@ class EigResult:
     converged: bool
 
 
-def _power_iteration(
-    op: Callable[[np.ndarray], np.ndarray], v0: np.ndarray, iters: int, tol: float
-) -> tuple[float, bool]:
-    """Rayleigh-quotient power iteration; returns (estimate, converged)."""
-    v = v0 / np.linalg.norm(v0)
-    estimate = None
-    for _ in range(iters):
-        w = op(v)
-        w_norm = float(np.linalg.norm(w))
-        if w_norm == 0.0:
-            return 0.0, True  # operator annihilates the probe: eigenvalue 0
-        rayleigh = float(v @ w)
-        if estimate is not None and abs(rayleigh - estimate) <= tol * max(1.0, abs(rayleigh)):
-            return rayleigh, True
-        estimate = rayleigh
-        v = w / w_norm
-    return estimate if estimate is not None else 0.0, False
-
-
 def extreme_eigs(
     grad_fn: GradFn, theta: ParameterSet, cfg: EigConfig = EigConfig()
 ) -> EigResult:
-    """Extreme Hessian eigenvalues via shifted power iteration.
+    """Extreme Hessian eigenvalues by Lanczos with full reorthogonalisation.
 
-    A plain pass finds a dominant-magnitude estimate mu1 (a Rayleigh
-    quotient, hence inside the spectrum). Power iteration on H - mu1*I then
-    converges to the spectrum endpoint farthest from mu1, and shifting by
-    that endpoint recovers the opposite one. Both reported values therefore
-    come from properly shifted passes, which also handles the
-    |lam_max| == |lam_min| saddle that defeats the unshifted iteration.
+    Each step takes one ``hvp`` of the newest basis vector, orthogonalises the
+    product against the whole basis (two Gram-Schmidt passes) and extends the
+    tridiagonal matrix T whose eigenvalues (Ritz values) approximate the
+    spectrum from the inside. The run stops when the residuals |beta * s_last|
+    of both extreme Ritz pairs are at most ``cfg.tol`` times the spread
+    (the largest Ritz magnitude), or at breakdown (beta at rounding level: the
+    Ritz values are exact), and takes at most min(cfg.iters, n) steps for n
+    parameters. ``converged`` is False only when it stops at that limit.
     """
-    flat_theta = flatten(theta)
-    n = flat_theta.size
-
-    def op(u: np.ndarray) -> np.ndarray:
-        return flatten(hvp(grad_fn, theta, unflatten(theta, u)))
-
+    n = param_count(theta)
+    basis = np.zeros((min(cfg.iters, n), n))
+    alphas: list[float] = []
+    betas: list[float] = []
     v0 = substream(cfg.seed, TAG_EIG, n).standard_normal(n)
-    mu1, _ = _power_iteration(op, v0, cfg.iters, cfg.tol)
-    d2, ok2 = _power_iteration(lambda u: op(u) - mu1 * u, v0, cfg.iters, cfg.tol)
-    mu2 = mu1 + d2
-    d3, ok3 = _power_iteration(lambda u: op(u) - mu2 * u, v0, cfg.iters, cfg.tol)
-    mu3 = mu2 + d3
-    lam_max, lam_min = max(mu2, mu3), min(mu2, mu3)
-    spread = max(abs(lam_max), abs(lam_min))
-    if spread > 0.0:
-        if abs(lam_max) <= ZERO_TOL * spread:
-            lam_max = 0.0
-        if abs(lam_min) <= ZERO_TOL * spread:
-            lam_min = 0.0
-    return EigResult(lam_max, lam_min, ok2 and ok3)
+    q = v0 / np.linalg.norm(v0)
+    converged = False
+    for j in range(len(basis)):
+        basis[j] = q
+        w = flatten(hvp(grad_fn, theta, unflatten(theta, q)))
+        alphas.append(float(q @ w))
+        span = basis[: j + 1]
+        for _ in range(2):
+            w = w - span.T @ (span @ w)
+        beta = float(np.linalg.norm(w))
+        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        ritz, vecs = np.linalg.eigh(tri)
+        spread = max(abs(ritz[0]), abs(ritz[-1]))
+        residual = beta * max(abs(vecs[-1, 0]), abs(vecs[-1, -1]))
+        if beta <= BREAKDOWN * spread or residual <= cfg.tol * spread:
+            converged = True
+            break
+        betas.append(beta)
+        q = w / beta
+    lam_max, lam_min = float(ritz[-1]), float(ritz[0])
+    if abs(lam_max) <= ZERO_TOL * spread:
+        lam_max = 0.0
+    if abs(lam_min) <= ZERO_TOL * spread:
+        lam_min = 0.0
+    return EigResult(lam_max, lam_min, converged)
 
 
 def convexity_score(lam_max: float, lam_min: float, eps: float) -> float:

@@ -186,12 +186,18 @@ def loss(p: ParameterSet, batch: Dataset) -> float:
     return float(-np.log(np.maximum(picked, 1e-300)).mean())
 
 
-def loss_and_grad(p: ParameterSet, batch: Dataset) -> tuple[float | np.ndarray, ParameterSet]:
+def loss_and_grad(p: ParameterSet, batch: Dataset, tangent: ParameterSet | None = None) -> tuple:
     """Mean cross-entropy and its exact gradient via backpropagation.
 
     For a stack of K models (see ``params.stack``) on a batch with inputs
     (K, b, 2m) and labels (K, b), the loss is one mean per model and the
     gradient is a stack laid out like ``p``.
+
+    Given a ``tangent`` laid out like ``p``, it also returns the exact
+    Hessian-vector product H * tangent, laid out like ``p``: forward-over-
+    reverse differentiation (Pearlmutter's R-operator) pushes the tangent
+    through the forward pass and then through the backward pass, reusing
+    its rectifier masks, whose second derivative is zero off the kinks.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
@@ -204,21 +210,47 @@ def loss_and_grad(p: ParameterSet, batch: Dataset) -> tuple[float | np.ndarray, 
     picked = probs.reshape(-1, probs.shape[-1])[rows, labels].reshape(y.shape)
     value = -np.log(np.maximum(picked, 1e-300)).mean(axis=-1)
 
+    w2, w3 = p["fc2_w"], p["fc3_w"]
+    mask1, mask2 = z1 > 0, z2 > 0
     g = probs.copy()
     g.reshape(-1, g.shape[-1])[rows, labels] -= 1.0
     g /= n
     g_w3 = a2.swapaxes(-1, -2) @ g
     g_b3 = g.sum(axis=-2)
-    d_a2 = g @ p["fc3_w"].swapaxes(-1, -2)
-    d_z2 = d_a2 * (z2 > 0)
+    d_a2 = g @ w3.swapaxes(-1, -2)
+    d_z2 = d_a2 * mask2
     g_w2 = a1.swapaxes(-1, -2) @ d_z2
     g_b2 = d_z2.sum(axis=-2)
-    d_a1 = d_z2 @ p["fc2_w"].swapaxes(-1, -2)
-    d_z1 = d_a1 * (z1 > 0)
+    d_a1 = d_z2 @ w2.swapaxes(-1, -2)
+    d_z1 = d_a1 * mask1
     g_w1 = x.swapaxes(-1, -2) @ d_z1
     g_b1 = d_z1.sum(axis=-2)
-    grads = dict(zip(LAYER_NAMES, (g_w1, g_b1, g_w2, g_b2, g_w3, g_b3)))
-    return value, unflatten(p, np.concatenate([grads[name].ravel() for name in p.names]))
+    grad = _assemble(p, (g_w1, g_b1, g_w2, g_b2, g_w3, g_b3))
+    if tangent is None:
+        return value, grad
+
+    v1, c1, v2, c2, v3, c3 = (tangent[name] for name in LAYER_NAMES)
+    r_a1 = (x @ v1 + c1[..., None, :]) * mask1
+    r_a2 = (r_a1 @ w2 + a1 @ v2 + c2[..., None, :]) * mask2
+    r_logits = r_a2 @ w3 + a2 @ v3 + c3[..., None, :]
+    r_g = probs * (r_logits - (probs * r_logits).sum(axis=-1, keepdims=True)) / n
+    r_d_z2 = (r_g @ w3.swapaxes(-1, -2) + g @ v3.swapaxes(-1, -2)) * mask2
+    r_d_z1 = (r_d_z2 @ w2.swapaxes(-1, -2) + d_z2 @ v2.swapaxes(-1, -2)) * mask1
+    hv = _assemble(p, (
+        x.swapaxes(-1, -2) @ r_d_z1,
+        r_d_z1.sum(axis=-2),
+        r_a1.swapaxes(-1, -2) @ d_z2 + a1.swapaxes(-1, -2) @ r_d_z2,
+        r_d_z2.sum(axis=-2),
+        r_a2.swapaxes(-1, -2) @ g + a2.swapaxes(-1, -2) @ r_g,
+        r_g.sum(axis=-2),
+    ))
+    return value, grad, hv
+
+
+def _assemble(p: ParameterSet, layers) -> ParameterSet:
+    """One array per name in LAYER_NAMES, as a set laid out like ``p``."""
+    by_name = dict(zip(LAYER_NAMES, layers))
+    return unflatten(p, np.concatenate([by_name[name].ravel() for name in p.names]))
 
 
 def accuracy(p: ParameterSet, dataset: Dataset) -> float:

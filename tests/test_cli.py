@@ -284,8 +284,12 @@ def test_bad_input_exits_with_one_error_line(case, fast_experts_dir, tmp_path, c
     assert expected in lines[0]
 
 
+# What an m=13 checkpoint gets for not fitting --m 7.
+M7_WIDTHS = ("does not fit widths [14, 32, 32, 7] (m=7): fc1_w is [26, 32], expected [14, 32]; "
+             "fc3_w is [32, 13], expected [32, 7]; fc3_b is [13], expected [7]")
+
 # name -> (argv, "{experts}" standing for the experts run; the expected
-# "invalid config:" lines, in order)
+# "invalid config:" lines, in order, and any "error:" line, given in full)
 BAD_SETTINGS = {
     "train-experts-recipe-and-sizes": (
         ["train-experts", "--m", "1", "--hidden", "0", "--lr", "0"],
@@ -314,18 +318,28 @@ BAD_SETTINGS = {
     "evolve-batch-above-pool": (
         ["evolve", "--experts", "{experts}", "--opt-batch", "500"],
         ["--opt-batch: must be <= 127, the size of the pool it draws from, got 500"]),
+    "evolve-pop-and-checkpoint-mismatch": (
+        ["evolve", "--experts", "{experts}", "--m", "7", "--pop", "7"],
+        ["--pop: must be even and >= 2, got 7", f"error: {{experts}}/base.ckpt {M7_WIDTHS}"]),
+    "convexity-grid-and-checkpoint-mismatch": (
+        ["convexity", "--ckpt", "{experts}/expert_add.ckpt", "--m", "7", "--grid", "1"],
+        ["--grid: must be >= 2, got 1", f"error: {{experts}}/expert_add.ckpt {M7_WIDTHS}"]),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_SETTINGS))
 def test_every_bad_setting_is_named_before_any_work(case, fast_experts_dir, tmp_path, capsys):
-    """Exactly one invalid config line per bad setting (no numpy message),
-    and nothing loaded, trained or written first."""
+    """Exactly one invalid config line per bad setting (no numpy message), a
+    checkpoint that does not fit --m named with them, and nothing trained or
+    written first."""
     argv, expected = BAD_SETTINGS[case]
     out = tmp_path / "o"
     argv = [a.format(experts=fast_experts_dir) for a in argv] + ["--out", str(out)]
     assert main(argv) == 2
-    assert capsys.readouterr().err.splitlines() == [f"invalid config: {line}" for line in expected]
+    assert capsys.readouterr().err.splitlines() == [
+        line.format(experts=fast_experts_dir) if line.startswith("error: ") else f"invalid config: {line}"
+        for line in expected
+    ]
     written = [p.name for p in out.rglob("*")
                if p.suffix in {".ckpt", ".csv", ".pgm"} or p.name == "config.txt"]
     assert not written, written

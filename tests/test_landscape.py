@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sparsemerge import landscape
 from sparsemerge.landscape import (
     EigConfig,
     GridSpec,
@@ -16,7 +17,7 @@ from sparsemerge.landscape import (
     write_grid_csv,
     write_pgm,
 )
-from sparsemerge.params import ParameterSet, flatten, unflatten
+from sparsemerge.params import ParameterSet, flatten, param_count, unflatten
 from sparsemerge.tasks import (
     MlpSpec,
     ModularOp,
@@ -25,6 +26,7 @@ from sparsemerge.tasks import (
     gen_dataset,
     init_mlp,
     loss,
+    loss_and_grad,
 )
 
 
@@ -232,6 +234,118 @@ def test_rayleigh_quotients_inside_extreme_bounds():
             flatten(probe) @ flatten(probe)
         )
         assert result.lam_min - slack <= rayleigh <= result.lam_max + slack
+
+
+def wider_net_and_batch():
+    """A net of more than 40 parameters (63) and a batch of 6 pairs."""
+    net = init_mlp(MlpSpec(3, 4), 0)
+    batch = gen_dataset(ModularTaskSpec(3, ModularOp.ADD, test_fraction=0.3), "train", 6, seed=0)
+    return net, batch
+
+
+def exact_hessian(grad_fn, theta: ParameterSet) -> np.ndarray:
+    """Dense Hessian, column by column from hvp."""
+    n = param_count(theta)
+    return np.stack([flatten(hvp(grad_fn, theta, unflatten(theta, e))) for e in np.eye(n)], axis=1)
+
+
+def kink_margin(theta: ParameterSet, batch) -> float:
+    """Smallest |pre-activation| of the hidden layers on the batch."""
+    z1 = batch.inputs @ theta["fc1_w"] + theta["fc1_b"]
+    z2 = np.maximum(z1, 0.0) @ theta["fc2_w"] + theta["fc2_b"]
+    return float(min(np.abs(z1).min(), np.abs(z2).min()))
+
+
+def counting_hvp(monkeypatch) -> list[int]:
+    """Count the products extreme_eigs takes; returns the one-entry counter."""
+    count = [0]
+    inner = landscape.hvp
+
+    def counted(*args):
+        count[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(landscape, "hvp", counted)
+    return count
+
+
+def test_exact_hvp_matches_finite_differences_away_from_kinks():
+    net, batch = wider_net_and_batch()
+    exact = batch_grad(batch)
+
+    def plain(theta):  # not a batch_grad, so hvp differences it
+        return loss_and_grad(theta, batch)[1]
+
+    rng = np.random.default_rng(3)
+    n = param_count(net)
+    checked = 0
+    while checked < 5:
+        point = unflatten(net, flatten(net) + 0.3 * rng.standard_normal(n))
+        # A unit probe of step HVP_STEP moves each pre-activation by well under 1e-2.
+        if kink_margin(point, batch) < 1e-2:
+            continue
+        v = unflatten(point, rng.standard_normal(n))
+        want = flatten(hvp(plain, point, v))
+        got = flatten(hvp(exact, point, v))
+        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+        checked += 1
+
+
+def test_exact_hessian_is_symmetric_and_lanczos_finds_its_extremes():
+    net, batch = small_net_and_batch()
+    grad_fn = batch_grad(batch)
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        point = unflatten(net, flatten(net) + 0.2 * rng.standard_normal(param_count(net)))
+        hess = exact_hessian(grad_fn, point)
+        assert np.max(np.abs(hess - hess.T)) <= 1e-12 * np.max(np.abs(hess))
+        spectrum = np.linalg.eigvalsh(hess)
+        result = extreme_eigs(grad_fn, point, EigConfig())
+        assert result.converged
+        assert result.lam_max == pytest.approx(spectrum[-1], rel=1e-6)
+        assert result.lam_min == pytest.approx(spectrum[0], rel=1e-6)
+
+
+def test_lanczos_stops_by_breakdown_on_a_two_parameter_saddle(monkeypatch):
+    count = counting_hvp(monkeypatch)
+    # No residual meets this tolerance; only breakdown ends the run converged.
+    result = extreme_eigs(saddle_grad, two_param_point(), EigConfig(iters=500, tol=1e-300))
+    assert result.converged
+    assert count[0] <= 2
+    assert result.lam_max == pytest.approx(2.0, abs=1e-6)
+    assert result.lam_min == pytest.approx(-2.0, abs=1e-6)
+
+
+def test_lanczos_takes_at_most_one_step_per_parameter(monkeypatch):
+    net, batch = small_net_and_batch()
+    count = counting_hvp(monkeypatch)
+    extreme_eigs(batch_grad(batch), net, EigConfig(iters=500, tol=1e-300))
+    assert 0 < count[0] <= param_count(net)
+
+
+def test_too_few_lanczos_steps_are_not_converged(monkeypatch):
+    net, batch = wider_net_and_batch()
+    assert param_count(net) >= 40
+    count = counting_hvp(monkeypatch)
+    result = extreme_eigs(batch_grad(batch), net, EigConfig(iters=3))
+    assert count[0] == 3
+    assert not result.converged
+
+
+def test_converged_cells_match_the_dense_spectrum():
+    net, batch = wider_net_and_batch()
+    dirs = random_directions(net, seed=4)
+    grid = GridSpec(0.5, 0.5, 3)
+    result = convexity_grid(net, dirs, grid, batch)
+    assert result.converged.mean() >= 0.9
+    grad_fn = batch_grad(batch)
+    for i, alpha in enumerate(grid.alphas):
+        for j, beta in enumerate(grid.betas):
+            if not result.converged[i, j]:
+                continue
+            spectrum = np.linalg.eigvalsh(exact_hessian(grad_fn, point_params(net, dirs, alpha, beta)))
+            assert result.lam_max[i, j] == pytest.approx(spectrum[-1], rel=1e-4)
+            assert result.lam_min[i, j] == pytest.approx(spectrum[0], rel=1e-4)
 
 
 def test_convexity_score_clipping():

@@ -263,6 +263,33 @@ def test_stacked_gradient_slices_equal_single_model_gradients():
         assert np.array_equal(flatten(grad), flatten(single))
 
 
+def test_stacked_hessian_vector_products_equal_single_model_products():
+    spec = MlpSpec(5, 8)
+    models = [init_mlp(spec, seed) for seed in range(3)]
+    rng = np.random.default_rng(2)
+    tangents = [unflatten(m, rng.standard_normal(param_count(m))) for m in models]
+    batches = [
+        gen_dataset(ModularTaskSpec(5, op, split_seed=1), "train", 7, seed=seed)
+        for seed, op in enumerate((ModularOp.ADD, ModularOp.SUB, ModularOp.ADD))
+    ]
+    stacked_batch = Dataset(np.stack([b.inputs for b in batches]), np.stack([b.labels for b in batches]))
+    _, stacked_grad, stacked_hv = loss_and_grad(stack(models), stacked_batch, stack(tangents))
+    for k, (model, batch, tangent) in enumerate(zip(models, batches, tangents)):
+        _, grad, hv = loss_and_grad(model, batch, tangent)
+        assert np.array_equal(flatten(unstack(stacked_grad)[k]), flatten(grad))
+        assert np.array_equal(flatten(unstack(stacked_hv)[k]), flatten(hv))
+
+
+def test_a_tangent_leaves_the_loss_and_gradient_unchanged():
+    net = init_mlp(MlpSpec(5, 8), 0)
+    batch = gen_dataset(ModularTaskSpec(5, ModularOp.ADD), "train", 9, seed=0)
+    tangent = unflatten(net, np.random.default_rng(0).standard_normal(param_count(net)))
+    value, grad = loss_and_grad(net, batch)
+    value_t, grad_t, _ = loss_and_grad(net, batch, tangent)
+    assert value_t == value
+    assert np.array_equal(flatten(grad_t), flatten(grad))
+
+
 def test_train_rejects_a_model_stack_that_does_not_match_the_dataset():
     spec = ModularTaskSpec(5, ModularOp.ADD)
     one = full_split(spec, "train")
