@@ -1,16 +1,7 @@
 """Sparsity-driven evolutionary model merging at desk scale."""
 
 from .merge import MergeConfig, RedenseMode, compute_lambda, merge_layer, merge_models
-from .params import (
-    CheckpointError,
-    CompatibilityReport,
-    ParameterSet,
-    assert_compatible,
-    load_checkpoint,
-    param_count,
-    save_checkpoint,
-    zero_positions,
-)
+from .params import CheckpointError, ParameterSet, load_checkpoint, param_count, save_checkpoint
 from .sparsity import (
     Granularity,
     SparsityMeasure,
@@ -25,7 +16,6 @@ from .sparsity import (
 
 __all__ = [
     "CheckpointError",
-    "CompatibilityReport",
     "Granularity",
     "MergeConfig",
     "ParameterSet",
@@ -33,7 +23,6 @@ __all__ = [
     "SparsityMeasure",
     "SparsitySchedule",
     "SparsityStats",
-    "assert_compatible",
     "collect_stats",
     "compute_lambda",
     "load_checkpoint",
@@ -45,5 +34,4 @@ __all__ = [
     "save_checkpoint",
     "schedule_rate",
     "sparsity_weights",
-    "zero_positions",
 ]

@@ -20,7 +20,6 @@ from .seeding import (
     substream,
 )
 from .sparsity import (
-    Granularity,
     SparsitySchedule,
     SparsityStats,
     collect_stats,
@@ -39,7 +38,6 @@ class AnnealTarget(Enum):
 
 @dataclass(frozen=True)
 class Lineage:
-    generation: int
     parent_ids: tuple[int, ...]
     prune_rate: float | None
     root_dense: bool = False
@@ -102,22 +100,15 @@ def blend_score(perf_mean: float, zero_frac: float, gamma: float) -> float:
     return (1.0 - gamma) * perf_mean + gamma * zero_frac
 
 
-def _score_with_stats(
+def score(
     params: ParameterSet, batches: list[Dataset], gamma: float
 ) -> tuple[tuple[float, ...], SparsityStats, float]:
+    """Per-task accuracy, sparsity statistics and the gamma-blended selection score."""
     if not batches or any(len(b) == 0 for b in batches):
         raise ValueError("empty optimization batch")
     perf = tuple(accuracy(params, b) for b in batches)
     stats = collect_stats(params)
     return perf, stats, blend_score(float(np.mean(perf)), stats.zero_frac, gamma)
-
-
-def score(
-    params: ParameterSet, batches: list[Dataset], gamma: float
-) -> tuple[tuple[float, ...], float]:
-    """Per-task accuracy plus the gamma-blended selection score."""
-    perf, _, total = _score_with_stats(params, batches, gamma)
-    return perf, total
 
 
 def _evaluate(
@@ -127,7 +118,7 @@ def _evaluate(
     ind_id: int,
     lineage: Lineage,
 ) -> Individual:
-    perf, stats, total = _score_with_stats(params, batches, gamma)
+    perf, stats, total = score(params, batches, gamma)
     return Individual(
         id=ind_id,
         params=params,
@@ -150,8 +141,7 @@ def init_archive(dense_experts: list[ParameterSet], cfg: EvolveConfig) -> Archiv
     """Dense experts plus evenly-spaced sparse variants, all scored."""
     if len(dense_experts) < 2:
         raise ValueError("need at least two dense experts")
-    for e in dense_experts[1:]:
-        require_compatible(dense_experts[0], e)
+    require_compatible(*dense_experts)
     variants = make_sparse_variants(dense_experts, cfg.capacity, cfg.schedule)
     rates = variant_rates(len(dense_experts), cfg.capacity, cfg.schedule)
     batches = _opt_batches(cfg, TAG_INIT_EVAL, 0)
@@ -159,7 +149,7 @@ def init_archive(dense_experts: list[ParameterSet], cfg: EvolveConfig) -> Archiv
     members = []
     for i, expert in enumerate(dense_experts):
         members.append(
-            _evaluate(expert, batches, gamma, i, Lineage(0, (), None, root_dense=True))
+            _evaluate(expert, batches, gamma, i, Lineage((), None, root_dense=True))
         )
     for i, (variant, rate) in enumerate(zip(variants, rates)):
         parent = i % len(dense_experts)
@@ -169,7 +159,7 @@ def init_archive(dense_experts: list[ParameterSet], cfg: EvolveConfig) -> Archiv
                 batches,
                 gamma,
                 len(dense_experts) + i,
-                Lineage(0, (parent,), float(rate)),
+                Lineage((parent,), float(rate)),
             )
         )
     return Archive(
@@ -214,7 +204,7 @@ def evolve_step(
             parent_b.perf_mean,
             cfg.merge_cfg,
         )
-        child_params = prune(merged, rate, Granularity.GLOBAL)
+        child_params = prune(merged, rate)
         if cfg.merge_cfg.redense_mode is RedenseMode.FROM_ORIGINAL_DENSE:
             child_params = redense(child_params, archive.dense_reference)
         child = _evaluate(
@@ -222,7 +212,7 @@ def evolve_step(
             batches,
             gamma,
             archive.next_id + k,
-            Lineage(step + 1, (parent_a.id, parent_b.id), rate),
+            Lineage((parent_a.id, parent_b.id), rate),
         )
         offspring.append((child, lambdas))
 
@@ -253,7 +243,7 @@ def evolve_step(
         for idx, member in enumerate(members):
             if member.lineage.root_dense:
                 continue
-            pruned = prune(member.params, rate, Granularity.GLOBAL)
+            pruned = prune(member.params, rate)
             members[idx] = _evaluate(pruned, batches, gamma, member.id, member.lineage)
 
     for member in members:
@@ -376,20 +366,13 @@ def run_pso(
     cfg: PsoConfig,
     tasks: tuple[ModularTaskSpec, ...],
     opt_batch: int = 64,
-    init_positions: np.ndarray | None = None,
 ) -> tuple[ParameterSet, list[PsoTraceRecord]]:
     if len(experts) < 2:
         raise ValueError("need at least two experts")
-    for e in experts[1:]:
-        require_compatible(experts[0], e)
+    require_compatible(*experts)
     n_dim = (len(experts) - 1) * len(experts[0].names)
     rng = substream(cfg.seed, TAG_PSO)
-    if init_positions is None:
-        x = rng.random((cfg.swarm, n_dim))
-    else:
-        x = np.array(init_positions, dtype=np.float64)
-        if x.shape != (cfg.swarm, n_dim):
-            raise ValueError(f"init positions must have shape ({cfg.swarm}, {n_dim})")
+    x = rng.random((cfg.swarm, n_dim))
     v = np.zeros_like(x)
     pbest_x = x.copy()
     pbest_f = np.full(cfg.swarm, -np.inf)

@@ -139,7 +139,7 @@ def hvp(grad_fn: GradFn, theta: ParameterSet, v: ParameterSet) -> ParameterSet:
     if norm == 0.0:
         raise ValueError("zero-norm direction")
     if isinstance(grad_fn, _BatchGrad):
-        return loss_and_grad(theta, grad_fn.batch, v)[2]
+        return loss_and_grad(theta, grad_fn.batch, v)[1]
     flat_theta = flatten(theta)
     vhat = flat_v / norm
     g_plus = flatten(grad_fn(unflatten(theta, flat_theta + HVP_STEP * vhat)))
@@ -226,7 +226,6 @@ class ConvexityResult:
     convexity: np.ndarray
     lam_max: np.ndarray
     lam_min: np.ndarray
-    loss: np.ndarray
     converged: np.ndarray
 
 
@@ -242,7 +241,6 @@ def convexity_grid(
     conv = np.zeros((r, r))
     lmax = np.zeros((r, r))
     lmin = np.zeros((r, r))
-    losses = np.zeros((r, r))
     flags = np.zeros((r, r), dtype=bool)
     grad_fn = batch_grad(dataset)
     for i, alpha in enumerate(grid.alphas):
@@ -253,9 +251,8 @@ def convexity_grid(
             conv[i, j] = convexity_score(result.lam_max, result.lam_min, grid.eps)
             lmax[i, j] = result.lam_max
             lmin[i, j] = result.lam_min
-            losses[i, j] = loss(theta, dataset)
             flags[i, j] = result.converged
-    return ConvexityResult(conv, lmax, lmin, losses, flags)
+    return ConvexityResult(conv, lmax, lmin, flags)
 
 
 def write_grid_csv(path, grid: GridSpec, value: np.ndarray, **columns: np.ndarray) -> None:

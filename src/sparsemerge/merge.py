@@ -90,8 +90,7 @@ def redense(p: ParameterSet, donor: ParameterSet) -> ParameterSet:
 def weight_average(models: list[ParameterSet]) -> ParameterSet:
     if not models:
         raise ValueError("need at least one model to average")
-    for m in models[1:]:
-        require_compatible(models[0], m)
+    require_compatible(*models)
     return unflatten(models[0], np.mean([flatten(m) for m in models], axis=0))
 
 
@@ -101,8 +100,7 @@ def task_arithmetic(
     """base + scale * sum_k (expert_k - base), evaluated elementwise."""
     if not experts:
         raise ValueError("need at least one expert")
-    for e in experts:
-        require_compatible(base, e)
+    require_compatible(base, *experts)
     acc = (1.0 - scale * len(experts)) * flatten(base)
     for e in experts:
         acc = acc + scale * flatten(e)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -144,54 +143,27 @@ class ParameterSet:
     def __getitem__(self, name: str) -> np.ndarray:
         return self._views[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._views
-
     def items(self):
         return iter(self.layers)
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
-    compatible: bool
-    mismatches: tuple[tuple[str, str], ...]
-
-
-def assert_compatible(a: ParameterSet, b: ParameterSet) -> CompatibilityReport:
-    """Check that two sets share a layout: layer names, order, and shapes.
-
-    Never raises; failures are listed in the returned report.
-    """
-    mismatches: list[tuple[str, str]] = []
-    if len(a.names) != len(b.names):
-        mismatches.append(("<model>", f"layer count {len(a.names)} vs {len(b.names)}"))
-    for na, nb, sa, sb in zip(a.names, b.names, a.shapes, b.shapes):
-        if na != nb:
-            mismatches.append((na, f"layer name/order mismatch: {na!r} vs {nb!r}"))
-        elif sa != sb:
-            mismatches.append((na, f"dims {list(sa)} vs {list(sb)}"))
-    return CompatibilityReport(not mismatches, tuple(mismatches))
-
-
-def require_compatible(a: ParameterSet, b: ParameterSet) -> None:
-    report = assert_compatible(a, b)
-    if not report.compatible:
-        detail = "; ".join(f"{name}: {why}" for name, why in report.mismatches)
+def require_compatible(*sets: ParameterSet) -> None:
+    """Raise ValueError unless every set has the first one's layer names, order and shapes."""
+    first = sets[0].layout
+    for other in sets[1:]:
+        layout = other.layout
+        if layout is first or (layout.names, layout.shapes) == (first.names, first.shapes):
+            continue
+        pairs = zip(zip(first.names, first.shapes), zip(layout.names, layout.shapes))
+        detail = next(
+            (f"{a[0]!r} {list(a[1])} vs {b[0]!r} {list(b[1])}" for a, b in pairs if a != b),
+            f"layer count {len(first.names)} vs {len(layout.names)}",
+        )
         raise ValueError(f"incompatible parameter sets: {detail}")
 
 
 def param_count(p: ParameterSet) -> int:
     return p._flat.size
-
-
-def zero_positions(p: ParameterSet, layer: str) -> set[int]:
-    """Flat row-major indices of exactly-zero entries in one layer.
-
-    Zeros are only ever written by pruning, so exact comparison against 0.0
-    is the intended test; no epsilon is involved.
-    """
-    arr = p[layer]
-    return set(np.flatnonzero(arr.ravel() == 0.0).tolist())
 
 
 def flatten(p: ParameterSet) -> np.ndarray:
@@ -207,8 +179,7 @@ def unflatten(template: ParameterSet, flat: np.ndarray) -> ParameterSet:
 def stack(sets) -> ParameterSet:
     """K compatible sets as one set whose layers have a leading axis of length K."""
     sets = list(sets)
-    for other in sets[1:]:
-        require_compatible(sets[0], other)
+    require_compatible(*sets)
     return ParameterSet.from_pairs((name, np.stack([p[name] for p in sets])) for name in sets[0].names)
 
 

@@ -64,27 +64,17 @@ def schedule_rate(sched: SparsitySchedule, step: int) -> float:
     return sched.s_min + (sched.s_max - sched.s_min) * progress
 
 
-def prune(p: ParameterSet, rate: float, granularity: Granularity = Granularity.GLOBAL) -> ParameterSet:
-    """Zero the smallest-magnitude entries up to ``floor(rate * n)``.
+def prune(p: ParameterSet, rate: float) -> ParameterSet:
+    """Zero the ``floor(rate * n)`` smallest-magnitude entries of the whole model.
 
-    Global granularity ranks entries across the whole model; local prunes
-    each layer independently. Surviving entries are returned bit-for-bit.
+    A stable sort ranks existing zeros first and breaks magnitude ties by
+    ascending flat index. Surviving entries are returned bit-for-bit.
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"prune rate must be in [0, 1], got {rate}")
     flat = flatten(p)
-    if granularity is Granularity.GLOBAL:
-        sizes = np.array([flat.size])
-    else:
-        sizes = np.array([arr.size for _, arr in p.items()])
-    group = np.repeat(np.arange(sizes.size), sizes)
-    # Stable sort by (group, |value|) puts each group's existing zeros first
-    # and breaks magnitude ties by ascending flat index.
-    order = np.lexsort((np.abs(flat), group))
-    rank = np.arange(flat.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    quota = np.floor(rate * sizes).astype(np.int64)
     out = flat.copy()
-    out[order[rank < np.repeat(quota, sizes)]] = 0.0
+    out[np.argsort(np.abs(flat), kind="stable")[: int(np.floor(rate * flat.size))]] = 0.0
     return unflatten(p, out)
 
 
@@ -173,7 +163,4 @@ def make_sparse_variants(
     parent i mod len(dense). Fully deterministic.
     """
     rates = variant_rates(len(dense), capacity, sched)
-    return [
-        prune(dense[i % len(dense)], float(rate), Granularity.GLOBAL)
-        for i, rate in enumerate(rates)
-    ]
+    return [prune(dense[i % len(dense)], float(rate)) for i, rate in enumerate(rates)]

@@ -19,6 +19,10 @@ from .params import ParameterSet, check_fields, flatten, stack, unflatten, unsta
 from .seeding import TAG_DATA, TAG_INIT, TAG_SHUFFLE, substream
 
 
+# Share of the m*m input pairs held out as the test pool.
+TEST_FRACTION = 0.25
+
+
 class ModularOp(Enum):
     ADD = "add"
     SUB = "sub"
@@ -37,19 +41,16 @@ class ModularTaskSpec:
     modulus: int = 13
     op: ModularOp = ModularOp.ADD
     split_seed: int = 0
-    test_fraction: float = 0.25
 
     def __post_init__(self):
         check_fields(
             (self.modulus >= 2, "modulus", f"must be >= 2, got {self.modulus}"),
             (self.split_seed >= 0, "split_seed", f"must be >= 0, got {self.split_seed}"),
-            (0.0 < self.test_fraction < 1.0, "test_fraction",
-             f"must be in (0, 1), got {self.test_fraction}"),
         )
 
     def pool_size(self, which: str) -> int:
         """Pairs in the test pool, or in the train pool that "train" and "opt" draw from."""
-        n_test = max(1, int(round(self.test_fraction * self.modulus**2)))
+        n_test = max(1, int(round(TEST_FRACTION * self.modulus**2)))
         return n_test if which == "test" else self.modulus**2 - n_test
 
     def label(self, a: int, b: int) -> int:
@@ -193,11 +194,12 @@ def loss_and_grad(p: ParameterSet, batch: Dataset, tangent: ParameterSet | None 
     (K, b, 2m) and labels (K, b), the loss is one mean per model and the
     gradient is a stack laid out like ``p``.
 
-    Given a ``tangent`` laid out like ``p``, it also returns the exact
-    Hessian-vector product H * tangent, laid out like ``p``: forward-over-
-    reverse differentiation (Pearlmutter's R-operator) pushes the tangent
-    through the forward pass and then through the backward pass, reusing
-    its rectifier masks, whose second derivative is zero off the kinks.
+    Given a ``tangent`` laid out like ``p``, it returns the exact
+    Hessian-vector product H * tangent, laid out like ``p``, in place of the
+    gradient: forward-over-reverse differentiation (Pearlmutter's R-operator)
+    pushes the tangent through the forward pass and then through the backward
+    pass, reusing its rectifier masks, whose second derivative is zero off the
+    kinks.
     """
     if len(batch) == 0:
         raise ValueError("empty batch")
@@ -215,19 +217,14 @@ def loss_and_grad(p: ParameterSet, batch: Dataset, tangent: ParameterSet | None 
     g = probs.copy()
     g.reshape(-1, g.shape[-1])[rows, labels] -= 1.0
     g /= n
-    g_w3 = a2.swapaxes(-1, -2) @ g
-    g_b3 = g.sum(axis=-2)
-    d_a2 = g @ w3.swapaxes(-1, -2)
-    d_z2 = d_a2 * mask2
-    g_w2 = a1.swapaxes(-1, -2) @ d_z2
-    g_b2 = d_z2.sum(axis=-2)
-    d_a1 = d_z2 @ w2.swapaxes(-1, -2)
-    d_z1 = d_a1 * mask1
-    g_w1 = x.swapaxes(-1, -2) @ d_z1
-    g_b1 = d_z1.sum(axis=-2)
-    grad = _assemble(p, (g_w1, g_b1, g_w2, g_b2, g_w3, g_b3))
+    d_z2 = (g @ w3.swapaxes(-1, -2)) * mask2
     if tangent is None:
-        return value, grad
+        d_z1 = (d_z2 @ w2.swapaxes(-1, -2)) * mask1
+        return value, _assemble(p, (
+            x.swapaxes(-1, -2) @ d_z1, d_z1.sum(axis=-2),
+            a1.swapaxes(-1, -2) @ d_z2, d_z2.sum(axis=-2),
+            a2.swapaxes(-1, -2) @ g, g.sum(axis=-2),
+        ))
 
     v1, c1, v2, c2, v3, c3 = (tangent[name] for name in LAYER_NAMES)
     r_a1 = (x @ v1 + c1[..., None, :]) * mask1
@@ -236,7 +233,7 @@ def loss_and_grad(p: ParameterSet, batch: Dataset, tangent: ParameterSet | None 
     r_g = probs * (r_logits - (probs * r_logits).sum(axis=-1, keepdims=True)) / n
     r_d_z2 = (r_g @ w3.swapaxes(-1, -2) + g @ v3.swapaxes(-1, -2)) * mask2
     r_d_z1 = (r_d_z2 @ w2.swapaxes(-1, -2) + d_z2 @ v2.swapaxes(-1, -2)) * mask1
-    hv = _assemble(p, (
+    return value, _assemble(p, (
         x.swapaxes(-1, -2) @ r_d_z1,
         r_d_z1.sum(axis=-2),
         r_a1.swapaxes(-1, -2) @ d_z2 + a1.swapaxes(-1, -2) @ r_d_z2,
@@ -244,7 +241,6 @@ def loss_and_grad(p: ParameterSet, batch: Dataset, tangent: ParameterSet | None 
         r_a2.swapaxes(-1, -2) @ g + a2.swapaxes(-1, -2) @ r_g,
         r_g.sum(axis=-2),
     ))
-    return value, grad, hv
 
 
 def _assemble(p: ParameterSet, layers) -> ParameterSet:

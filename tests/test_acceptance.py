@@ -21,7 +21,7 @@ from sparsemerge.landscape import (
 )
 from sparsemerge.merge import compute_lambda, merge_layer, redense, weight_average
 from sparsemerge.params import ParameterSet, flatten, param_count, unflatten
-from sparsemerge.sparsity import Granularity, SparsitySchedule, prune, schedule_rate
+from sparsemerge.sparsity import SparsitySchedule, prune, schedule_rate
 from sparsemerge.tasks import (
     MlpSpec,
     ModularOp,
@@ -109,12 +109,12 @@ def test_criterion_04_pruning_exactness():
             rate = float(rng.random())
             n = param_count(p)
             prior = int(np.count_nonzero(flatten(p) == 0.0))
-            pruned = prune(p, rate, Granularity.GLOBAL)
+            pruned = prune(p, rate)
             flat_before, flat_after = flatten(p), flatten(pruned)
             assert np.count_nonzero(flat_after == 0.0) == max(prior, int(np.floor(rate * n)))
             survivors = flat_after != 0.0
             assert np.array_equal(flat_before[survivors], flat_after[survivors])
-            twice = prune(pruned, rate, Granularity.GLOBAL)
+            twice = prune(pruned, rate)
             assert np.array_equal(flatten(twice), flat_after)
 
 
@@ -124,7 +124,7 @@ def test_criterion_05_redense_inverse():
         for _ in range(100):
             theta = random_pset(rng)
             rate = float(rng.random())
-            restored = redense(prune(theta, rate, Granularity.GLOBAL), theta)
+            restored = redense(prune(theta, rate), theta)
             assert np.array_equal(flatten(restored), flatten(theta))
 
 
@@ -174,9 +174,7 @@ def test_criterion_07_curvature_oracle():
         net = init_mlp(MlpSpec(2, 3), 0)
         n = param_count(net)
         assert n <= 40
-        batch = gen_dataset(
-            ModularTaskSpec(2, ModularOp.ADD, test_fraction=0.3), "train", 3, seed=0
-        )
+        batch = gen_dataset(ModularTaskSpec(2, ModularOp.ADD), "train", 3, seed=0)
         grad_fn = batch_grad(batch)
         eig_cfg = EigConfig(iters=800, tol=1e-12)
         rng = np.random.default_rng(0)

@@ -180,7 +180,7 @@ def test_redense_inverts_prune():
     for trial in range(100):
         theta = rand_pset(trial)
         rate = float(rng.random())
-        restored = redense(prune(theta, rate, Granularity.GLOBAL), theta)
+        restored = redense(prune(theta, rate), theta)
         assert np.array_equal(flatten(restored), flatten(theta))
 
 

@@ -5,56 +5,46 @@ from conftest import rand_pset
 from sparsemerge.params import (
     CheckpointError,
     ParameterSet,
-    assert_compatible,
     flatten,
     load_checkpoint,
     param_count,
+    require_compatible,
     save_checkpoint,
     stack,
     unflatten,
     unstack,
-    zero_positions,
 )
-from sparsemerge.sparsity import Granularity, prune
 from sparsemerge.tasks import Dataset, MlpSpec, ModularOp, ModularTaskSpec, gen_dataset, init_mlp
 
 
-def test_compatible_with_itself():
-    p = rand_pset(0)
-    report = assert_compatible(p, p)
-    assert report.compatible
-    assert report.mismatches == ()
+def pair(names, shapes):
+    return ParameterSet.from_pairs((name, np.zeros(shape)) for name, shape in zip(names, shapes))
 
 
-def test_shape_mismatch_reported_per_layer():
-    a = ParameterSet.from_pairs([("fc1", np.zeros((4, 3)))])
-    b = ParameterSet.from_pairs([("fc1", np.zeros((3, 4)))])
-    report = assert_compatible(a, b)
-    assert not report.compatible
-    assert report.mismatches[0][0] == "fc1"
+P0 = rand_pset(0)
+COMPATIBILITY_CASES = {
+    # case: (sets, None if compatible else a pattern the message must match)
+    "itself": ([P0, P0], None),
+    "transposed-shape": ([pair(["fc1"], [(4, 3)]), pair(["fc1"], [(3, 4)])], "'fc1'"),
+    "two-inits-of-one-spec": ([init_mlp(MlpSpec(13, 32), 1), init_mlp(MlpSpec(13, 32), 2)], None),
+    "swapped-order": ([pair("xy", [(2,), (2,)]), pair("yx", [(2,), (2,)])], "'x'"),
+    "same-shapes": ([P0, rand_pset(1)], None),
+    "fewer-layers": ([P0, rand_pset(1, shapes=[("w1", (2, 2))])], "'w1'"),
+    "other-bias-shape": ([P0, rand_pset(1, shapes=[("w1", (4, 3)), ("b1", (4,))])], "'b1'"),
+    "third-differs": ([P0, rand_pset(1), rand_pset(2, shapes=[("w1", (4, 3))])], "layer count"),
+}
 
 
-def test_two_inits_from_same_spec_are_compatible():
-    spec = MlpSpec(13, 32)
-    a = init_mlp(spec, 1)
-    b = init_mlp(spec, 2)
-    assert assert_compatible(a, b).compatible
-
-
-def test_name_order_matters():
-    a = ParameterSet.from_pairs([("x", np.zeros(2)), ("y", np.zeros(2))])
-    b = ParameterSet.from_pairs([("y", np.zeros(2)), ("x", np.zeros(2))])
-    assert not assert_compatible(a, b).compatible
-
-
-def test_compatibility_is_symmetric():
-    cases = [
-        (rand_pset(0), rand_pset(1)),
-        (rand_pset(0), rand_pset(1, shapes=[("w1", (2, 2))])),
-        (rand_pset(0), rand_pset(1, shapes=[("w1", (4, 3)), ("b1", (4,))])),
-    ]
-    for a, b in cases:
-        assert assert_compatible(a, b).compatible == assert_compatible(b, a).compatible
+@pytest.mark.parametrize("case", list(COMPATIBILITY_CASES))
+def test_require_compatible(case):
+    """Same verdict in both argument orders; a mismatch names the first differing layer."""
+    sets, message = COMPATIBILITY_CASES[case]
+    for ordered in (sets, sets[::-1]):
+        if message is None:
+            require_compatible(*ordered)
+        else:
+            with pytest.raises(ValueError, match=f"incompatible parameter sets: .*{message}"):
+                require_compatible(*ordered)
 
 
 def test_layer_validation():
@@ -69,21 +59,6 @@ def test_layer_validation():
 def test_param_count_matches_dim_products():
     p = rand_pset(3)
     assert param_count(p) == sum(np.prod(arr.shape) for _, arr in p.items())
-
-
-def test_zero_positions_examples():
-    p = ParameterSet.from_pairs([("t", np.array([0.0, 1.5, 0.0]))])
-    assert zero_positions(p, "t") == {0, 2}
-    dense = ParameterSet.from_pairs([("t", np.array([1.0, 2.0, 3.0]))])
-    assert zero_positions(dense, "t") == set()
-    with pytest.raises(KeyError):
-        zero_positions(p, "missing")
-
-
-def test_zero_positions_after_prune():
-    p = ParameterSet.from_pairs([("t", np.arange(1.0, 11.0))])
-    pruned = prune(p, 0.5, Granularity.GLOBAL)
-    assert len(zero_positions(pruned, "t")) == 5
 
 
 def test_roundtrip_preserves_values_at_f32(tmp_path):

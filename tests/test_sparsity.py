@@ -91,32 +91,32 @@ def test_schedule_validation():
 
 def test_prune_forced_magnitude_order():
     p = ParameterSet.from_pairs([("t", np.array([0.1, -0.2, 0.3, -0.4]))])
-    pruned = prune(p, 0.5, Granularity.GLOBAL)
+    pruned = prune(p, 0.5)
     assert np.array_equal(pruned["t"], [0.0, 0.0, 0.3, -0.4])
 
 
 def test_prune_rate_zero_is_identity():
     p = rand_pset(0)
-    pruned = prune(p, 0.0, Granularity.GLOBAL)
+    pruned = prune(p, 0.0)
     for name, arr in p.items():
         assert np.array_equal(arr, pruned[name])
 
 
 def test_prune_rate_one_zeroes_everything():
     p = rand_pset(1)
-    pruned = prune(p, 1.0, Granularity.GLOBAL)
+    pruned = prune(p, 1.0)
     assert collect_stats(pruned).zero_frac == 1.0
 
 
 def test_prune_tie_break_ascending_index():
     p = ParameterSet.from_pairs([("t", np.array([1.0, -1.0, 2.0, 1.0]))])
-    pruned = prune(p, 0.5, Granularity.GLOBAL)
+    pruned = prune(p, 0.5)
     assert np.array_equal(pruned["t"], [0.0, 0.0, 2.0, 1.0])
 
 
 def test_prune_invalid_rate():
     with pytest.raises(ValueError):
-        prune(rand_pset(0), 1.5, Granularity.GLOBAL)
+        prune(rand_pset(0), 1.5)
 
 
 def test_prune_zero_count_and_survivors():
@@ -126,21 +126,13 @@ def test_prune_zero_count_and_survivors():
         rate = float(rng.random())
         n = param_count(p)
         prior_zeros = int(np.count_nonzero(flatten(p) == 0.0))
-        pruned = prune(p, rate, Granularity.GLOBAL)
+        pruned = prune(p, rate)
         flat_before, flat_after = flatten(p), flatten(pruned)
         assert np.count_nonzero(flat_after == 0.0) == max(prior_zeros, int(np.floor(rate * n)))
         survivors = flat_after != 0.0
         assert np.array_equal(flat_before[survivors], flat_after[survivors])
-        again = prune(pruned, rate, Granularity.GLOBAL)
+        again = prune(pruned, rate)
         assert np.array_equal(flatten(again), flat_after)
-
-
-def test_prune_local_per_layer_quota():
-    p = rand_pset(9)
-    pruned = prune(p, 0.5, Granularity.LOCAL)
-    for name, arr in p.items():
-        zeros = int(np.count_nonzero(pruned[name] == 0.0))
-        assert zeros == int(np.floor(0.5 * arr.size))
 
 
 def test_zero_count_weights_local():
@@ -228,7 +220,7 @@ def test_collect_stats_extremes():
 def test_collect_stats_after_global_prune():
     p = ParameterSet.from_pairs([("a", np.arange(1.0, 61.0)), ("b", np.arange(61.0, 101.0))])
     assert param_count(p) == 100
-    stats = collect_stats(prune(p, 0.3, Granularity.GLOBAL))
+    stats = collect_stats(prune(p, 0.3))
     assert stats.zero_frac == pytest.approx(0.30, abs=1e-15)
 
 
