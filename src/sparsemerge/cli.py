@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .evolve import (
+    AnnealTarget,
     EvolveConfig,
     PsoConfig,
     run_pso,
@@ -39,10 +40,10 @@ from .landscape import (
     write_grid_csv,
     write_pgm,
 )
-from .merge import MergeConfig, task_arithmetic, weight_average
+from .merge import MergeConfig, RedenseMode, task_arithmetic, weight_average
 from .params import CheckpointError, ConfigError, ParameterSet, load_checkpoint, save_checkpoint
 from .seeding import TAG_EIG, derive_seed
-from .sparsity import SparsitySchedule
+from .sparsity import Granularity, SparsityMeasure, SparsitySchedule
 from .tasks import (
     LAYER_NAMES,
     ExpertTrainConfig,
@@ -81,6 +82,11 @@ class Opt:
         return self.flag.lstrip("-")
 
 
+def _choices(enum: type[Enum]) -> tuple[str, ...]:
+    return tuple(member.value for member in enum)
+
+
+# Defaults and choices come from the config fields each option sets.
 OUT_OPT = Opt("--out", str, None, help="output directory", required=True)
 
 SHARED_OPTS = [
@@ -88,7 +94,7 @@ SHARED_OPTS = [
     OUT_OPT,
 ]
 
-M_OPT = Opt("--m", int, 13, help="modulus of the twin tasks")
+M_OPT = Opt("--m", int, ModularTaskSpec.modulus, help="modulus of the twin tasks")
 
 # The only settings an experts run's config.txt passes on to the runs that
 # load its checkpoints.
@@ -98,41 +104,41 @@ TASK_OPTS = [
 ]
 
 TRAIN_OPTS = [
-    Opt("--hidden", int, 32, help="hidden width of the network"),
-    Opt("--base-epochs", int, 30),
-    Opt("--expert-epochs", int, 8000),
-    Opt("--lr", float, 0.5),
-    Opt("--batch-size", int, 32),
-    Opt("--weight-decay", float, 0.012),
+    Opt("--hidden", int, MlpSpec.hidden, help="hidden width of the network"),
+    Opt("--base-epochs", int, ExpertTrainConfig.base_epochs),
+    Opt("--expert-epochs", int, ExpertTrainConfig.expert_epochs),
+    Opt("--lr", float, ExpertTrainConfig.learning_rate),
+    Opt("--batch-size", int, ExpertTrainConfig.batch_size),
+    Opt("--weight-decay", float, ExpertTrainConfig.weight_decay),
 ]
 
 EXPERTS_OPT = Opt("--experts", str, None, help="directory produced by train-experts", required=True)
 
 EVOLVE_OPTS = [
     EXPERTS_OPT,
-    Opt("--pop", int, 8),
-    Opt("--steps", int, 12),
-    Opt("--s-min", float, 0.1),
-    Opt("--s-max", float, 0.6),
-    Opt("--t0", int, 3),
-    Opt("--t-mult", int, 2),
-    Opt("--measure", str, "magnitude", choices=("magnitude", "zero-count")),
-    Opt("--granularity", str, "global", choices=("global", "local")),
-    Opt("--redense", str, "parents", choices=("parents", "original-dense")),
-    Opt("--gamma", float, 0.2),
-    Opt("--anneal", str, "offspring", choices=("offspring", "archive")),
-    Opt("--opt-batch", int, 64),
+    Opt("--pop", int, EvolveConfig.capacity),
+    Opt("--steps", int, SparsitySchedule.total_steps),
+    Opt("--s-min", float, SparsitySchedule.s_min),
+    Opt("--s-max", float, SparsitySchedule.s_max),
+    Opt("--t0", int, SparsitySchedule.t0),
+    Opt("--t-mult", int, SparsitySchedule.t_mult),
+    Opt("--measure", str, MergeConfig.measure.value, choices=_choices(SparsityMeasure)),
+    Opt("--granularity", str, MergeConfig.granularity.value, choices=_choices(Granularity)),
+    Opt("--redense", str, MergeConfig.redense_mode.value, choices=_choices(RedenseMode)),
+    Opt("--gamma", float, MergeConfig.gamma),
+    Opt("--anneal", str, EvolveConfig.anneal.value, choices=_choices(AnnealTarget)),
+    Opt("--opt-batch", int, EvolveConfig.opt_batch),
     Opt("--label", str, "sae"),
 ]
 
 PSO_OPTS = [
     EXPERTS_OPT,
-    Opt("--swarm", int, 8),
-    Opt("--iters", int, 12),
-    Opt("--w", float, 0.729),
-    Opt("--c1", float, 1.49445),
-    Opt("--c2", float, 1.49445),
-    Opt("--vmax", float, 0.5),
+    Opt("--swarm", int, PsoConfig.swarm),
+    Opt("--iters", int, PsoConfig.iters),
+    Opt("--w", float, PsoConfig.w),
+    Opt("--c1", float, PsoConfig.c1),
+    Opt("--c2", float, PsoConfig.c2),
+    Opt("--vmax", float, PsoConfig.vmax),
     Opt("--opt-batch", int, 64),
     Opt("--label", str, "pso"),
 ]
@@ -145,23 +151,23 @@ BASELINE_OPTS = [
 
 SCAN_OPTS = [
     Opt("--ckpt", str, None, help="checkpoint to scan around", required=True),
-    Opt("--op", str, "add", choices=("add", "sub")),
-    Opt("--grid", int, 21),
-    Opt("--alpha-max", float, 1.0),
-    Opt("--beta-max", float, 1.0),
+    Opt("--op", str, ModularTaskSpec.op.value, choices=_choices(ModularOp)),
+    Opt("--grid", int, GridSpec.resolution),
+    Opt("--alpha-max", float, GridSpec.alpha_max),
+    Opt("--beta-max", float, GridSpec.beta_max),
 ]
 
 LANDSCAPE_OPTS = [Opt("--split", str, "train", choices=("train", "test"))]
 
 CONVEXITY_OPTS = [
-    Opt("--eps", float, 1e-8),
-    Opt("--eig-iters", int, 100),
-    Opt("--eig-tol", float, 1e-6),
+    Opt("--eps", float, GridSpec.eps),
+    Opt("--eig-iters", int, EigConfig.iters),
+    Opt("--eig-tol", float, EigConfig.tol),
     Opt("--hess-batch", int, 64),
 ]
 
 GEN_DATA_OPTS = [
-    Opt("--op", str, "add", choices=("add", "sub")),
+    Opt("--op", str, ModularTaskSpec.op.value, choices=_choices(ModularOp)),
     Opt("--which", str, "train", choices=("train", "opt", "test")),
     Opt("--n", int, 0, help="sample size; 0 means the whole pool"),
 ]
@@ -185,7 +191,7 @@ COMMAND_OPTS: dict[str, list[Opt]] = {
 }
 
 # Keys that never enter the echoed config: they locate the run, not its science.
-NON_SCIENCE_KEYS = {"out", "runs"}
+NON_SCIENCE_KEYS = {"out"}
 
 # Config fields set by an option of another name. A field takes the option of its
 # own name where the command has one (pso --iters), else its alias (convexity --eig-iters).

@@ -26,7 +26,6 @@ from .sparsity import (
     make_sparse_variants,
     prune,
     schedule_rate,
-    variant_rates,
 )
 from .tasks import Dataset, ModularTaskSpec, accuracy, gen_dataset
 
@@ -37,13 +36,6 @@ class AnnealTarget(Enum):
 
 
 @dataclass(frozen=True)
-class Lineage:
-    parent_ids: tuple[int, ...]
-    prune_rate: float | None
-    root_dense: bool = False
-
-
-@dataclass(frozen=True)
 class Individual:
     id: int
     params: ParameterSet
@@ -51,13 +43,12 @@ class Individual:
     perf_mean: float
     stats: SparsityStats
     total_score: float
-    lineage: Lineage
+    root_dense: bool = False  # a dense expert the archive started from
 
 
 @dataclass
 class Archive:
     members: list[Individual]
-    capacity: int
     next_id: int
     dense_reference: ParameterSet
 
@@ -112,28 +103,25 @@ def score(
 
 
 def _evaluate(
-    params: ParameterSet,
-    batches: list[Dataset],
-    gamma: float,
-    ind_id: int,
-    lineage: Lineage,
+    params: ParameterSet, batches: list[Dataset], gamma: float, ind_id: int, root_dense: bool = False
 ) -> Individual:
     perf, stats, total = score(params, batches, gamma)
-    return Individual(
-        id=ind_id,
-        params=params,
-        perf=perf,
-        perf_mean=float(np.mean(perf)),
-        stats=stats,
-        total_score=total,
-        lineage=lineage,
+    return Individual(ind_id, params, perf, float(np.mean(perf)), stats, total, root_dense)
+
+
+def _record(step: int, member: Individual, event: str) -> TraceRecord:
+    return TraceRecord(
+        step, member.id, member.perf, member.perf_mean, member.stats.zero_frac, member.total_score, event
     )
 
 
-def _opt_batches(cfg: EvolveConfig, tag: int, step: int) -> list[Dataset]:
+def _opt_batches(
+    tasks: tuple[ModularTaskSpec, ...], size: int, seed: int, tag: int, step: int
+) -> list[Dataset]:
+    """One optimization batch per task, drawn afresh for each (tag, step)."""
     return [
-        gen_dataset(task, "opt", cfg.opt_batch, derive_seed(cfg.seed, tag, step, j))
-        for j, task in enumerate(cfg.tasks)
+        gen_dataset(task, "opt", size, derive_seed(seed, tag, step, j))
+        for j, task in enumerate(tasks)
     ]
 
 
@@ -142,32 +130,13 @@ def init_archive(dense_experts: list[ParameterSet], cfg: EvolveConfig) -> Archiv
     if len(dense_experts) < 2:
         raise ValueError("need at least two dense experts")
     require_compatible(*dense_experts)
-    variants = make_sparse_variants(dense_experts, cfg.capacity, cfg.schedule)
-    rates = variant_rates(len(dense_experts), cfg.capacity, cfg.schedule)
-    batches = _opt_batches(cfg, TAG_INIT_EVAL, 0)
-    gamma = cfg.merge_cfg.gamma
-    members = []
-    for i, expert in enumerate(dense_experts):
-        members.append(
-            _evaluate(expert, batches, gamma, i, Lineage((), None, root_dense=True))
-        )
-    for i, (variant, rate) in enumerate(zip(variants, rates)):
-        parent = i % len(dense_experts)
-        members.append(
-            _evaluate(
-                variant,
-                batches,
-                gamma,
-                len(dense_experts) + i,
-                Lineage((parent,), float(rate)),
-            )
-        )
-    return Archive(
-        members=members,
-        capacity=cfg.capacity,
-        next_id=cfg.capacity,
-        dense_reference=weight_average(dense_experts),
-    )
+    models = [*dense_experts, *make_sparse_variants(dense_experts, cfg.capacity, cfg.schedule)]
+    batches = _opt_batches(cfg.tasks, cfg.opt_batch, cfg.seed, TAG_INIT_EVAL, 0)
+    members = [
+        _evaluate(model, batches, cfg.merge_cfg.gamma, i, root_dense=i < len(dense_experts))
+        for i, model in enumerate(models)
+    ]
+    return Archive(members, next_id=cfg.capacity, dense_reference=weight_average(dense_experts))
 
 
 def _worst_index(members: list[Individual]) -> int:
@@ -183,16 +152,14 @@ def evolve_step(
     decisions are then applied sequentially in pair order, so a concurrent
     evaluation of the pairs would produce identical results.
     """
-    if len(archive.members) != archive.capacity:
-        raise ValueError(
-            f"archive has {len(archive.members)} members, capacity {archive.capacity}"
-        )
+    if len(archive.members) != cfg.capacity:
+        raise ValueError(f"archive has {len(archive.members)} members, capacity {cfg.capacity}")
     rate = schedule_rate(cfg.schedule, step)
     gamma = cfg.merge_cfg.gamma
-    batches = _opt_batches(cfg, TAG_OPT_BATCH, step)
+    batches = _opt_batches(cfg.tasks, cfg.opt_batch, cfg.seed, TAG_OPT_BATCH, step)
     snapshot = list(archive.members)
-    perm = rng.permutation(archive.capacity)
-    pairs = [(int(perm[2 * k]), int(perm[2 * k + 1])) for k in range(archive.capacity // 2)]
+    perm = rng.permutation(cfg.capacity)
+    pairs = [(int(perm[2 * k]), int(perm[2 * k + 1])) for k in range(cfg.capacity // 2)]
 
     offspring = []
     for k, (i, j) in enumerate(pairs):
@@ -207,59 +174,32 @@ def evolve_step(
         child_params = prune(merged, rate)
         if cfg.merge_cfg.redense_mode is RedenseMode.FROM_ORIGINAL_DENSE:
             child_params = redense(child_params, archive.dense_reference)
-        child = _evaluate(
-            child_params,
-            batches,
-            gamma,
-            archive.next_id + k,
-            Lineage((parent_a.id, parent_b.id), rate),
-        )
-        offspring.append((child, lambdas))
+        child = _evaluate(child_params, batches, gamma, archive.next_id + k)
+        origin = f"offspring parents={parent_a.id}|{parent_b.id} rate={rate!r}"
+        packed_lams = ";".join(f"{name}={lam!r}" for name, lam in lambdas.items())
+        offspring.append((child, origin, packed_lams))
 
     records = []
     members = list(snapshot)
-    for child, lambdas in offspring:
+    for child, origin, packed_lams in offspring:
         target = _worst_index(members)
-        packed_lams = ";".join(f"{name}={lam!r}" for name, lam in lambdas.items())
-        base_event = (
-            f"offspring parents={child.lineage.parent_ids[0]}"
-            f"|{child.lineage.parent_ids[1]} rate={rate!r}"
-        )
         if child.total_score > members[target].total_score:
-            event = f"{base_event} accepted replaced={members[target].id} lambdas={packed_lams}"
+            event = f"{origin} accepted replaced={members[target].id} lambdas={packed_lams}"
             members[target] = child
         else:
-            event = f"{base_event} rejected lambdas={packed_lams}"
-        records.append(
-            TraceRecord(
-                step + 1, child.id, child.perf, child.perf_mean,
-                child.stats.zero_frac, child.total_score, event,
-            )
-        )
+            event = f"{origin} rejected lambdas={packed_lams}"
+        records.append(_record(step + 1, child, event))
 
     if cfg.anneal is AnnealTarget.OFFSPRING_AND_ARCHIVE:
         # Root dense experts are never re-pruned, so dense ancestors survive
         # for re-densification.
         for idx, member in enumerate(members):
-            if member.lineage.root_dense:
+            if member.root_dense:
                 continue
-            pruned = prune(member.params, rate)
-            members[idx] = _evaluate(pruned, batches, gamma, member.id, member.lineage)
+            members[idx] = _evaluate(prune(member.params, rate), batches, gamma, member.id)
 
-    for member in members:
-        records.append(
-            TraceRecord(
-                step + 1, member.id, member.perf, member.perf_mean,
-                member.stats.zero_frac, member.total_score, "member",
-            )
-        )
-    new_archive = Archive(
-        members=members,
-        capacity=archive.capacity,
-        next_id=archive.next_id + len(offspring),
-        dense_reference=archive.dense_reference,
-    )
-    return new_archive, records
+    records.extend(_record(step + 1, member, "member") for member in members)
+    return Archive(members, archive.next_id + len(offspring), archive.dense_reference), records
 
 
 def best_member(archive: Archive) -> Individual:
@@ -271,10 +211,7 @@ def run_sae(
 ) -> tuple[Individual, list[TraceRecord]]:
     """Full evolutionary run; deterministic given (experts, cfg)."""
     archive = init_archive(dense_experts, cfg)
-    records = [
-        TraceRecord(0, m.id, m.perf, m.perf_mean, m.stats.zero_frac, m.total_score, "init")
-        for m in archive.members
-    ]
+    records = [_record(0, m, "init") for m in archive.members]
     for step in range(cfg.schedule.total_steps):
         rng = substream(cfg.seed, TAG_PAIRING, step)
         archive, recs = evolve_step(archive, cfg, step, rng)
@@ -385,10 +322,7 @@ def run_pso(
             r1 = rng.random((cfg.swarm, n_dim))
             r2 = rng.random((cfg.swarm, n_dim))
             x, v = pso_update(x, v, pbest_x, gbest_x, cfg, r1, r2)
-        batches = [
-            gen_dataset(task, "opt", opt_batch, derive_seed(cfg.seed, TAG_PSO_BATCH, t, j))
-            for j, task in enumerate(tasks)
-        ]
+        batches = _opt_batches(tasks, opt_batch, cfg.seed, TAG_PSO_BATCH, t)
         fits = np.zeros(cfg.swarm)
         for i in range(cfg.swarm):
             model = _mix_position(experts, x[i])

@@ -230,7 +230,10 @@ def load_checkpoint(path) -> ParameterSet:
     pairs = []
     for i in range(num_layers):
         (name_len,) = struct.unpack("<I", take(4, f"layer {i} name length"))
-        name = take(name_len, f"layer {i} name").decode("utf-8")
+        try:
+            name = take(name_len, f"layer {i} name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"layer {i} name is not UTF-8") from None
         (ndim,) = struct.unpack("<I", take(4, f"layer {i} rank"))
         dims = np.frombuffer(take(8 * ndim, f"layer {i} dims"), dtype="<u8")
         shape = tuple(int(d) for d in dims)
@@ -241,4 +244,7 @@ def load_checkpoint(path) -> ParameterSet:
         pairs.append((name, raw.astype(np.float64).reshape(shape)))
     if offset != len(data):
         raise CheckpointError(f"{len(data) - offset} trailing bytes after last layer")
-    return ParameterSet.from_pairs(pairs)
+    try:
+        return ParameterSet.from_pairs(pairs)
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from None

@@ -142,25 +142,16 @@ def sparsity_weights(
     return out
 
 
-def variant_rates(n_dense: int, capacity: int, sched: SparsitySchedule) -> np.ndarray:
-    """Prune rates for the sparse variants that fill an archive to capacity."""
-    if capacity < n_dense:
-        raise ValueError(f"capacity {capacity} below number of dense models {n_dense}")
-    k = capacity - n_dense
-    if k == 0:
-        return np.zeros(0)
-    if k == 1:
-        return np.array([sched.s_min])
-    return np.linspace(sched.s_min, sched.s_max, k)
-
-
 def make_sparse_variants(
     dense: list[ParameterSet], capacity: int, sched: SparsitySchedule
 ) -> list[ParameterSet]:
     """Pruned copies of the dense models, filling the archive to capacity.
 
-    Rates are evenly spaced across [s_min, s_max]; variant i is pruned from
-    parent i mod len(dense). Fully deterministic.
+    Rates are evenly spaced across [s_min, s_max] (a single variant takes
+    s_min); variant i is pruned from parent i mod len(dense). Fully
+    deterministic.
     """
-    rates = variant_rates(len(dense), capacity, sched)
+    if capacity < len(dense):
+        raise ValueError(f"capacity {capacity} below number of dense models {len(dense)}")
+    rates = np.linspace(sched.s_min, sched.s_max, capacity - len(dense))
     return [prune(dense[i % len(dense)], float(rate)) for i, rate in enumerate(rates)]

@@ -256,37 +256,22 @@ def accuracy(p: ParameterSet, dataset: Dataset) -> float:
     return float((pred == dataset.labels).mean())
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.1
-    epochs: int = 100
-    batch_size: int = 32
-    seed: int = 0
-    weight_decay: float = 0.0
-
-    def __post_init__(self):
-        check_fields(
-            (self.epochs >= 0, "epochs", f"must be >= 0, got {self.epochs}"),
-            *_step_checks(self.learning_rate, self.batch_size, self.weight_decay),
-        )
-
-
-def _step_checks(learning_rate: float, batch_size: int, weight_decay: float):
-    """The checks on the SGD step that TrainConfig and ExpertTrainConfig share."""
-    return (
-        (learning_rate > 0, "learning_rate", f"must be > 0, got {learning_rate}"),
-        (batch_size >= 1, "batch_size", f"must be >= 1, got {batch_size}"),
-        (weight_decay >= 0, "weight_decay", f"must be >= 0, got {weight_decay}"),
-    )
-
-
-def train(p: ParameterSet, dataset: Dataset, cfg: TrainConfig) -> ParameterSet:
+def train(
+    p: ParameterSet,
+    dataset: Dataset,
+    *,
+    learning_rate: float,
+    epochs: int,
+    batch_size: int,
+    seed: int,
+    weight_decay: float = 0.0,
+) -> ParameterSet:
     """Plain mini-batch gradient descent, optionally with decoupled L2 shrink.
 
-    No optimizer state: the result is a pure function of (p, dataset, cfg).
-    A stack of K models (see ``params.stack``) trains on a stacked dataset in
+    No optimizer state: the result is a pure function of its arguments. A
+    stack of K models (see ``params.stack``) trains on a stacked dataset in
     lockstep, one step per batch for all K. Model k shuffles with seed
-    ``cfg.seed + k``, so it takes exactly the steps it would take alone.
+    ``seed + k``, so it takes exactly the steps it would take alone.
     """
     n = len(dataset)
     if n == 0:
@@ -294,20 +279,20 @@ def train(p: ParameterSet, dataset: Dataset, cfg: TrainConfig) -> ParameterSet:
     lead = dataset.labels.shape[:-1]  # () for one model, (K,) for a stack
     if p["fc1_w"].shape[:-2] != lead:
         raise ValueError(f"stack of models {p['fc1_w'].shape[:-2]} does not match dataset stack {lead}")
-    seeds = [cfg.seed + k for k in range(math.prod(lead))]
+    seeds = [seed + k for k in range(math.prod(lead))]
     # Model k's rows start at k*n once the stack's rows are laid end to end.
     offsets = n * np.arange(len(seeds)).reshape(lead + (1,))
     inputs = dataset.inputs.reshape(-1, dataset.inputs.shape[-1])
     labels = dataset.labels.reshape(-1)
     params = p
-    shrink = 1.0 - cfg.learning_rate * cfg.weight_decay
-    for epoch in range(cfg.epochs):
-        orders = [substream(seed, TAG_SHUFFLE, epoch).permutation(n) for seed in seeds]
+    shrink = 1.0 - learning_rate * weight_decay
+    for epoch in range(epochs):
+        orders = [substream(model_seed, TAG_SHUFFLE, epoch).permutation(n) for model_seed in seeds]
         order = np.reshape(orders, lead + (n,)) + offsets
-        for start in range(0, n, cfg.batch_size):
-            idx = order[..., start : start + cfg.batch_size]
+        for start in range(0, n, batch_size):
+            idx = order[..., start : start + batch_size]
             _, grad = loss_and_grad(params, Dataset(inputs[idx], labels[idx]))
-            params = unflatten(params, flatten(params) * shrink - cfg.learning_rate * flatten(grad))
+            params = unflatten(params, flatten(params) * shrink - learning_rate * flatten(grad))
     return params
 
 
@@ -338,7 +323,9 @@ class ExpertTrainConfig:
         check_fields(
             (self.base_epochs >= 0, "base_epochs", f"must be >= 0, got {self.base_epochs}"),
             (self.expert_epochs >= 0, "expert_epochs", f"must be >= 0, got {self.expert_epochs}"),
-            *_step_checks(self.learning_rate, self.batch_size, self.weight_decay),
+            (self.learning_rate > 0, "learning_rate", f"must be > 0, got {self.learning_rate}"),
+            (self.batch_size >= 1, "batch_size", f"must be >= 1, got {self.batch_size}"),
+            (self.weight_decay >= 0, "weight_decay", f"must be >= 0, got {self.weight_decay}"),
         )
 
 
@@ -361,27 +348,16 @@ def build_experts(
         np.concatenate([add_train.inputs, sub_train.inputs]),
         np.concatenate([add_train.labels, sub_train.labels]),
     )
-    net = init_mlp(MlpSpec(modulus, hidden), seed)
-    base = train(
-        net,
-        mixture,
-        TrainConfig(recipe.learning_rate, recipe.base_epochs, recipe.batch_size, seed),
-    )
+    sgd = dict(learning_rate=recipe.learning_rate, batch_size=recipe.batch_size)
+    base = train(init_mlp(MlpSpec(modulus, hidden), seed), mixture, epochs=recipe.base_epochs, seed=seed, **sgd)
     # The two train pools always have the same size, so they stack.
     pools = Dataset(
         np.stack([add_train.inputs, sub_train.inputs]),
         np.stack([add_train.labels, sub_train.labels]),
     )
     experts = train(
-        stack([base, base]),
-        pools,
-        TrainConfig(
-            recipe.learning_rate,
-            recipe.expert_epochs,
-            recipe.batch_size,
-            seed * 7 + 1,
-            recipe.weight_decay,
-        ),
+        stack([base, base]), pools,
+        epochs=recipe.expert_epochs, seed=seed * 7 + 1, weight_decay=recipe.weight_decay, **sgd,
     )
     expert_add, expert_sub = unstack(experts)
     return base, expert_add, expert_sub

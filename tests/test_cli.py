@@ -1,5 +1,6 @@
 import csv
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from conftest import rand_pset
 from sparsemerge import cli
 from sparsemerge.cli import COMMAND_OPTS, main, read_config_file
-from sparsemerge.params import load_checkpoint, save_checkpoint
+from sparsemerge.params import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
 
 FAST_TRAIN = ["--base-epochs", "3", "--expert-epochs", "40", "--seed", "0"]
 
@@ -224,6 +225,26 @@ def _experts_with_truncated_sub(experts: Path, tmp: Path) -> str:
     return str(copy)
 
 
+def _raw_checkpoint(path: Path, *layers) -> str:
+    """A checkpoint of (name bytes, shape, values) layers, written byte by byte
+    so that it can hold what save_checkpoint never writes."""
+    buf = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(layers))
+    for name, shape, values in layers:
+        buf += struct.pack("<I", len(name)) + name + struct.pack("<I", len(shape))
+        buf += np.asarray(shape, dtype="<u8").tobytes() + np.asarray(values, dtype="<f4").tobytes()
+    path.write_bytes(buf)
+    return str(path)
+
+
+NOT_UTF8 = (b"\xff", (2,), [0.0, 0.0])
+
+
+def _experts_with_unreadable_sub(experts: Path, tmp: Path) -> str:
+    copy = shutil.copytree(experts, tmp / "experts")
+    _raw_checkpoint(copy / "expert_sub.ckpt", NOT_UTF8)
+    return str(copy)
+
+
 def _not_an_mlp(tmp: Path) -> str:
     save_checkpoint(rand_pset(0), tmp / "other.ckpt")
     return str(tmp / "other.ckpt")
@@ -240,6 +261,21 @@ BAD_INPUTS = {
         "expert_sub.ckpt: truncated"),
     "evolve-truncated-expert": lambda ex, tmp: (
         ["evolve", "--experts", _experts_with_truncated_sub(ex, tmp)], "expert_sub.ckpt: truncated"),
+    "eval-name-not-utf8": lambda ex, tmp: (
+        ["eval", "--ckpt", _raw_checkpoint(tmp / "x.ckpt", NOT_UTF8)],
+        f"{tmp / 'x.ckpt'}: layer 0 name is not UTF-8"),
+    "eval-non-finite-values": lambda ex, tmp: (
+        ["eval", "--ckpt", _raw_checkpoint(tmp / "x.ckpt", (b"fc1_w", (2,), [np.nan, 0.0]))],
+        f"{tmp / 'x.ckpt'}: layer 'fc1_w' contains non-finite values"),
+    "eval-duplicate-name": lambda ex, tmp: (
+        ["eval", "--ckpt", _raw_checkpoint(tmp / "x.ckpt", (b"fc1_w", (1,), [0.0]), (b"fc1_w", (1,), [0.0]))],
+        f"{tmp / 'x.ckpt'}: duplicate layer name 'fc1_w'"),
+    "eval-zero-dimension": lambda ex, tmp: (
+        ["eval", "--ckpt", _raw_checkpoint(tmp / "x.ckpt", (b"fc1_w", (0, 3), []))],
+        f"{tmp / 'x.ckpt'}: layer 'fc1_w' has a non-positive dimension (0, 3)"),
+    "evolve-expert-name-not-utf8": lambda ex, tmp: (
+        ["evolve", "--experts", _experts_with_unreadable_sub(ex, tmp)],
+        "expert_sub.ckpt: layer 0 name is not UTF-8"),
     "eval-modulus-mismatch": lambda ex, tmp: (
         ["eval", "--ckpt", str(ex / "expert_add.ckpt"), "--m", "7"], M7_MISMATCH),
     "evolve-modulus-mismatch": lambda ex, tmp: (

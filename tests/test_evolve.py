@@ -79,15 +79,12 @@ def test_init_archive_composition(expert_bundle):
     _, expert_add, expert_sub, specs = expert_bundle
     archive = init_archive([expert_add, expert_sub], make_cfg(specs))
     assert len(archive.members) == 8
-    roots = [m for m in archive.members if m.lineage.root_dense]
+    roots = [m for m in archive.members if m.root_dense]
     assert len(roots) == 2
     assert len({m.id for m in archive.members}) == 8
     for member in archive.members:
         assert 0.0 <= member.total_score <= 1.0
         assert np.isfinite(member.total_score)
-    variants = [m for m in archive.members if not m.lineage.root_dense]
-    rates = [m.lineage.prune_rate for m in variants]
-    assert rates == pytest.approx(list(np.linspace(0.1, 0.6, 6)))
 
 
 def test_larger_archive_capacity(expert_bundle):
@@ -103,7 +100,7 @@ def test_init_archive_at_minimum_capacity(expert_bundle):
     _, expert_add, expert_sub, specs = expert_bundle
     archive = init_archive([expert_add, expert_sub], make_cfg(specs, capacity=2))
     assert len(archive.members) == 2
-    assert all(m.lineage.root_dense for m in archive.members)
+    assert all(m.root_dense for m in archive.members)
 
 
 def test_init_archive_needs_two_experts(expert_bundle):
@@ -218,15 +215,15 @@ def test_archive_annealing_never_touches_roots(expert_bundle):
     _, expert_add, expert_sub, specs = expert_bundle
     cfg = make_cfg(specs, anneal=AnnealTarget.OFFSPRING_AND_ARCHIVE)
     archive = init_archive([expert_add, expert_sub], cfg)
-    root_params = [flatten(m.params) for m in archive.members if m.lineage.root_dense]
+    root_params = [flatten(m.params) for m in archive.members if m.root_dense]
     stepped, _ = evolve_step(archive, cfg, 2, substream(cfg.seed, TAG_PAIRING, 2))
-    surviving_roots = [m for m in stepped.members if m.lineage.root_dense]
+    surviving_roots = [m for m in stepped.members if m.root_dense]
     for member in surviving_roots:
         assert any(np.array_equal(flatten(member.params), rp) for rp in root_params)
     rate = 0.6  # schedule_rate(defaults, 2)
     n = sum(arr.size for _, arr in expert_add.items())
     for member in stepped.members:
-        if not member.lineage.root_dense:
+        if not member.root_dense:
             assert member.stats.zero_frac >= np.floor(rate * n) / n - 1e-12
 
 

@@ -139,6 +139,18 @@ def test_trailing_bytes_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [(b"w1", b"\xff1", "layer 0 name is not UTF-8"), (b"b1", b"w1", "duplicate layer name 'w1'")],
+)
+def test_malformed_layer_rejected(tmp_path, old, new, message):
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(rand_pset(0), path)
+    path.write_bytes(path.read_bytes().replace(old, new, 1))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
 def test_flatten_unflatten_roundtrip():
     p = rand_pset(5)
     flat = flatten(p)

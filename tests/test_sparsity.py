@@ -244,6 +244,9 @@ def test_make_sparse_variants_even_spacing_round_robin():
 def test_make_sparse_variants_degenerate_cases():
     parents = [rand_pset(0), rand_pset(1)]
     assert make_sparse_variants(parents, 2, DEFAULTS) == []
+    # A single variant is pruned at s_min, from the first parent.
+    (single,) = make_sparse_variants(parents, 3, DEFAULTS)
+    assert np.array_equal(flatten(single), flatten(prune(parents[0], DEFAULTS.s_min)))
     one = [rand_pset(2)]
     sched = SparsitySchedule(0.5, 0.5, 3, 2, 12)
     variants = make_sparse_variants(one, 3, sched)

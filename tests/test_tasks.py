@@ -16,7 +16,6 @@ from sparsemerge.tasks import (
     MlpSpec,
     ModularOp,
     ModularTaskSpec,
-    TrainConfig,
     accuracy,
     build_experts,
     forward,
@@ -149,16 +148,16 @@ def test_one_epoch_reduces_loss():
     spec = ModularTaskSpec(13, ModularOp.ADD, split_seed=0)
     data = full_split(spec, "train")
     net = init_mlp(MlpSpec(13, 32), 0)
-    cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=32, seed=0)
-    assert loss(train(net, data, cfg), data) < loss(net, data)
+    trained = train(net, data, learning_rate=0.1, epochs=1, batch_size=32, seed=0)
+    assert loss(trained, data) < loss(net, data)
 
 
 def test_descent_sanity_at_small_learning_rate():
     spec = ModularTaskSpec(13, ModularOp.SUB, split_seed=1)
     data = full_split(spec, "train")
     net = init_mlp(MlpSpec(13, 32), 1)
-    cfg = TrainConfig(learning_rate=0.01, epochs=5, batch_size=32, seed=3)
-    assert loss(train(net, data, cfg), data) <= loss(net, data)
+    trained = train(net, data, learning_rate=0.01, epochs=5, batch_size=32, seed=3)
+    assert loss(trained, data) <= loss(net, data)
 
 
 def exact_table_network(spec: ModularTaskSpec) -> ParameterSet:
@@ -241,9 +240,9 @@ def test_lockstep_experts_equal_separate_training():
     recipe = ExpertTrainConfig(base_epochs=3, expert_epochs=40, batch_size=4)
     base, expert_add, expert_sub = build_experts(seed, m, hidden, recipe)
     for k, (spec, expert) in enumerate(zip(twin_tasks(m, split_seed=seed), (expert_add, expert_sub))):
-        cfg = TrainConfig(recipe.learning_rate, recipe.expert_epochs, recipe.batch_size,
-                          seed * 7 + 1 + k, recipe.weight_decay)
-        alone = train(base, full_split(spec, "train"), cfg)
+        alone = train(base, full_split(spec, "train"), learning_rate=recipe.learning_rate,
+                      epochs=recipe.expert_epochs, batch_size=recipe.batch_size,
+                      seed=seed * 7 + 1 + k, weight_decay=recipe.weight_decay)
         assert np.array_equal(flatten(expert), flatten(alone))
 
 
@@ -291,7 +290,6 @@ def test_train_rejects_a_model_stack_that_does_not_match_the_dataset():
     one = full_split(spec, "train")
     two = Dataset(np.stack([one.inputs] * 2), np.stack([one.labels] * 2))
     net = init_mlp(MlpSpec(5, 4), 0)
-    cfg = TrainConfig(epochs=1)
     for model, data in ((stack([net, net]), one), (net, two), (stack([net] * 3), two)):
         with pytest.raises(ValueError, match="does not match"):
-            train(model, data, cfg)
+            train(model, data, learning_rate=0.1, epochs=1, batch_size=32, seed=0)
