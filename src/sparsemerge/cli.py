@@ -139,7 +139,7 @@ PSO_OPTS = [
     Opt("--c1", float, PsoConfig.c1),
     Opt("--c2", float, PsoConfig.c2),
     Opt("--vmax", float, PsoConfig.vmax),
-    Opt("--opt-batch", int, 64),
+    Opt("--opt-batch", int, PsoConfig.opt_batch),
     Opt("--label", str, "pso"),
 ]
 
@@ -498,7 +498,7 @@ def cmd_pso(cfg: dict[str, Any], out_dir: Path) -> Outcome:
         experts = s.load(load_experts, cfg)
         check_draw(s, "opt_batch", specs[0] if experts else None, "opt")
     _, expert_add, expert_sub = experts
-    best, trace = run_pso([expert_add, expert_sub], pso_cfg, specs, opt_batch=cfg["opt_batch"])
+    best, trace = run_pso([expert_add, expert_sub], pso_cfg, specs)
     write_pso_trace(out_dir / "trace.csv", trace)
     save_checkpoint(best, out_dir / "best.ckpt")
     row = (cfg["label"], *evaluate_model(best, specs))

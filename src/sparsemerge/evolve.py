@@ -247,6 +247,7 @@ class PsoConfig:
     c1: float = 1.49445
     c2: float = 1.49445
     vmax: float = 0.5
+    opt_batch: int = 64
     seed: int = 0
 
     def __post_init__(self):
@@ -257,6 +258,7 @@ class PsoConfig:
             (self.c1 > 0, "c1", f"must be > 0, got {self.c1}"),
             (self.c2 > 0, "c2", f"must be > 0, got {self.c2}"),
             (self.vmax > 0, "vmax", f"must be > 0, got {self.vmax}"),
+            (self.opt_batch >= 1, "opt_batch", f"must be >= 1, got {self.opt_batch}"),
         )
 
 
@@ -302,7 +304,6 @@ def run_pso(
     experts: list[ParameterSet],
     cfg: PsoConfig,
     tasks: tuple[ModularTaskSpec, ...],
-    opt_batch: int = 64,
 ) -> tuple[ParameterSet, list[PsoTraceRecord]]:
     if len(experts) < 2:
         raise ValueError("need at least two experts")
@@ -322,7 +323,7 @@ def run_pso(
             r1 = rng.random((cfg.swarm, n_dim))
             r2 = rng.random((cfg.swarm, n_dim))
             x, v = pso_update(x, v, pbest_x, gbest_x, cfg, r1, r2)
-        batches = _opt_batches(tasks, opt_batch, cfg.seed, TAG_PSO_BATCH, t)
+        batches = _opt_batches(tasks, cfg.opt_batch, cfg.seed, TAG_PSO_BATCH, t)
         fits = np.zeros(cfg.swarm)
         for i in range(cfg.swarm):
             model = _mix_position(experts, x[i])

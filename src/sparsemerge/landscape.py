@@ -4,8 +4,10 @@ The extreme Hessian eigenvalues of each cell come from one matrix-free
 Lanczos run with full reorthogonalisation. Its Hessian-vector products are
 exact on a batch's cross-entropy (Pearlmutter's R-operator, computed by
 ``tasks.loss_and_grad``) and central finite differences of any other
-gradient function. Scans move along two random directions rescaled
-layer-wise to the anchor model's norms.
+gradient function. Every exact product of a cell is taken at one point on
+one read-only batch, so the forward and backward pass there run once per
+cell and each product adds only the tangent's pass. Scans move along two
+random directions rescaled layer-wise to the anchor model's norms.
 """
 
 from __future__ import annotations
@@ -36,12 +38,17 @@ BREAKDOWN = 1e-12
 
 class _BatchGrad:
     """Gradient of the mean cross-entropy on a fixed batch; ``hvp`` takes the
-    exact Hessian-vector product of this function instead of differencing it."""
+    exact Hessian-vector product of this function instead of differencing it.
+
+    The batch is a read-only copy, so ``tasks.loss_and_grad`` may reuse its
+    linearization at a point across the HVPs taken there."""
 
     __slots__ = ("batch",)
 
     def __init__(self, batch: Dataset):
-        self.batch = batch
+        inputs, labels = np.array(batch.inputs), np.array(batch.labels)
+        inputs.flags.writeable = labels.flags.writeable = False
+        self.batch = Dataset(inputs, labels)
 
     def __call__(self, theta: ParameterSet) -> ParameterSet:
         return loss_and_grad(theta, self.batch)[1]
@@ -185,28 +192,29 @@ def extreme_eigs(
     parameters. ``converged`` is False only when it stops at that limit.
     """
     n = param_count(theta)
-    basis = np.zeros((min(cfg.iters, n), n))
-    alphas: list[float] = []
-    betas: list[float] = []
+    steps = min(cfg.iters, n)
+    basis = np.zeros((steps, n))
+    # T, written in place: step j's alpha on the diagonal, its beta beside it
+    # (the spare last row and column take the final step's beta).
+    tri = np.zeros((steps + 1, steps + 1))
     v0 = substream(cfg.seed, TAG_EIG, n).standard_normal(n)
     q = v0 / np.linalg.norm(v0)
     converged = False
-    for j in range(len(basis)):
+    for j in range(steps):
         basis[j] = q
         w = flatten(hvp(grad_fn, theta, unflatten(theta, q)))
-        alphas.append(float(q @ w))
+        tri[j, j] = q @ w
         span = basis[: j + 1]
         for _ in range(2):
             w = w - span.T @ (span @ w)
         beta = float(np.linalg.norm(w))
-        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        ritz, vecs = np.linalg.eigh(tri)
+        ritz, vecs = np.linalg.eigh(tri[: j + 1, : j + 1])
         spread = max(abs(ritz[0]), abs(ritz[-1]))
         residual = beta * max(abs(vecs[-1, 0]), abs(vecs[-1, -1]))
         if beta <= BREAKDOWN * spread or residual <= cfg.tol * spread:
             converged = True
             break
-        betas.append(beta)
+        tri[j, j + 1] = tri[j + 1, j] = beta
         q = w / beta
     lam_max, lam_min = float(ritz[-1]), float(ritz[0])
     if abs(lam_max) <= ZERO_TOL * spread:

@@ -199,33 +199,63 @@ def loss_and_grad(p: ParameterSet, batch: Dataset, tangent: ParameterSet | None 
     gradient: forward-over-reverse differentiation (Pearlmutter's R-operator)
     pushes the tangent through the forward pass and then through the backward
     pass, reusing its rectifier masks, whose second derivative is zero off the
-    kinks.
+    kinks. The forward and backward pass depend only on the point and the
+    batch, so a tangent call on the same ``p`` and the same read-only batch
+    as the tangent call before it (every Lanczos step of a cell, see
+    ``landscape.batch_grad``) reuses them and runs only the tangent's pass.
     """
+    if tangent is None:
+        a1, a2, _, mask1, _, g, d_z2, value = _linearize(p, batch)
+        d_z1 = (d_z2 @ p["fc2_w"].swapaxes(-1, -2)) * mask1
+        return value, _assemble(p, (
+            batch.inputs.swapaxes(-1, -2) @ d_z1, d_z1.sum(axis=-2),
+            a1.swapaxes(-1, -2) @ d_z2, d_z2.sum(axis=-2),
+            a2.swapaxes(-1, -2) @ g, g.sum(axis=-2),
+        ))
+    global _last_linearization
+    memo = _last_linearization
+    if memo[0] is p and memo[1] is batch:
+        lin = memo[2]
+    else:
+        lin = _linearize(p, batch)
+        if not (batch.inputs.flags.writeable or batch.labels.flags.writeable):
+            _last_linearization = (p, batch, lin)
+    # A copy, so that no caller can write into the value a later hit returns.
+    return lin[-1].copy(), _r_op(p, batch, lin, tangent)
+
+
+# (point, batch, _linearize(point, batch)) of the last tangent call on a
+# read-only batch. The set and the batch are immutable and held here, so an
+# identity match is the same point on the same rows; one entry stays alive.
+_last_linearization: tuple = (None, None, None)
+
+
+def _linearize(p: ParameterSet, batch: Dataset) -> tuple:
+    """What ``loss_and_grad`` computes from the point and the batch alone:
+    activations, probabilities, rectifier masks, the error g at the logits,
+    its pullback d_z2 to the second pre-activation, and the loss value."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    x, y = batch.inputs, batch.labels
-    n = len(batch)
-    z1, a1, z2, a2, logits = _forward_cached(p, x)
+    y = batch.labels
+    z1, a1, z2, a2, logits = _forward_cached(p, batch.inputs)
     probs = softmax(logits)
     # Each row's label, picked through a (rows, m) view of the probabilities.
     rows, labels = np.arange(y.size), y.ravel()
     picked = probs.reshape(-1, probs.shape[-1])[rows, labels].reshape(y.shape)
     value = -np.log(np.maximum(picked, 1e-300)).mean(axis=-1)
-
-    w2, w3 = p["fc2_w"], p["fc3_w"]
     mask1, mask2 = z1 > 0, z2 > 0
     g = probs.copy()
     g.reshape(-1, g.shape[-1])[rows, labels] -= 1.0
-    g /= n
-    d_z2 = (g @ w3.swapaxes(-1, -2)) * mask2
-    if tangent is None:
-        d_z1 = (d_z2 @ w2.swapaxes(-1, -2)) * mask1
-        return value, _assemble(p, (
-            x.swapaxes(-1, -2) @ d_z1, d_z1.sum(axis=-2),
-            a1.swapaxes(-1, -2) @ d_z2, d_z2.sum(axis=-2),
-            a2.swapaxes(-1, -2) @ g, g.sum(axis=-2),
-        ))
+    g /= len(batch)
+    d_z2 = (g @ p["fc3_w"].swapaxes(-1, -2)) * mask2
+    return a1, a2, probs, mask1, mask2, g, d_z2, value
 
+
+def _r_op(p: ParameterSet, batch: Dataset, lin: tuple, tangent: ParameterSet) -> ParameterSet:
+    """H * tangent at the point that ``lin`` linearizes: the R-operator pass."""
+    x, n = batch.inputs, len(batch)
+    w2, w3 = p["fc2_w"], p["fc3_w"]
+    a1, a2, probs, mask1, mask2, g, d_z2, _ = lin
     v1, c1, v2, c2, v3, c3 = (tangent[name] for name in LAYER_NAMES)
     r_a1 = (x @ v1 + c1[..., None, :]) * mask1
     r_a2 = (r_a1 @ w2 + a1 @ v2 + c2[..., None, :]) * mask2
@@ -233,7 +263,7 @@ def loss_and_grad(p: ParameterSet, batch: Dataset, tangent: ParameterSet | None 
     r_g = probs * (r_logits - (probs * r_logits).sum(axis=-1, keepdims=True)) / n
     r_d_z2 = (r_g @ w3.swapaxes(-1, -2) + g @ v3.swapaxes(-1, -2)) * mask2
     r_d_z1 = (r_d_z2 @ w2.swapaxes(-1, -2) + d_z2 @ v2.swapaxes(-1, -2)) * mask1
-    return value, _assemble(p, (
+    return _assemble(p, (
         x.swapaxes(-1, -2) @ r_d_z1,
         r_d_z1.sum(axis=-2),
         r_a1.swapaxes(-1, -2) @ d_z2 + a1.swapaxes(-1, -2) @ r_d_z2,
@@ -286,13 +316,22 @@ def train(
     labels = dataset.labels.reshape(-1)
     params = p
     shrink = 1.0 - learning_rate * weight_decay
-    for epoch in range(epochs):
-        orders = [substream(model_seed, TAG_SHUFFLE, epoch).permutation(n) for model_seed in seeds]
-        order = np.reshape(orders, lead + (n,)) + offsets
-        for start in range(0, n, batch_size):
-            idx = order[..., start : start + batch_size]
-            _, grad = loss_and_grad(params, Dataset(inputs[idx], labels[idx]))
-            params = unflatten(params, flatten(params) * shrink - learning_rate * flatten(grad))
+    # An overflow leaves non-finite values, which the ParameterSet built at
+    # each step rejects; that error, with its epoch, is the one report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            orders = [substream(model_seed, TAG_SHUFFLE, epoch).permutation(n) for model_seed in seeds]
+            order = np.reshape(orders, lead + (n,)) + offsets
+            for start in range(0, n, batch_size):
+                idx = order[..., start : start + batch_size]
+                try:
+                    _, grad = loss_and_grad(params, Dataset(inputs[idx], labels[idx]))
+                    params = unflatten(params, flatten(params) * shrink - learning_rate * flatten(grad))
+                except ValueError as exc:
+                    raise ValueError(
+                        f"training diverged at epoch {epoch + 1} of {epochs} "
+                        f"(learning rate {learning_rate!r}): {exc}"
+                    ) from None
     return params
 
 

@@ -299,6 +299,9 @@ BAD_INPUTS = {
     "config-not-a-choice": lambda ex, tmp: (
         ["evolve", "--experts", str(ex), "--config", _write(tmp / "c.cfg", "measure=bogus\n")],
         f"measure in {tmp / 'c.cfg'}"),
+    "train-experts-diverges": lambda ex, tmp: (
+        ["train-experts", "--lr", "1e4", "--base-epochs", "3", "--expert-epochs", "3"],
+        "training diverged at epoch 2 of 3"),
 }
 
 
@@ -309,6 +312,8 @@ def test_train_experts_rejects_split_seed(tmp_path):
     assert exc.value.code == 2
 
 
+# A numpy RuntimeWarning would print a second stderr line outside pytest.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_exits_with_one_error_line(case, fast_experts_dir, tmp_path, capsys):
     argv, expected = BAD_INPUTS[case](fast_experts_dir, tmp_path)

@@ -253,8 +253,8 @@ def test_pso_fixed_point():
 
 def test_pso_gbest_monotone_and_trace_shape(expert_bundle):
     _, expert_add, expert_sub, specs = expert_bundle
-    cfg = PsoConfig(swarm=8, iters=12, seed=0)
-    best, trace = run_pso([expert_add, expert_sub], cfg, specs, opt_batch=64)
+    cfg = PsoConfig(swarm=8, iters=12, opt_batch=64, seed=0)
+    best, trace = run_pso([expert_add, expert_sub], cfg, specs)
     assert len(trace) == 12
     series = [r.gbest_fitness for r in trace]
     assert all(b >= a for a, b in zip(series, series[1:]))
@@ -281,6 +281,8 @@ def test_pso_config_validation():
         PsoConfig(swarm=1)
     with pytest.raises(ValueError):
         PsoConfig(w=0.0)
+    with pytest.raises(ValueError, match="opt_batch"):
+        PsoConfig(opt_batch=0)
 
 
 def test_best_member_tie_breaks_to_lower_id(expert_bundle):

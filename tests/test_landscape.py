@@ -179,6 +179,17 @@ def test_hvp_symmetry():
         assert abs(left - right) / max(abs(left), abs(right), 1e-12) < 1e-5
 
 
+def test_batch_grad_holds_a_read_only_copy_of_its_batch():
+    _, batch = small_net_and_batch()
+    grad_fn = batch_grad(batch)
+    with pytest.raises(ValueError, match="read-only"):
+        grad_fn.batch.inputs[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        grad_fn.batch.labels[0] = 1
+    batch.inputs[0, 0] = 2.0  # the caller's batch stays its own and writable
+    assert grad_fn.batch.inputs[0, 0] != 2.0
+
+
 def test_hvp_rejects_zero_direction():
     theta = two_param_point()
     zero = ParameterSet.from_pairs([("w", np.zeros(2))])

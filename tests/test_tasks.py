@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sparsemerge import tasks
 from sparsemerge.params import (
     ParameterSet,
     flatten,
@@ -261,6 +262,13 @@ def test_stacked_gradient_slices_equal_single_model_gradients():
         assert np.array_equal(flatten(grad), flatten(single))
 
 
+def frozen(batch: Dataset) -> Dataset:
+    """A read-only copy of ``batch``, whose linearization loss_and_grad may reuse."""
+    inputs, labels = batch.inputs.copy(), batch.labels.copy()
+    inputs.flags.writeable = labels.flags.writeable = False
+    return Dataset(inputs, labels)
+
+
 def test_stacked_hessian_vector_products_equal_single_model_products():
     spec = MlpSpec(5, 8)
     models = [init_mlp(spec, seed) for seed in range(3)]
@@ -270,12 +278,58 @@ def test_stacked_hessian_vector_products_equal_single_model_products():
         gen_dataset(ModularTaskSpec(5, op, split_seed=1), "train", 7, seed=seed)
         for seed, op in enumerate((ModularOp.ADD, ModularOp.SUB, ModularOp.ADD))
     ]
-    stacked_batch = Dataset(np.stack([b.inputs for b in batches]), np.stack([b.labels for b in batches]))
-    stacked_values, stacked_hv = loss_and_grad(stack(models), stacked_batch, stack(tangents))
-    for k, (model, batch, tangent) in enumerate(zip(models, batches, tangents)):
-        value, hv = loss_and_grad(model, batch, tangent)
-        assert stacked_values[k] == value
-        assert np.array_equal(flatten(unstack(stacked_hv)[k]), flatten(hv))
+    # A read-only stack, so that the second stacked call reuses the first one's
+    # linearization; the per-model batches are writable and reuse nothing.
+    stacked_batch = frozen(Dataset(np.stack([b.inputs for b in batches]), np.stack([b.labels for b in batches])))
+    stacked_models, stacked_tangents = stack(models), stack(tangents)
+    for _ in range(2):
+        stacked_values, stacked_hv = loss_and_grad(stacked_models, stacked_batch, stacked_tangents)
+        for k, (model, batch, tangent) in enumerate(zip(models, batches, tangents)):
+            value, hv = loss_and_grad(model, batch, tangent)
+            assert stacked_values[k] == value
+            assert np.array_equal(flatten(unstack(stacked_hv)[k]), flatten(hv))
+
+
+def test_tangent_calls_reuse_a_linearization_only_where_it_is_the_same(monkeypatch):
+    """Interleaved tangents, points and batches give bit for bit what fresh
+    copies of the same point and batch give, while each run of calls at one
+    point on one read-only batch linearizes once."""
+    spec = MlpSpec(5, 8)
+    points = [init_mlp(spec, seed) for seed in range(2)]
+    rng = np.random.default_rng(5)
+    tangents = [unflatten(points[0], rng.standard_normal(param_count(points[0]))) for _ in range(3)]
+    batches = [frozen(gen_dataset(ModularTaskSpec(5, ModularOp.ADD), "train", 9, seed=s)) for s in range(2)]
+
+    def fresh(p, batch, tangent):
+        return loss_and_grad(unflatten(p, flatten(p)), frozen(batch), tangent)
+
+    calls = [(0, 0, 0), (0, 0, 1), (1, 0, 0), (0, 0, 2), (0, 1, 0), (0, 1, 1), (0, 0, 0)]
+    expected = [fresh(points[i], batches[b], tangents[t]) for i, b, t in calls]
+    linearized = []
+    original = tasks._linearize
+
+    def counting(p, batch):
+        linearized.append(batch)
+        return original(p, batch)
+
+    monkeypatch.setattr(tasks, "_linearize", counting)
+    for (i, b, t), (value, hv) in zip(calls, expected):
+        got_value, got_hv = loss_and_grad(points[i], batches[b], tangents[t])
+        assert got_value == value
+        assert np.array_equal(flatten(got_hv), flatten(hv))
+    assert len(linearized) == 5
+
+
+def test_a_writable_batch_is_linearized_afresh_after_it_changes():
+    net = init_mlp(MlpSpec(5, 8), 0)
+    batch = gen_dataset(ModularTaskSpec(5, ModularOp.ADD), "train", 9, seed=0)
+    other = gen_dataset(ModularTaskSpec(5, ModularOp.SUB), "train", 9, seed=1)
+    tangent = unflatten(net, np.random.default_rng(1).standard_normal(param_count(net)))
+    loss_and_grad(net, batch, tangent)
+    batch.inputs[...] = other.inputs
+    batch.labels[...] = other.labels
+    assert np.array_equal(flatten(loss_and_grad(net, batch, tangent)[1]),
+                          flatten(loss_and_grad(net, other, tangent)[1]))
 
 
 def test_a_tangent_leaves_the_loss_and_gradient_unchanged():
