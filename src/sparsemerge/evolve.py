@@ -95,18 +95,20 @@ def score(
     params: ParameterSet, batches: list[Dataset], gamma: float
 ) -> tuple[tuple[float, ...], SparsityStats, float]:
     """Per-task accuracy, sparsity statistics and the gamma-blended selection score."""
-    if not batches or any(len(b) == 0 for b in batches):
-        raise ValueError("empty optimization batch")
-    perf = tuple(accuracy(params, b) for b in batches)
-    stats = collect_stats(params)
-    return perf, stats, blend_score(float(np.mean(perf)), stats.zero_frac, gamma)
+    ind = _evaluate(params, batches, gamma, 0)
+    return ind.perf, ind.stats, ind.total_score
 
 
 def _evaluate(
     params: ParameterSet, batches: list[Dataset], gamma: float, ind_id: int, root_dense: bool = False
 ) -> Individual:
-    perf, stats, total = score(params, batches, gamma)
-    return Individual(ind_id, params, perf, float(np.mean(perf)), stats, total, root_dense)
+    if not batches or any(len(b) == 0 for b in batches):
+        raise ValueError("empty optimization batch")
+    perf = tuple(accuracy(params, b) for b in batches)
+    perf_mean = float(np.mean(perf))
+    stats = collect_stats(params)
+    total = blend_score(perf_mean, stats.zero_frac, gamma)
+    return Individual(ind_id, params, perf, perf_mean, stats, total, root_dense)
 
 
 def _record(step: int, member: Individual, event: str) -> TraceRecord:
@@ -167,6 +169,8 @@ def evolve_step(
         merged, lambdas = merge_models(
             parent_a.params,
             parent_b.params,
+            parent_a.stats,
+            parent_b.stats,
             parent_a.perf_mean,
             parent_b.perf_mean,
             cfg.merge_cfg,

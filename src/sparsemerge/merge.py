@@ -8,7 +8,7 @@ from enum import Enum
 import numpy as np
 
 from .params import ParameterSet, check_fields, flatten, repeat_per_layer, require_compatible, unflatten
-from .sparsity import Granularity, SparsityMeasure, sparsity_weights
+from .sparsity import Granularity, SparsityMeasure, SparsityStats, sparsity_weights
 
 
 class RedenseMode(Enum):
@@ -66,16 +66,27 @@ def merge_layer(a: np.ndarray, b: np.ndarray, lam) -> np.ndarray:
 def merge_models(
     a: ParameterSet,
     b: ParameterSet,
+    stats_a: SparsityStats,
+    stats_b: SparsityStats,
     s_a: float,
     s_b: float,
     cfg: MergeConfig,
 ) -> tuple[ParameterSet, dict[str, float]]:
-    """Merge two compatible models; returns the per-layer mixing ratios used."""
+    """Merge two compatible models; returns the per-layer mixing ratios used.
+
+    ``stats_a`` and ``stats_b`` are the parents' ``collect_stats``, which the
+    caller already holds (an archive member keeps its own); the sparsity
+    weights are read from them, not recomputed.
+    """
     require_compatible(a, b)
     for s in (s_a, s_b):
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"evaluation scores must be in [0, 1], got {s}")
-    weights = sparsity_weights(a, b, cfg.measure, cfg.granularity)
+    for stats in (stats_a, stats_b):
+        if tuple(stats.layer_zero_frac) != a.names:
+            raise ValueError(f"statistics of layers {', '.join(stats.layer_zero_frac)}, "
+                             f"expected {', '.join(a.names)}")
+    weights = sparsity_weights(stats_a, stats_b, cfg.measure, cfg.granularity)
     lambdas = {name: compute_lambda(s_a, s_b, *weights[name]) for name in a.names}
     lam = repeat_per_layer(a, list(lambdas.values()))
     return unflatten(a, merge_layer(flatten(a), flatten(b), lam)), lambdas

@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from .params import ParameterSet, check_fields, flatten, param_count, require_compatible, unflatten
+from .params import ParameterSet, check_fields, flatten, param_count, unflatten
 
 # Pair-normalization guard for the magnitude measure.
 MAGNITUDE_EPS = 1e-12
@@ -65,16 +65,25 @@ def schedule_rate(sched: SparsitySchedule, step: int) -> float:
 
 
 def prune(p: ParameterSet, rate: float) -> ParameterSet:
-    """Zero the ``floor(rate * n)`` smallest-magnitude entries of the whole model.
+    """Zero the ``k = floor(rate * n)`` smallest-magnitude entries of the whole model.
 
-    A stable sort ranks existing zeros first and breaks magnitude ties by
-    ascending flat index. Surviving entries are returned bit-for-bit.
+    Existing zeros rank first and magnitude ties break by ascending flat
+    index, as in a stable sort. A selection finds the k-th smallest
+    magnitude; every entry below it is zeroed, then the lowest-index entries
+    equal to it until k are zeroed. Surviving entries are returned
+    bit-for-bit.
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"prune rate must be in [0, 1], got {rate}")
     flat = flatten(p)
     out = flat.copy()
-    out[np.argsort(np.abs(flat), kind="stable")[: int(np.floor(rate * flat.size))]] = 0.0
+    k = int(np.floor(rate * flat.size))
+    if k:
+        mag = np.abs(flat)
+        kth = np.partition(mag, k - 1)[k - 1]
+        below = mag < kth
+        out[below] = 0.0
+        out[np.flatnonzero(mag == kth)[: k - np.count_nonzero(below)]] = 0.0
     return unflatten(p, out)
 
 
@@ -94,10 +103,12 @@ def collect_stats(p: ParameterSet) -> SparsityStats:
     n = param_count(p)
     for name, arr in p.items():
         z = int(np.count_nonzero(arr == 0.0))
+        # numpy's mean is this same float64 sum divided by the size.
+        abs_sum = float(np.abs(arr).sum())
         layer_zero[name] = z / arr.size
-        layer_mean[name] = float(np.abs(arr).mean())
+        layer_mean[name] = abs_sum / arr.size
         zeros += z
-        total_abs += float(np.abs(arr).sum())
+        total_abs += abs_sum
     return SparsityStats(
         layer_zero_frac=layer_zero,
         layer_mean_abs=layer_mean,
@@ -107,12 +118,15 @@ def collect_stats(p: ParameterSet) -> SparsityStats:
 
 
 def sparsity_weights(
-    a: ParameterSet,
-    b: ParameterSet,
+    stats_a: SparsityStats,
+    stats_b: SparsityStats,
     measure: SparsityMeasure,
     granularity: Granularity,
 ) -> dict[str, tuple[float, float]]:
     """Per-layer sparsity signals (w_a, w_b), each in [0, 1].
+
+    They are read from the two parents' statistics (see ``collect_stats``),
+    which must cover the same layers, and keyed by the layers of ``stats_a``.
 
     Zero-count: a model's own zero fraction (layer-wise under local scoring,
     the model-level fraction replicated to every layer under global).
@@ -120,11 +134,8 @@ def sparsity_weights(
     mean magnitude receives the larger weight and the pair sums to 1 up to
     the normalization guard.
     """
-    require_compatible(a, b)
-    stats_a = collect_stats(a)
-    stats_b = collect_stats(b)
     out: dict[str, tuple[float, float]] = {}
-    for name in a.names:
+    for name in stats_a.layer_zero_frac:
         if measure is SparsityMeasure.ZERO_COUNT:
             if granularity is Granularity.LOCAL:
                 out[name] = (stats_a.layer_zero_frac[name], stats_b.layer_zero_frac[name])

@@ -53,7 +53,8 @@ class ModularTaskSpec:
         n_test = max(1, int(round(TEST_FRACTION * self.modulus**2)))
         return n_test if which == "test" else self.modulus**2 - n_test
 
-    def label(self, a: int, b: int) -> int:
+    def label(self, a, b):
+        """The class of (a, b): ints, or integer arrays for one label per pair."""
         if self.op is ModularOp.ADD:
             return (a + b) % self.modulus
         return (a - b) % self.modulus
@@ -77,7 +78,8 @@ _SPLIT_CODE = {"train": 0, "opt": 1, "test": 2}
 
 def _pair_pools(spec: ModularTaskSpec) -> tuple[np.ndarray, np.ndarray]:
     m = spec.modulus
-    pairs = np.array([(a, b) for a in range(m) for b in range(m)])
+    # (a, b) in row-major order: row i is (i // m, i % m).
+    pairs = np.stack(np.divmod(np.arange(m * m), m), axis=1)
     rng = substream(spec.split_seed, TAG_DATA, m, 0 if spec.op is ModularOp.ADD else 1)
     perm = rng.permutation(len(pairs))
     n_test = spec.pool_size("test")
@@ -90,7 +92,7 @@ def _encode(pairs: np.ndarray, spec: ModularTaskSpec) -> Dataset:
     inputs = np.zeros((n, 2 * m))
     inputs[np.arange(n), pairs[:, 0]] = 1.0
     inputs[np.arange(n), m + pairs[:, 1]] = 1.0
-    labels = np.array([spec.label(int(a), int(b)) for a, b in pairs], dtype=np.int64)
+    labels = spec.label(pairs[:, 0], pairs[:, 1]).astype(np.int64, copy=False)
     return Dataset(inputs, labels)
 
 
@@ -283,7 +285,8 @@ def accuracy(p: ParameterSet, dataset: Dataset) -> float:
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     pred = forward(p, dataset.inputs).argmax(axis=1)
-    return float((pred == dataset.labels).mean())
+    # int(): a Python float, equal to the mean of the matches.
+    return int(np.count_nonzero(pred == dataset.labels)) / len(dataset)
 
 
 def train(
@@ -388,15 +391,25 @@ def build_experts(
         np.concatenate([add_train.labels, sub_train.labels]),
     )
     sgd = dict(learning_rate=recipe.learning_rate, batch_size=recipe.batch_size)
-    base = train(init_mlp(MlpSpec(modulus, hidden), seed), mixture, epochs=recipe.base_epochs, seed=seed, **sgd)
+    base = _train_phase(
+        "base", init_mlp(MlpSpec(modulus, hidden), seed), mixture, epochs=recipe.base_epochs, seed=seed, **sgd
+    )
     # The two train pools always have the same size, so they stack.
     pools = Dataset(
         np.stack([add_train.inputs, sub_train.inputs]),
         np.stack([add_train.labels, sub_train.labels]),
     )
-    experts = train(
-        stack([base, base]), pools,
+    experts = _train_phase(
+        "experts", stack([base, base]), pools,
         epochs=recipe.expert_epochs, seed=seed * 7 + 1, weight_decay=recipe.weight_decay, **sgd,
     )
     expert_add, expert_sub = unstack(experts)
     return base, expert_add, expert_sub
+
+
+def _train_phase(phase: str, p: ParameterSet, dataset: Dataset, **sgd) -> ParameterSet:
+    """``train``, with a failure naming the phase of ``build_experts`` it ended."""
+    try:
+        return train(p, dataset, **sgd)
+    except ValueError as exc:
+        raise ValueError(f"{phase}: {exc}") from None

@@ -302,6 +302,12 @@ BAD_INPUTS = {
     "train-experts-diverges": lambda ex, tmp: (
         ["train-experts", "--lr", "1e4", "--base-epochs", "3", "--expert-epochs", "3"],
         "training diverged at epoch 2 of 3"),
+    "train-experts-experts-diverge": lambda ex, tmp: (
+        ["train-experts", "--lr", "1e4", "--base-epochs", "0", "--expert-epochs", "3"],
+        "error: experts: training diverged at epoch 2 of 3"),
+    "train-experts-base-diverges": lambda ex, tmp: (
+        ["train-experts", "--lr", "1e150", "--base-epochs", "3", "--expert-epochs", "3"],
+        "error: base: training diverged at epoch 1 of 3"),
 }
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sparsemerge import evolve, sparsity
 from sparsemerge.evolve import (
     AnnealTarget,
     EvolveConfig,
@@ -18,7 +19,7 @@ from sparsemerge.merge import MergeConfig, RedenseMode
 from sparsemerge.params import flatten
 from sparsemerge.seeding import TAG_PAIRING, substream
 from sparsemerge.sparsity import SparsitySchedule, collect_stats
-from sparsemerge.tasks import Dataset, full_split
+from sparsemerge.tasks import Dataset, MlpSpec, full_split, init_mlp, twin_tasks
 
 
 def make_cfg(specs, **overrides):
@@ -225,6 +226,33 @@ def test_archive_annealing_never_touches_roots(expert_bundle):
     for member in stepped.members:
         if not member.root_dense:
             assert member.stats.zero_frac >= np.floor(rate * n) / n - 1e-12
+
+
+@pytest.mark.parametrize("anneal", list(AnnealTarget))
+def test_statistics_are_collected_once_per_model(anneal, monkeypatch):
+    """Each scored model gets one collect_stats call; a merge reads its
+    parents' statistics instead of collecting them again."""
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return collect_stats(p)
+
+    monkeypatch.setattr(evolve, "collect_stats", counting)
+    monkeypatch.setattr(sparsity, "collect_stats", counting)
+    specs = twin_tasks(5, split_seed=1)
+    experts = [init_mlp(MlpSpec(5, 8), seed) for seed in (1, 2)]
+    capacity, steps = 6, 4
+    cfg = make_cfg(specs, capacity=capacity, schedule=SparsitySchedule(total_steps=steps), opt_batch=8,
+                   anneal=anneal)
+    _, records = run_sae(experts, cfg)
+    offspring = sum(r.event.startswith("offspring") for r in records)
+    assert offspring == steps * capacity // 2
+    # Annealing re-scores every member but the surviving dense experts (ids 0 and 1).
+    members = sum(r.event == "member" and r.member_id >= 2 for r in records)
+    rescored = members if anneal is AnnealTarget.OFFSPRING_AND_ARCHIVE else 0
+    assert members > 0
+    assert len(calls) == capacity + offspring + rescored
 
 
 def test_pso_update_clamps_positions_and_velocity():

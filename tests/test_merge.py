@@ -12,7 +12,7 @@ from sparsemerge.merge import (
     weight_average,
 )
 from sparsemerge.params import ParameterSet, flatten
-from sparsemerge.sparsity import Granularity, SparsityMeasure, prune
+from sparsemerge.sparsity import Granularity, SparsityMeasure, collect_stats, prune
 
 
 def oracle_merge(a, b, lam):
@@ -127,7 +127,7 @@ def test_merge_layer_interpolation_bounds():
 
 def test_merge_models_identical_parents():
     p = rand_pset(0, sparsity=0.2)
-    merged, lambdas = merge_models(p, p, 0.7, 0.7, MergeConfig())
+    merged, lambdas = merge_models(p, p, collect_stats(p), collect_stats(p), 0.7, 0.7, MergeConfig())
     assert all(lam == 0.5 for lam in lambdas.values())
     for name, arr in p.items():
         nonzero = arr != 0.0
@@ -137,7 +137,8 @@ def test_merge_models_identical_parents():
 def test_merge_models_dense_vs_all_zero():
     dense = rand_pset(1)
     hollow = ParameterSet.from_pairs((name, np.zeros_like(arr)) for name, arr in dense.items())
-    merged, _ = merge_models(dense, hollow, 0.1, 0.9, MergeConfig())
+    stats = collect_stats(dense), collect_stats(hollow)
+    merged, _ = merge_models(dense, hollow, *stats, 0.1, 0.9, MergeConfig())
     for name, arr in dense.items():
         assert np.array_equal(merged[name], arr)
 
@@ -154,15 +155,67 @@ def test_merge_models_granularity_changes_lambda_structure():
     )
     cfg_local = MergeConfig(measure=SparsityMeasure.ZERO_COUNT, granularity=Granularity.LOCAL)
     cfg_global = MergeConfig(measure=SparsityMeasure.ZERO_COUNT, granularity=Granularity.GLOBAL)
-    _, local_lams = merge_models(a, b, 0.5, 0.5, cfg_local)
-    _, global_lams = merge_models(a, b, 0.5, 0.5, cfg_global)
+    _, local_lams = merge_models(a, b, collect_stats(a), collect_stats(b), 0.5, 0.5, cfg_local)
+    _, global_lams = merge_models(a, b, collect_stats(a), collect_stats(b), 0.5, 0.5, cfg_global)
     assert local_lams["l1"] != local_lams["l2"]
     assert len(set(global_lams.values())) == 1
 
 
 def test_merge_models_rejects_incompatible():
+    a, b = rand_pset(0), rand_pset(1, shapes=[("w1", (2, 2))])
     with pytest.raises(ValueError):
-        merge_models(rand_pset(0), rand_pset(1, shapes=[("w1", (2, 2))]), 0.5, 0.5, MergeConfig())
+        merge_models(a, b, collect_stats(a), collect_stats(b), 0.5, 0.5, MergeConfig())
+
+
+def test_merge_models_rejects_statistics_of_other_layers():
+    a, b = rand_pset(0), rand_pset(1)
+    other = collect_stats(rand_pset(2, shapes=[("w1", (4, 3)), ("b1", (3,))]))
+    with pytest.raises(ValueError, match="statistics of layers w1, b1, expected w1, b1, w2, b2"):
+        merge_models(a, b, collect_stats(a), other, 0.5, 0.5, MergeConfig())
+    with pytest.raises(ValueError, match="statistics of layers"):
+        merge_models(a, b, other, collect_stats(b), 0.5, 0.5, MergeConfig())
+
+
+def recomputed_weights(a, b, measure, granularity):
+    """Sparsity weights computed from the models themselves, as merge_models
+    did before it took the parents' statistics."""
+    def measures(p):
+        zero = {name: np.count_nonzero(arr == 0.0) / arr.size for name, arr in p.items()}
+        mean = {name: float(np.abs(arr).mean()) for name, arr in p.items()}
+        n = sum(arr.size for _, arr in p.items())
+        total_zero = sum(np.count_nonzero(arr == 0.0) for _, arr in p.items()) / n
+        total_mean = sum(float(np.abs(arr).sum()) for _, arr in p.items()) / n
+        return zero, mean, total_zero, total_mean
+
+    zero_a, mean_a, total_zero_a, total_mean_a = measures(a)
+    zero_b, mean_b, total_zero_b, total_mean_b = measures(b)
+    out = {}
+    for name in a.names:
+        local = granularity is Granularity.LOCAL
+        if measure is SparsityMeasure.ZERO_COUNT:
+            out[name] = (zero_a[name], zero_b[name]) if local else (total_zero_a, total_zero_b)
+        else:
+            m_a, m_b = (mean_a[name], mean_b[name]) if local else (total_mean_a, total_mean_b)
+            den = m_a + m_b + 1e-12
+            out[name] = (1.0 - m_a / den, 1.0 - m_b / den)
+    return out
+
+
+def test_merge_models_from_parent_statistics_equals_recomputing_them():
+    rng = np.random.default_rng(13)
+    for trial in range(20):
+        a = rand_pset(trial, sparsity=float(rng.random()))
+        b = prune(rand_pset(trial + 50, sparsity=0.2), float(rng.random()))
+        s_a, s_b = float(rng.random()), float(rng.random())
+        for measure in SparsityMeasure:
+            for granularity in Granularity:
+                cfg = MergeConfig(measure=measure, granularity=granularity)
+                merged, lambdas = merge_models(a, b, collect_stats(a), collect_stats(b), s_a, s_b, cfg)
+                weights = recomputed_weights(a, b, measure, granularity)
+                assert lambdas == {name: compute_lambda(s_a, s_b, *weights[name]) for name in a.names}
+                for name in a.names:
+                    expected = oracle_merge(a[name], b[name], lambdas[name])
+                    assert np.array_equal(merged[name].view(np.uint64), expected.view(np.uint64))
 
 
 def test_redense_examples():

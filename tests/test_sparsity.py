@@ -114,6 +114,34 @@ def test_prune_tie_break_ascending_index():
     assert np.array_equal(pruned["t"], [0.0, 0.0, 2.0, 1.0])
 
 
+def reference_prune(flat: np.ndarray, rate: float) -> np.ndarray:
+    """Zero the first floor(rate * n) entries of a stable argsort of |flat|."""
+    out = flat.copy()
+    out[np.argsort(np.abs(flat), kind="stable")[: int(np.floor(rate * flat.size))]] = 0.0
+    return out
+
+
+def test_prune_equals_stable_argsort_bit_for_bit():
+    rng = np.random.default_rng(11)
+    n = 60
+    for trial in range(50):
+        # Four magnitudes, so most cuts fall inside a block of ties; some
+        # entries are 0.0 and some -0.0, and the signs vary.
+        flat = rng.integers(0, 4, n) * rng.choice([-1.0, 1.0], n) * 0.5
+        flat[rng.random(n) < 0.1] = -0.0
+        p = ParameterSet.from_pairs([("w", flat[:40].reshape(8, 5)), ("b", flat[40:])])
+        # Rate 0, rate 1 and a rate that prunes exactly k entries, for every k.
+        for rate in [0.0, 1.0, *((k + 0.5) / n for k in range(n))]:
+            got = flatten(prune(p, rate))
+            assert np.array_equal(got.view(np.uint64), reference_prune(flat, rate).view(np.uint64)), (
+                trial, rate)
+    # A cut that falls strictly inside a block of equal magnitudes.
+    p = ParameterSet.from_pairs([("t", np.array([2.0, -1.0, 1.0, -0.0, 1.0, 0.0, -1.0, 3.0]))])
+    got = flatten(prune(p, 0.5))
+    assert np.array_equal(got.view(np.uint64), reference_prune(flatten(p), 0.5).view(np.uint64))
+    assert np.array_equal(got, [2.0, 0.0, 0.0, 0.0, 1.0, 0.0, -1.0, 3.0])
+
+
 def test_prune_invalid_rate():
     with pytest.raises(ValueError):
         prune(rand_pset(0), 1.5)
@@ -138,14 +166,14 @@ def test_prune_zero_count_and_survivors():
 def test_zero_count_weights_local():
     a = ParameterSet.from_pairs([("t", np.array([0.0, 0.0, 1.0, 2.0]))])
     b = ParameterSet.from_pairs([("t", np.array([1.0, 1.0, 1.0, 1.0]))])
-    w = sparsity_weights(a, b, SparsityMeasure.ZERO_COUNT, Granularity.LOCAL)
+    w = sparsity_weights(collect_stats(a), collect_stats(b), SparsityMeasure.ZERO_COUNT, Granularity.LOCAL)
     assert w["t"] == (0.5, 0.0)
 
 
 def test_magnitude_weights_pair_normalized():
     a = ParameterSet.from_pairs([("t", np.array([2.0, 0.0, 2.0]))])
     b = ParameterSet.from_pairs([("t", np.array([1.0, 1.0, 1.0]))])
-    w = sparsity_weights(a, b, SparsityMeasure.MAGNITUDE, Granularity.LOCAL)
+    w = sparsity_weights(collect_stats(a), collect_stats(b), SparsityMeasure.MAGNITUDE, Granularity.LOCAL)
     w_a, w_b = w["t"]
     assert w_a == pytest.approx(3.0 / 7.0, abs=1e-9)
     assert w_b == pytest.approx(4.0 / 7.0, abs=1e-9)
@@ -156,7 +184,7 @@ def test_identical_models_get_equal_weights():
     p = rand_pset(3, sparsity=0.3)
     for measure in SparsityMeasure:
         for granularity in Granularity:
-            w = sparsity_weights(p, p, measure, granularity)
+            w = sparsity_weights(collect_stats(p), collect_stats(p), measure, granularity)
             for name in p.names:
                 assert w[name][0] == w[name][1]
 
@@ -166,8 +194,8 @@ def test_weights_swap_consistent():
     b = rand_pset(2, sparsity=0.1)
     for measure in SparsityMeasure:
         for granularity in Granularity:
-            w_ab = sparsity_weights(a, b, measure, granularity)
-            w_ba = sparsity_weights(b, a, measure, granularity)
+            w_ab = sparsity_weights(collect_stats(a), collect_stats(b), measure, granularity)
+            w_ba = sparsity_weights(collect_stats(b), collect_stats(a), measure, granularity)
             for name in a.names:
                 assert w_ab[name] == (w_ba[name][1], w_ba[name][0])
 
@@ -179,7 +207,8 @@ def test_weights_in_unit_interval():
         b = rand_pset(trial + 100, sparsity=float(rng.random()))
         for measure in SparsityMeasure:
             for granularity in Granularity:
-                for w_a, w_b in sparsity_weights(a, b, measure, granularity).values():
+                weights = sparsity_weights(collect_stats(a), collect_stats(b), measure, granularity)
+                for w_a, w_b in weights.values():
                     assert 0.0 <= w_a <= 1.0 and 0.0 <= w_b <= 1.0
 
 
@@ -189,7 +218,9 @@ def test_magnitude_weights_sum_to_one_when_any_entry_nonzero():
         a = rand_pset(trial, sparsity=float(rng.random() * 0.95))
         b = rand_pset(trial + 500, sparsity=float(rng.random() * 0.95))
         for granularity in Granularity:
-            weights = sparsity_weights(a, b, SparsityMeasure.MAGNITUDE, granularity)
+            weights = sparsity_weights(
+                collect_stats(a), collect_stats(b), SparsityMeasure.MAGNITUDE, granularity
+            )
             for name, (w_a, w_b) in weights.items():
                 if granularity is Granularity.LOCAL:
                     any_nonzero = np.any(a[name] != 0.0) or np.any(b[name] != 0.0)
@@ -205,7 +236,8 @@ def test_global_weights_replicated_across_layers():
     a = rand_pset(1, sparsity=0.4)
     b = rand_pset(2)
     for measure in SparsityMeasure:
-        values = set(sparsity_weights(a, b, measure, Granularity.GLOBAL).values())
+        weights = sparsity_weights(collect_stats(a), collect_stats(b), measure, Granularity.GLOBAL)
+        values = set(weights.values())
         assert len(values) == 1
 
 

@@ -11,6 +11,7 @@ from sparsemerge.params import (
     unflatten,
     unstack,
 )
+from sparsemerge.seeding import TAG_DATA, substream
 from sparsemerge.tasks import (
     Dataset,
     ExpertTrainConfig,
@@ -88,6 +89,23 @@ def test_labels_match_op_in_generated_data():
     data = gen_dataset(spec, "train", 30, seed=4)
     for (a, b), label in zip(pairs, data.labels):
         assert label == (int(a) - int(b)) % 11
+    # The full pools: the m*m pairs in row-major order, split by the task's
+    # permutation, each one-hot encoded and labelled by the op.
+    for m in (2, 7, 13):
+        for op, sign in ((ModularOp.ADD, 1), (ModularOp.SUB, -1)):
+            spec = ModularTaskSpec(m, op, split_seed=3)
+            ordered = np.array([(a, b) for a in range(m) for b in range(m)])
+            perm = substream(3, TAG_DATA, m, 0 if op is ModularOp.ADD else 1).permutation(m * m)
+            n_test = spec.pool_size("test")
+            for which, expected in (("train", ordered[perm[n_test:]]), ("test", ordered[perm[:n_test]])):
+                data = full_split(spec, which)
+                rows = np.arange(len(expected))
+                one_hot = np.zeros((len(expected), 2 * m))
+                one_hot[rows, expected[:, 0]] = 1.0
+                one_hot[rows, m + expected[:, 1]] = 1.0
+                assert np.array_equal(data.inputs, one_hot)
+                assert data.labels.dtype == np.int64
+                assert data.labels.tolist() == [(int(a) + sign * int(b)) % m for a, b in expected]
 
 
 def zero_network(spec: MlpSpec) -> ParameterSet:
@@ -190,6 +208,17 @@ def test_label_emitting_oracle_scores_one():
     oracle = exact_table_network(spec)
     for which in ("train", "test"):
         assert accuracy(oracle, full_split(spec, which)) == 1.0
+
+
+def test_accuracy_is_the_python_float_mean_of_matches():
+    # Trace files print repr(accuracy), so it must stay a Python float.
+    for m, seed in ((5, 0), (7, 1), (13, 2)):
+        net = init_mlp(MlpSpec(m, 16), seed)
+        for which in ("train", "test"):
+            data = full_split(ModularTaskSpec(m, ModularOp.SUB, split_seed=seed), which)
+            value = accuracy(net, data)
+            assert type(value) is float
+            assert value == float((forward(net, data.inputs).argmax(axis=1) == data.labels).mean())
 
 
 def test_empty_dataset_rejected():
