@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -272,6 +273,10 @@ def resolve_options(ns: argparse.Namespace) -> dict[str, Any]:
             value = opt.kind(raw)
         except ValueError:
             raise ValueError(f"{label}: expected {opt.kind.__name__}, got {raw!r}") from None
+        # float() also reads "nan", "inf" and overflowing literals such as 1e999.
+        # No setting means any of them, and a bound such as > 0 lets inf through.
+        if opt.kind is float and not math.isfinite(value):
+            raise ValueError(f"{label}: expected a finite float, got {raw!r}")
         if opt.choices and value not in opt.choices:
             raise ValueError(f"{label}: expected one of {', '.join(opt.choices)}, got {raw!r}")
         cfg[opt.dest] = value

@@ -91,17 +91,10 @@ def blend_score(perf_mean: float, zero_frac: float, gamma: float) -> float:
     return (1.0 - gamma) * perf_mean + gamma * zero_frac
 
 
-def score(
-    params: ParameterSet, batches: list[Dataset], gamma: float
-) -> tuple[tuple[float, ...], SparsityStats, float]:
-    """Per-task accuracy, sparsity statistics and the gamma-blended selection score."""
-    ind = _evaluate(params, batches, gamma, 0)
-    return ind.perf, ind.stats, ind.total_score
-
-
 def _evaluate(
     params: ParameterSet, batches: list[Dataset], gamma: float, ind_id: int, root_dense: bool = False
 ) -> Individual:
+    """Per-task accuracy, sparsity statistics and the gamma-blended selection score."""
     if not batches or any(len(b) == 0 for b in batches):
         raise ValueError("empty optimization batch")
     perf = tuple(accuracy(params, b) for b in batches)

@@ -23,6 +23,9 @@ from .params import ParameterSet, check_fields, flatten, param_count, unflatten
 from .seeding import TAG_DIRECTIONS, TAG_EIG, derive_seed, substream
 from .tasks import Dataset, loss, loss_and_grad
 
+# A gradient function takes a point and returns its gradient as a set laid
+# out like the point. ``hvp`` and ``extreme_eigs`` pass their tangents and
+# products as flat vectors aligned with ``flatten`` of the point instead.
 GradFn = Callable[[ParameterSet], ParameterSet]
 
 # Step of the finite-difference Hessian-vector product.
@@ -51,7 +54,7 @@ class _BatchGrad:
         self.batch = Dataset(inputs, labels)
 
     def __call__(self, theta: ParameterSet) -> ParameterSet:
-        return loss_and_grad(theta, self.batch)[1]
+        return unflatten(theta, loss_and_grad(theta, self.batch)[1])
 
 
 def batch_grad(batch: Dataset) -> GradFn:
@@ -132,26 +135,26 @@ def loss_grid(
     return out
 
 
-def hvp(grad_fn: GradFn, theta: ParameterSet, v: ParameterSet) -> ParameterSet:
+def hvp(grad_fn: GradFn, theta: ParameterSet, v: np.ndarray) -> np.ndarray:
     """Hessian-vector product H(theta) * v of the loss whose gradient is grad_fn.
 
+    ``v`` and the product are flat vectors aligned with ``flatten(theta)``.
     For a ``batch_grad`` gradient it is exact: one backpropagation with the
     tangent v (``tasks.loss_and_grad``). For any other gradient function it is
     the central difference (g(theta + h*v_hat) - g(theta - h*v_hat)) / (2h) * ||v||,
     h = HVP_STEP, with the probe normalized so that the step is independent
     of ||v||.
     """
-    flat_v = flatten(v)
-    norm = float(np.linalg.norm(flat_v))
+    norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ValueError("zero-norm direction")
     if isinstance(grad_fn, _BatchGrad):
         return loss_and_grad(theta, grad_fn.batch, v)[1]
     flat_theta = flatten(theta)
-    vhat = flat_v / norm
+    vhat = v / norm
     g_plus = flatten(grad_fn(unflatten(theta, flat_theta + HVP_STEP * vhat)))
     g_minus = flatten(grad_fn(unflatten(theta, flat_theta - HVP_STEP * vhat)))
-    return unflatten(theta, (g_plus - g_minus) * (norm / (2.0 * HVP_STEP)))
+    return (g_plus - g_minus) * (norm / (2.0 * HVP_STEP))
 
 
 @dataclass(frozen=True)
@@ -182,14 +185,16 @@ def extreme_eigs(
 ) -> EigResult:
     """Extreme Hessian eigenvalues by Lanczos with full reorthogonalisation.
 
-    Each step takes one ``hvp`` of the newest basis vector, orthogonalises the
-    product against the whole basis (two Gram-Schmidt passes) and extends the
-    tridiagonal matrix T whose eigenvalues (Ritz values) approximate the
-    spectrum from the inside. The run stops when the residuals |beta * s_last|
-    of both extreme Ritz pairs are at most ``cfg.tol`` times the spread
-    (the largest Ritz magnitude), or at breakdown (beta at rounding level: the
-    Ritz values are exact), and takes at most min(cfg.iters, n) steps for n
-    parameters. ``converged`` is False only when it stops at that limit.
+    Each step takes one ``hvp`` of the newest basis vector, orthogonalises
+    the product against the whole basis (two Gram-Schmidt passes) and extends
+    the tridiagonal matrix T whose eigenvalues (Ritz values) approximate the
+    spectrum from the inside. Basis vectors and products are flat vectors, so
+    for a ``batch_grad`` gradient the loop builds no set. The run stops when
+    the residuals |beta * s_last| of both extreme Ritz pairs are at most
+    ``cfg.tol`` times the spread (the largest Ritz magnitude), or at breakdown
+    (beta at rounding level: the Ritz values are exact), and takes at most
+    min(cfg.iters, n) steps for n parameters. ``converged`` is False only when
+    it stops at that limit.
     """
     n = param_count(theta)
     steps = min(cfg.iters, n)
@@ -202,7 +207,7 @@ def extreme_eigs(
     converged = False
     for j in range(steps):
         basis[j] = q
-        w = flatten(hvp(grad_fn, theta, unflatten(theta, q)))
+        w = hvp(grad_fn, theta, q)
         tri[j, j] = q @ w
         span = basis[: j + 1]
         for _ in range(2):

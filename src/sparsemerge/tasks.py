@@ -189,22 +189,24 @@ def loss(p: ParameterSet, batch: Dataset) -> float:
     return float(-np.log(np.maximum(picked, 1e-300)).mean())
 
 
-def loss_and_grad(p: ParameterSet, batch: Dataset, tangent: ParameterSet | None = None) -> tuple:
+def loss_and_grad(p: ParameterSet, batch: Dataset, tangent: np.ndarray | None = None) -> tuple:
     """Mean cross-entropy and its exact gradient via backpropagation.
 
-    For a stack of K models (see ``params.stack``) on a batch with inputs
-    (K, b, 2m) and labels (K, b), the loss is one mean per model and the
-    gradient is a stack laid out like ``p``.
+    Every derivative it takes or returns is one float64 vector aligned with
+    ``flatten(p)``: the gradient, the tangent and H * tangent. For a stack of
+    K models (see ``params.stack``) on a batch with inputs (K, b, 2m) and
+    labels (K, b), the loss is one mean per model and the gradient is aligned
+    with ``flatten`` of the stack.
 
-    Given a ``tangent`` laid out like ``p``, it returns the exact
-    Hessian-vector product H * tangent, laid out like ``p``, in place of the
-    gradient: forward-over-reverse differentiation (Pearlmutter's R-operator)
-    pushes the tangent through the forward pass and then through the backward
-    pass, reusing its rectifier masks, whose second derivative is zero off the
-    kinks. The forward and backward pass depend only on the point and the
-    batch, so a tangent call on the same ``p`` and the same read-only batch
-    as the tangent call before it (every Lanczos step of a cell, see
-    ``landscape.batch_grad``) reuses them and runs only the tangent's pass.
+    Given a ``tangent``, it returns the exact Hessian-vector product
+    H * tangent in place of the gradient: forward-over-reverse
+    differentiation (Pearlmutter's R-operator) pushes the tangent through the
+    forward pass and then through the backward pass, reusing its rectifier
+    masks, whose second derivative is zero off the kinks. The forward and
+    backward pass depend only on the point and the batch, so a tangent call
+    on the same ``p`` and the same read-only batch as the tangent call before
+    it (every Lanczos step of a cell, see ``landscape.batch_grad``) reuses
+    them and runs only the tangent's pass.
     """
     if tangent is None:
         a1, a2, _, mask1, _, g, d_z2, value = _linearize(p, batch)
@@ -245,7 +247,9 @@ def _linearize(p: ParameterSet, batch: Dataset) -> tuple:
     rows, labels = np.arange(y.size), y.ravel()
     picked = probs.reshape(-1, probs.shape[-1])[rows, labels].reshape(y.shape)
     value = -np.log(np.maximum(picked, 1e-300)).mean(axis=-1)
-    mask1, mask2 = z1 > 0, z2 > 0
+    # Float masks: a product with a bool mask casts the mask on every use,
+    # and each R-operator pass uses both twice.
+    mask1, mask2 = (z1 > 0).astype(np.float64), (z2 > 0).astype(np.float64)
     g = probs.copy()
     g.reshape(-1, g.shape[-1])[rows, labels] -= 1.0
     g /= len(batch)
@@ -253,12 +257,18 @@ def _linearize(p: ParameterSet, batch: Dataset) -> tuple:
     return a1, a2, probs, mask1, mask2, g, d_z2, value
 
 
-def _r_op(p: ParameterSet, batch: Dataset, lin: tuple, tangent: ParameterSet) -> ParameterSet:
+def _r_op(p: ParameterSet, batch: Dataset, lin: tuple, tangent: np.ndarray) -> np.ndarray:
     """H * tangent at the point that ``lin`` linearizes: the R-operator pass."""
     x, n = batch.inputs, len(batch)
     w2, w3 = p["fc2_w"], p["fc3_w"]
     a1, a2, probs, mask1, mask2, g, d_z2, _ = lin
-    v1, c1, v2, c2, v3, c3 = (tangent[name] for name in LAYER_NAMES)
+    layout = p.layout
+    if tangent.shape != (layout.size,):
+        raise ValueError(f"tangent has {tangent.shape} entries, the model needs {layout.size}")
+    # Each layer of the tangent is a view of its slice of the flat vector.
+    pieces = zip(layout.names, layout.slices, layout.shapes)
+    by_name = {name: tangent[s].reshape(shape) for name, s, shape in pieces}
+    v1, c1, v2, c2, v3, c3 = (by_name[name] for name in LAYER_NAMES)
     r_a1 = (x @ v1 + c1[..., None, :]) * mask1
     r_a2 = (r_a1 @ w2 + a1 @ v2 + c2[..., None, :]) * mask2
     r_logits = r_a2 @ w3 + a2 @ v3 + c3[..., None, :]
@@ -275,10 +285,10 @@ def _r_op(p: ParameterSet, batch: Dataset, lin: tuple, tangent: ParameterSet) ->
     ))
 
 
-def _assemble(p: ParameterSet, layers) -> ParameterSet:
-    """One array per name in LAYER_NAMES, as a set laid out like ``p``."""
+def _assemble(p: ParameterSet, layers) -> np.ndarray:
+    """One array per name in LAYER_NAMES, as one vector aligned with ``flatten(p)``."""
     by_name = dict(zip(LAYER_NAMES, layers))
-    return unflatten(p, np.concatenate([by_name[name].ravel() for name in p.names]))
+    return np.concatenate([by_name[name].ravel() for name in p.names])
 
 
 def accuracy(p: ParameterSet, dataset: Dataset) -> float:
@@ -305,6 +315,9 @@ def train(
     stack of K models (see ``params.stack``) trains on a stacked dataset in
     lockstep, one step per batch for all K. Model k shuffles with seed
     ``seed + k``, so it takes exactly the steps it would take alone.
+
+    Each step takes the flat gradient from one ``loss_and_grad`` call and
+    builds one set, ``flatten(params) * shrink - learning_rate * grad``.
     """
     n = len(dataset)
     if n == 0:
@@ -319,8 +332,9 @@ def train(
     labels = dataset.labels.reshape(-1)
     params = p
     shrink = 1.0 - learning_rate * weight_decay
-    # An overflow leaves non-finite values, which the ParameterSet built at
-    # each step rejects; that error, with its epoch, is the one report.
+    # A non-finite gradient or an overflow leaves non-finite values, which the
+    # ParameterSet built at each step rejects; that error, with its epoch, is
+    # the one report.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
             orders = [substream(model_seed, TAG_SHUFFLE, epoch).permutation(n) for model_seed in seeds]
@@ -329,7 +343,7 @@ def train(
                 idx = order[..., start : start + batch_size]
                 try:
                     _, grad = loss_and_grad(params, Dataset(inputs[idx], labels[idx]))
-                    params = unflatten(params, flatten(params) * shrink - learning_rate * flatten(grad))
+                    params = unflatten(params, flatten(params) * shrink - learning_rate * grad)
                 except ValueError as exc:
                     raise ValueError(
                         f"training diverged at epoch {epoch + 1} of {epochs} "

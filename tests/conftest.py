@@ -21,6 +21,20 @@ def rand_pset(seed: int, shapes=None, sparsity: float = 0.0) -> ParameterSet:
     return ParameterSet.from_pairs(pairs)
 
 
+@pytest.fixture
+def built_sets(monkeypatch) -> list:
+    """The layout of every ParameterSet built from here to the end of the test, in order."""
+    built = []
+    original = ParameterSet.__init__
+
+    def counting(self, layout, flat):
+        built.append(layout)
+        original(self, layout, flat)
+
+    monkeypatch.setattr(ParameterSet, "__init__", counting)
+    return built
+
+
 @pytest.fixture(scope="session")
 def expert_bundle(experts5):
     """Fully-trained experts for seed 0: (base, expert_add, expert_sub, specs)."""

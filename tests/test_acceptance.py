@@ -139,7 +139,7 @@ def test_criterion_06_gradient_check():
         for _ in range(20):
             flat0 = flatten(net_template) + 0.3 * rng.standard_normal(param_count(net_template))
             point = unflatten(net_template, flat0)
-            _, analytic = loss_and_grad(point, batch)
+            analytic = unflatten(point, loss_and_grad(point, batch)[1])
             numeric = np.zeros_like(flat0)
             for i in range(flat0.size):
                 bumped = flat0.copy()

@@ -308,6 +308,12 @@ BAD_INPUTS = {
     "train-experts-base-diverges": lambda ex, tmp: (
         ["train-experts", "--lr", "1e150", "--base-epochs", "3", "--expert-epochs", "3"],
         "error: base: training diverged at epoch 1 of 3"),
+    "config-non-finite-float": lambda ex, tmp: (
+        ["evolve", "--experts", str(ex), "--config", _write(tmp / "g.cfg", "gamma=nan\n")],
+        f"error: gamma in {tmp / 'g.cfg'}: expected a finite float, got 'nan'"),
+    "flag-overflowing-float": lambda ex, tmp: (
+        ["baseline", "--method", "task-arithmetic", "--experts", str(ex), "--scale", "1e999"],
+        "error: --scale: expected a finite float, got '1e999'"),
 }
 
 
@@ -371,6 +377,25 @@ BAD_SETTINGS = {
     "convexity-grid-and-checkpoint-mismatch": (
         ["convexity", "--ckpt", "{experts}/expert_add.ckpt", "--m", "7", "--grid", "1"],
         ["--grid: must be >= 2, got 1", f"error: {{experts}}/expert_add.ckpt {M7_WIDTHS}"]),
+    # A non-finite float passes every bound check, so the coercion rejects it.
+    "convexity-infinite-eig-tol": (
+        ["convexity", "--ckpt", "{experts}/expert_add.ckpt", "--grid", "3", "--eig-tol", "inf"],
+        ["error: --eig-tol: expected a finite float, got 'inf'"]),
+    "convexity-infinite-eps": (
+        ["convexity", "--ckpt", "{experts}/expert_add.ckpt", "--grid", "3", "--eps", "inf"],
+        ["error: --eps: expected a finite float, got 'inf'"]),
+    "landscape-infinite-alpha-max": (
+        ["landscape", "--ckpt", "{experts}/expert_add.ckpt", "--grid", "3", "--alpha-max", "inf"],
+        ["error: --alpha-max: expected a finite float, got 'inf'"]),
+    "pso-infinite-inertia": (
+        ["pso", "--experts", "{experts}", "--iters", "1", "--w", "inf"],
+        ["error: --w: expected a finite float, got 'inf'"]),
+    "baseline-nan-scale": (
+        ["baseline", "--experts", "{experts}", "--method", "task-arithmetic", "--scale", "nan"],
+        ["error: --scale: expected a finite float, got 'nan'"]),
+    "baseline-infinite-scale": (
+        ["baseline", "--experts", "{experts}", "--method", "task-arithmetic", "--scale=-inf"],
+        ["error: --scale: expected a finite float, got '-inf'"]),
 }
 
 

@@ -13,7 +13,6 @@ from sparsemerge.evolve import (
     pso_update,
     run_pso,
     run_sae,
-    score,
 )
 from sparsemerge.merge import MergeConfig, RedenseMode
 from sparsemerge.params import flatten
@@ -48,22 +47,23 @@ def test_perfect_model_scores_one_without_sparsity_bonus():
     spec = ModularTaskSpec(5, ModularOp.ADD, split_seed=0)
     oracle = exact_table_network(spec)
     batches = [split(spec, "test"), split(spec, "train")]
-    perf, _, total = score(oracle, batches, gamma=0.0)
-    assert perf == (1.0, 1.0)
-    assert total == 1.0
+    scored = evolve._evaluate(oracle, batches, gamma=0.0, ind_id=0)
+    assert scored.perf == (1.0, 1.0)
+    assert scored.total_score == 1.0
 
 
 def test_score_matches_blend_and_rejects_empty(expert_bundle):
     _, expert_add, _, specs = expert_bundle
     batches = [full_split(spec, "test") for spec in specs]
-    perf, stats, total = score(expert_add, batches, 0.2)
+    scored = evolve._evaluate(expert_add, batches, 0.2, 0)
+    perf, stats, total = scored.perf, scored.stats, scored.total_score
     assert stats == collect_stats(expert_add)
     assert total == blend_score(float(np.mean(perf)), stats.zero_frac, 0.2)
     assert 0.0 <= total <= 1.0
     with pytest.raises(ValueError):
-        score(expert_add, [], 0.2)
+        evolve._evaluate(expert_add, [], 0.2, 0)
     with pytest.raises(ValueError):
-        score(expert_add, [Dataset(np.zeros((0, 26)), np.zeros(0, dtype=np.int64))], 0.2)
+        evolve._evaluate(expert_add, [Dataset(np.zeros((0, 26)), np.zeros(0, dtype=np.int64))], 0.2, 0)
 
 
 def test_config_validation(expert_bundle):

@@ -145,7 +145,7 @@ def gradient_check(seed: int, spec: MlpSpec, batch: Dataset) -> float:
     jitter = ParameterSet.from_pairs(
         (name, arr + 0.3 * rng.standard_normal(arr.shape)) for name, arr in base.items()
     )
-    _, analytic = loss_and_grad(jitter, batch)
+    analytic = unflatten(jitter, loss_and_grad(jitter, batch)[1])
     numeric = fd_gradient(jitter, batch)
     worst = 0.0
     for name in jitter.names:
@@ -284,11 +284,12 @@ def test_stacked_gradient_slices_equal_single_model_gradients():
         for seed, op in enumerate((ModularOp.ADD, ModularOp.SUB, ModularOp.ADD))
     ]
     stacked_batch = Dataset(np.stack([b.inputs for b in batches]), np.stack([b.labels for b in batches]))
-    values, stacked_grad = loss_and_grad(stack(models), stacked_batch)
-    for k, (model, batch, grad) in enumerate(zip(models, batches, unstack(stacked_grad))):
+    stacked_models = stack(models)
+    values, stacked_grad = loss_and_grad(stacked_models, stacked_batch)
+    for k, (model, batch, grad) in enumerate(zip(models, batches, unstack(unflatten(stacked_models, stacked_grad)))):
         value, single = loss_and_grad(model, batch)
         assert values[k] == value
-        assert np.array_equal(flatten(grad), flatten(single))
+        assert np.array_equal(flatten(grad), single)
 
 
 def frozen(batch: Dataset) -> Dataset:
@@ -312,11 +313,11 @@ def test_stacked_hessian_vector_products_equal_single_model_products():
     stacked_batch = frozen(Dataset(np.stack([b.inputs for b in batches]), np.stack([b.labels for b in batches])))
     stacked_models, stacked_tangents = stack(models), stack(tangents)
     for _ in range(2):
-        stacked_values, stacked_hv = loss_and_grad(stacked_models, stacked_batch, stacked_tangents)
+        stacked_values, stacked_hv = loss_and_grad(stacked_models, stacked_batch, flatten(stacked_tangents))
         for k, (model, batch, tangent) in enumerate(zip(models, batches, tangents)):
-            value, hv = loss_and_grad(model, batch, tangent)
+            value, hv = loss_and_grad(model, batch, flatten(tangent))
             assert stacked_values[k] == value
-            assert np.array_equal(flatten(unstack(stacked_hv)[k]), flatten(hv))
+            assert np.array_equal(flatten(unstack(unflatten(stacked_models, stacked_hv))[k]), hv)
 
 
 def test_tangent_calls_reuse_a_linearization_only_where_it_is_the_same(monkeypatch):
@@ -326,7 +327,7 @@ def test_tangent_calls_reuse_a_linearization_only_where_it_is_the_same(monkeypat
     spec = MlpSpec(5, 8)
     points = [init_mlp(spec, seed) for seed in range(2)]
     rng = np.random.default_rng(5)
-    tangents = [unflatten(points[0], rng.standard_normal(param_count(points[0]))) for _ in range(3)]
+    tangents = [rng.standard_normal(param_count(points[0])) for _ in range(3)]
     batches = [frozen(gen_dataset(ModularTaskSpec(5, ModularOp.ADD), "train", 9, seed=s)) for s in range(2)]
 
     def fresh(p, batch, tangent):
@@ -345,7 +346,7 @@ def test_tangent_calls_reuse_a_linearization_only_where_it_is_the_same(monkeypat
     for (i, b, t), (value, hv) in zip(calls, expected):
         got_value, got_hv = loss_and_grad(points[i], batches[b], tangents[t])
         assert got_value == value
-        assert np.array_equal(flatten(got_hv), flatten(hv))
+        assert np.array_equal(got_hv, hv)
     assert len(linearized) == 5
 
 
@@ -353,19 +354,68 @@ def test_a_writable_batch_is_linearized_afresh_after_it_changes():
     net = init_mlp(MlpSpec(5, 8), 0)
     batch = gen_dataset(ModularTaskSpec(5, ModularOp.ADD), "train", 9, seed=0)
     other = gen_dataset(ModularTaskSpec(5, ModularOp.SUB), "train", 9, seed=1)
-    tangent = unflatten(net, np.random.default_rng(1).standard_normal(param_count(net)))
+    tangent = np.random.default_rng(1).standard_normal(param_count(net))
     loss_and_grad(net, batch, tangent)
     batch.inputs[...] = other.inputs
     batch.labels[...] = other.labels
-    assert np.array_equal(flatten(loss_and_grad(net, batch, tangent)[1]),
-                          flatten(loss_and_grad(net, other, tangent)[1]))
+    assert np.array_equal(loss_and_grad(net, batch, tangent)[1], loss_and_grad(net, other, tangent)[1])
 
 
 def test_a_tangent_leaves_the_loss_and_gradient_unchanged():
     net = init_mlp(MlpSpec(5, 8), 0)
     batch = gen_dataset(ModularTaskSpec(5, ModularOp.ADD), "train", 9, seed=0)
-    tangent = unflatten(net, np.random.default_rng(0).standard_normal(param_count(net)))
+    tangent = np.random.default_rng(0).standard_normal(param_count(net))
     assert loss_and_grad(net, batch, tangent)[0] == loss_and_grad(net, batch)[0]
+
+
+def test_derivatives_are_flat_vectors_and_a_stack_gives_flatten_of_the_stacked_derivatives():
+    """The gradient and H * tangent of a stack equal, bit for bit, flatten of
+    the stack of each model's own, the tangent being laid out the same way."""
+    spec = MlpSpec(5, 8)
+    models = [init_mlp(spec, seed) for seed in range(3)]
+    rng = np.random.default_rng(7)
+    tangents = [rng.standard_normal(param_count(m)) for m in models]
+    batches = [
+        gen_dataset(ModularTaskSpec(5, op, split_seed=2), "train", 6, seed=seed)
+        for seed, op in enumerate((ModularOp.SUB, ModularOp.ADD, ModularOp.SUB))
+    ]
+    stacked_models = stack(models)
+    stacked_batch = Dataset(np.stack([b.inputs for b in batches]), np.stack([b.labels for b in batches]))
+
+    def as_stack(vectors):
+        return flatten(stack(unflatten(m, v) for m, v in zip(models, vectors)))
+
+    grads = [loss_and_grad(m, b)[1] for m, b in zip(models, batches)]
+    products = [loss_and_grad(m, b, t)[1] for m, b, t in zip(models, batches, tangents)]
+    for single in (*grads, *products):
+        assert single.dtype == np.float64 and single.shape == (param_count(models[0]),)
+    stacked_grad = loss_and_grad(stacked_models, stacked_batch)[1]
+    stacked_product = loss_and_grad(stacked_models, stacked_batch, as_stack(tangents))[1]
+    assert stacked_grad.shape == stacked_product.shape == (param_count(stacked_models),)
+    assert np.array_equal(stacked_grad, as_stack(grads))
+    assert np.array_equal(stacked_product, as_stack(products))
+
+
+def test_a_tangent_of_another_length_is_rejected():
+    net = init_mlp(MlpSpec(5, 8), 0)
+    batch = gen_dataset(ModularTaskSpec(5, ModularOp.ADD), "train", 9, seed=0)
+    for size in (param_count(net) - 1, param_count(net) + 1):
+        with pytest.raises(ValueError, match="tangent"):
+            loss_and_grad(net, batch, np.ones(size))
+
+
+def test_train_builds_one_parameter_set_per_step(built_sets):
+    spec = ModularTaskSpec(5, ModularOp.ADD)
+    one = full_split(spec, "train")
+    two = Dataset(np.stack([one.inputs] * 2), np.stack([one.labels] * 2))
+    net = init_mlp(MlpSpec(5, 4), 0)
+    epochs, batch_size = 3, 5
+    steps = epochs * -(-len(one) // batch_size)
+    assert len(one) % batch_size != 0  # the last batch of each epoch is short
+    for model, data in ((net, one), (stack([net, net]), two)):
+        built_sets.clear()
+        train(model, data, learning_rate=0.1, epochs=epochs, batch_size=batch_size, seed=0)
+        assert len(built_sets) == steps
 
 
 def test_train_rejects_a_model_stack_that_does_not_match_the_dataset():
