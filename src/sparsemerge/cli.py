@@ -1,12 +1,14 @@
 """Single command-line entry point for the whole experiment pipeline.
 
-Every command resolves each setting as CLI flag > --config file > the
-experts run's config.txt (task settings only) > built-in default, echoes the
-resolved configuration into the run directory, and draws all randomness from
-one master seed. Timestamps are confined to run.log so that two runs with
-identical configuration produce byte-identical artifacts. Bad input ends with
-one ``error:`` line, or one ``invalid config:`` line per violated setting,
-and exit code 2.
+Every command resolves each setting as CLI flag > --config file > built-in
+default, echoes the resolved configuration into the run directory, and draws
+all randomness from one master seed. What the inputs fix is read from them,
+not from a flag: a checkpoint gives the modulus and the hidden width, and an
+experts run's config.txt gives the train/test partition its experts trained
+on. Timestamps are confined to run.log so that two runs with identical
+configuration produce byte-identical artifacts. Bad input, a bad flag
+included, ends with one ``error:`` line, or one ``invalid config:`` line per
+violated setting, and exit code 2.
 """
 
 from __future__ import annotations
@@ -42,7 +44,14 @@ from .landscape import (
     write_pgm,
 )
 from .merge import MergeConfig, RedenseMode, task_arithmetic, weight_average
-from .params import CheckpointError, ConfigError, ParameterSet, load_checkpoint, save_checkpoint
+from .params import (
+    CheckpointError,
+    ConfigError,
+    ParameterSet,
+    load_checkpoint,
+    require_compatible,
+    save_checkpoint,
+)
 from .seeding import TAG_EIG, derive_seed
 from .sparsity import Granularity, SparsityMeasure, SparsitySchedule
 from .tasks import (
@@ -95,14 +104,11 @@ SHARED_OPTS = [
     OUT_OPT,
 ]
 
+# Only for commands that load no checkpoint: a checkpoint fixes its modulus.
 M_OPT = Opt("--m", int, ModularTaskSpec.modulus, help="modulus of the twin tasks")
 
-# The only settings an experts run's config.txt passes on to the runs that
-# load its checkpoints.
-TASK_OPTS = [
-    M_OPT,
-    Opt("--split-seed", int, None, help="train/test partition seed (defaults to --seed)"),
-]
+# Only for commands that load no experts run: experts fix the partition they trained on.
+SPLIT_SEED_OPT = Opt("--split-seed", int, None, help="train/test partition seed (defaults to --seed)")
 
 TRAIN_OPTS = [
     Opt("--hidden", int, MlpSpec.hidden, help="hidden width of the network"),
@@ -179,15 +185,15 @@ EVAL_OPTS = [
 ]
 
 COMMAND_OPTS: dict[str, list[Opt]] = {
-    "gen-data": SHARED_OPTS + TASK_OPTS + GEN_DATA_OPTS,
+    "gen-data": SHARED_OPTS + [M_OPT, SPLIT_SEED_OPT] + GEN_DATA_OPTS,
     # Experts train on the partition of --seed, which their config.txt records.
     "train-experts": SHARED_OPTS + [M_OPT] + TRAIN_OPTS,
-    "evolve": SHARED_OPTS + TASK_OPTS + EVOLVE_OPTS,
-    "pso": SHARED_OPTS + TASK_OPTS + PSO_OPTS,
-    "baseline": SHARED_OPTS + TASK_OPTS + BASELINE_OPTS,
-    "eval": SHARED_OPTS + TASK_OPTS + EVAL_OPTS,
-    "landscape": SHARED_OPTS + TASK_OPTS + SCAN_OPTS + LANDSCAPE_OPTS,
-    "convexity": SHARED_OPTS + TASK_OPTS + SCAN_OPTS + CONVEXITY_OPTS,
+    "evolve": SHARED_OPTS + EVOLVE_OPTS,
+    "pso": SHARED_OPTS + PSO_OPTS,
+    "baseline": SHARED_OPTS + BASELINE_OPTS,
+    "eval": SHARED_OPTS + [SPLIT_SEED_OPT] + EVAL_OPTS,
+    "landscape": SHARED_OPTS + [SPLIT_SEED_OPT] + SCAN_OPTS + LANDSCAPE_OPTS,
+    "convexity": SHARED_OPTS + [SPLIT_SEED_OPT] + SCAN_OPTS + CONVEXITY_OPTS,
     "report": [OUT_OPT],
 }
 
@@ -207,16 +213,28 @@ def option_for(field: str, options) -> str:
     return field if field in options else FIELD_ALIASES.get(field, field)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its usage errors (an unknown flag, a missing command or --runs)
+    as ValueError, so that main reports them as one ``error:`` line."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """Flags as raw strings, taken only by their full names as --config keys
+    are: resolve_options checks every value, a flag's and a key's alike."""
+    parser = _Parser(
         prog="sparsemerge",
         description="sparsity-driven evolutionary model merging experiments",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, opts in COMMAND_OPTS.items():
-        sp = sub.add_parser(command)
+        sp = sub.add_parser(command, allow_abbrev=False)
         for opt in opts:
-            sp.add_argument(opt.flag, default=None, choices=opt.choices, help=opt.help)
+            metavar = "{" + ",".join(opt.choices) + "}" if opt.choices else None
+            sp.add_argument(opt.flag, default=None, metavar=metavar, help=opt.help)
         sp.add_argument("--config", help="flat key=value config file; flags override it")
         if command == "report":
             sp.add_argument("--runs", nargs="+", required=True,
@@ -238,8 +256,8 @@ def read_config_file(path: Path) -> dict[str, str]:
 
 
 def resolve_options(ns: argparse.Namespace) -> dict[str, Any]:
-    """Take each setting from the first source that sets it: flag, --config
-    file, the --experts run's config.txt (TASK_OPTS only), built-in default.
+    """Take each setting from the first source that gives it a value: flag,
+    --config file, built-in default. An empty value is given, and an error.
 
     Each source is a key -> raw string mapping plus where it came from, so
     that a bad value is reported against its flag or file.
@@ -248,20 +266,15 @@ def resolve_options(ns: argparse.Namespace) -> dict[str, Any]:
     sources: list[tuple[dict[str, Any], str]] = [
         ({opt.key: getattr(ns, opt.dest) for opt in opts}, "")
     ]
-    if ns.config:
+    if ns.config is not None:
         file_values = read_config_file(Path(ns.config))
         unknown = sorted(set(file_values) - {opt.key for opt in opts})
         if unknown:
             raise ValueError(f"{ns.config}: unknown keys for {ns.command}: {', '.join(unknown)}")
         sources.append((file_values, ns.config))
-    experts = next((src["experts"] for src, _ in sources if src.get("experts")), None)
-    if experts and (Path(experts) / "config.txt").is_file():
-        meta_path = Path(experts) / "config.txt"
-        meta = read_config_file(meta_path)
-        sources.append(({opt.key: meta.get(opt.key) for opt in TASK_OPTS}, str(meta_path)))
     cfg: dict[str, Any] = {"runs": ns.runs} if "runs" in ns else {}
     for opt in opts:
-        found = [(src[opt.key], where) for src, where in sources if src.get(opt.key)]
+        found = [(src[opt.key], where) for src, where in sources if src.get(opt.key) is not None]
         if not found:
             if opt.required:
                 raise ValueError(f"{opt.flag} is required")
@@ -269,6 +282,8 @@ def resolve_options(ns: argparse.Namespace) -> dict[str, Any]:
             continue
         raw, where = found[0]
         label = f"{opt.key} in {where}" if where else opt.flag
+        if not raw.strip():
+            raise ValueError(f"{label}: expected a value, got {raw!r}")
         try:
             value = opt.kind(raw)
         except ValueError:
@@ -319,7 +334,7 @@ def read_summary(path: Path) -> list[list[str]]:
 class Settings:
     """Builds a command's configs from its options, loads its checkpoints and
     collects every violation; leaving the ``with`` block raises them as one
-    ConfigError, one per field, plus the first input that failed to load."""
+    ConfigError, one per field, then the first input that failed to load."""
 
     def __init__(self, cfg: dict[str, Any]):
         self.cfg = cfg
@@ -330,7 +345,7 @@ class Settings:
 
     def __exit__(self, exc_type, *_) -> None:
         if exc_type is None and self.violations:
-            raise ConfigError(self.violations.items())
+            raise ConfigError(sorted(self.violations.items(), key=lambda item: item[0] is None))
 
     def check(self, ok: bool, field: str, reason: str) -> None:
         if not ok:
@@ -359,21 +374,25 @@ class Settings:
         return None
 
 
-def build_tasks(s: Settings) -> tuple[ModularTaskSpec | None, ...]:
+def build_tasks(s: Settings, m: int | None, split_seed: int | None) -> tuple[ModularTaskSpec | None, ...]:
     """The task of --op, or both tasks where the command has no --op, modulo
-    --m and partitioned by --split-seed (default: --seed)."""
-    seed, split_seed = s.cfg["seed"], s.cfg.get("split_seed")
+    ``m`` and partitioned by ``split_seed`` (None: --seed). Each task is None
+    where ``m`` is None: the input that gives it did not load."""
+    seed = s.cfg["seed"]
     s.check(seed >= 0, "seed", f"must be >= 0, got {seed}")
     if split_seed is None:
         split_seed = max(seed, 0)  # a negative --seed is named once, as --seed
     ops = [{}] if "op" in s.cfg else [{"op": op} for op in ModularOp]
-    return tuple(s.build(ModularTaskSpec, split_seed=split_seed, **op) for op in ops)
+    if m is None:  # no task to build, but a bad --split-seed is still named
+        s.check(split_seed >= 0, "split_seed", f"must be >= 0, got {split_seed}")
+        return tuple(None for _ in ops)
+    return tuple(s.build(ModularTaskSpec, modulus=m, split_seed=split_seed, **op) for op in ops)
 
 
 def check_draw(s: Settings, field: str, spec: ModularTaskSpec | None, which: str, low: int = 1) -> int | None:
     """Option ``field`` draws that many pairs from the ``which`` pool, so it must be
-    in low..pool size; returns the size. Pass spec None where a checkpoint does not
-    fit --m: that is the error then, not the pool size --m gives."""
+    in low..pool size; returns the size. With spec None (no task: an input did not
+    load, or --m is bad) only the lower bound is checked."""
     n, pool = s.cfg[field], spec.pool_size(which) if spec else None
     s.check(n >= low, field, f"must be >= {low}, got {n}")
     s.check(pool is None or n <= pool, field,
@@ -393,11 +412,16 @@ def score_line(method: str, a: float, b: float, avg: float) -> str:
     return f"{method}: task_a={a:.4f} task_b={b:.4f} avg={avg:.4f}"
 
 
-def load_model(path, m: int) -> ParameterSet:
-    """Load a checkpoint and check that it is the MLP for modulus m.
+def modulus(params: ParameterSet | None) -> int | None:
+    """The modulus of a model from load_model (its output width); None for none."""
+    return None if params is None else params["fc3_w"].shape[-1]
 
-    The hidden width is read from fc1_w; every layer must then have the
-    shape MlpSpec(m, hidden) gives it.
+
+def load_model(path) -> ParameterSet:
+    """Load a checkpoint and check that it is an MLP for the twin tasks.
+
+    The modulus and the hidden width are read from the output widths of fc3_w
+    and fc1_w; every layer must then have the shape MlpSpec(m, hidden) gives it.
     """
     try:
         params = load_checkpoint(path)
@@ -405,6 +429,9 @@ def load_model(path, m: int) -> ParameterSet:
         raise CheckpointError(f"{path}: {exc}") from None
     if params.names != LAYER_NAMES:
         raise ValueError(f"{path}: layers {', '.join(params.names)}, expected {', '.join(LAYER_NAMES)}")
+    m = modulus(params)
+    if m < 2:
+        raise ValueError(f"{path}: fc3_w has {m} output, expected a modulus >= 2")
     spec = MlpSpec(m, params["fc1_w"].shape[-1])
     wrong = [
         f"{name} is {list(arr.shape)}, expected {list(shape)}"
@@ -416,9 +443,34 @@ def load_model(path, m: int) -> ParameterSet:
     return params
 
 
-def load_experts(cfg: dict[str, Any]) -> tuple[ParameterSet, ...]:
-    """(base, expert_add, expert_sub) of the --experts run."""
-    return tuple(load_model(Path(cfg["experts"]) / f"{name}.ckpt", cfg["m"]) for name in EXPERT_NAMES)
+def load_experts(path) -> tuple[tuple[ParameterSet, ...], int]:
+    """(base, expert_add, expert_sub) of a train-experts run, all of one shape,
+    and the split seed its config.txt records: the partition they trained on."""
+    run = Path(path)
+    models = tuple(load_model(run / f"{name}.ckpt") for name in EXPERT_NAMES)
+    try:
+        require_compatible(*models)
+    except ValueError as exc:
+        raise ValueError(f"{run}: {exc}") from None
+    meta = run / "config.txt"
+    raw = read_config_file(meta).get("split-seed")
+    if raw is None:
+        raise ValueError(f"{meta} has no split-seed, so the experts' partition is unknown")
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"{meta}: split-seed: expected an int >= 0, got {raw!r}")
+    return models, int(raw)
+
+
+def experts_and_tasks(
+    s: Settings,
+) -> tuple[tuple[ParameterSet, ...] | None, tuple[ModularTaskSpec | None, ...]]:
+    """The --experts run's models (None if they did not load) and both tasks,
+    modulo the experts' modulus, on the partition they trained on."""
+    loaded = s.load(load_experts, s.cfg["experts"])
+    if loaded is None:
+        return None, build_tasks(s, None, None)
+    experts, split_seed = loaded
+    return experts, build_tasks(s, modulus(experts[0]), split_seed)
 
 
 def run_command(command: str, cfg: dict[str, Any]) -> int:
@@ -452,7 +504,7 @@ def run_command(command: str, cfg: dict[str, Any]) -> int:
 
 def cmd_gen_data(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     with Settings(cfg) as s:
-        (spec,) = build_tasks(s)
+        (spec,) = build_tasks(s, cfg["m"], cfg["split_seed"])
         pool = check_draw(s, "n", spec, cfg["which"], low=0)
     pairs = sample_pairs(spec, cfg["which"], cfg["n"] or pool, cfg["seed"])
     path = out_dir / f"{cfg['op']}_{cfg['which']}.csv"
@@ -466,7 +518,7 @@ def cmd_gen_data(cfg: dict[str, Any], out_dir: Path) -> Outcome:
 
 def cmd_train_experts(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     with Settings(cfg) as s:
-        specs = build_tasks(s)
+        specs = build_tasks(s, cfg["m"], None)
         net = s.build(MlpSpec)
         recipe = s.build(ExpertTrainConfig)
     cfg["split_seed"] = cfg["seed"]  # passed on to runs on these experts
@@ -480,11 +532,10 @@ def cmd_train_experts(cfg: dict[str, Any], out_dir: Path) -> Outcome:
 
 def cmd_evolve(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     with Settings(cfg) as s:
-        specs = build_tasks(s)
+        experts, specs = experts_and_tasks(s)
         evolve_cfg = s.build(EvolveConfig, schedule=s.build(SparsitySchedule),
                              merge_cfg=s.build(MergeConfig), tasks=specs)
-        experts = s.load(load_experts, cfg)
-        check_draw(s, "opt_batch", specs[0] if experts else None, "opt")
+        check_draw(s, "opt_batch", specs[0], "opt")
     _, expert_add, expert_sub = experts
     best, records = run_sae([expert_add, expert_sub], evolve_cfg)
     write_trace(out_dir / "trace.csv", records)
@@ -498,10 +549,9 @@ def cmd_evolve(cfg: dict[str, Any], out_dir: Path) -> Outcome:
 
 def cmd_pso(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     with Settings(cfg) as s:
-        specs = build_tasks(s)
+        experts, specs = experts_and_tasks(s)
         pso_cfg = s.build(PsoConfig)
-        experts = s.load(load_experts, cfg)
-        check_draw(s, "opt_batch", specs[0] if experts else None, "opt")
+        check_draw(s, "opt_batch", specs[0], "opt")
     _, expert_add, expert_sub = experts
     best, trace = run_pso([expert_add, expert_sub], pso_cfg, specs)
     write_pso_trace(out_dir / "trace.csv", trace)
@@ -514,8 +564,7 @@ def cmd_baseline(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     if cfg["method"] == "weight-average" and cfg["scale"] != 1.0:
         raise ValueError("--scale applies only to --method task-arithmetic")
     with Settings(cfg) as s:
-        specs = build_tasks(s)
-        experts = s.load(load_experts, cfg)
+        experts, specs = experts_and_tasks(s)
     base, expert_add, expert_sub = experts
     if cfg["method"] == "weight-average":
         merged = weight_average([expert_add, expert_sub])
@@ -528,17 +577,17 @@ def cmd_baseline(cfg: dict[str, Any], out_dir: Path) -> Outcome:
 
 def cmd_eval(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     with Settings(cfg) as s:
-        specs = build_tasks(s)
-        params = s.load(load_model, cfg["ckpt"], cfg["m"])
+        params = s.load(load_model, cfg["ckpt"])
+        specs = build_tasks(s, modulus(params), cfg["split_seed"])
     row = (cfg["label"], *evaluate_model(params, specs))
     return [row], [score_line(*row)]
 
 
 def cmd_landscape(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     with Settings(cfg) as s:
-        (spec,) = build_tasks(s)
+        params = s.load(load_model, cfg["ckpt"])
+        (spec,) = build_tasks(s, modulus(params), cfg["split_seed"])
         grid = s.build(GridSpec)
-        params = s.load(load_model, cfg["ckpt"], cfg["m"])
     losses = loss_grid(params, random_directions(params, cfg["seed"]), grid, full_split(spec, cfg["split"]))
     write_grid_csv(out_dir / "landscape.csv", grid, losses)
     write_pgm(out_dir / "landscape.pgm", losses)
@@ -551,11 +600,11 @@ def cmd_landscape(cfg: dict[str, Any], out_dir: Path) -> Outcome:
 
 def cmd_convexity(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     with Settings(cfg) as s:
-        (spec,) = build_tasks(s)
+        params = s.load(load_model, cfg["ckpt"])
+        (spec,) = build_tasks(s, modulus(params), cfg["split_seed"])
         grid = s.build(GridSpec)
         eig_cfg = s.build(EigConfig)
-        params = s.load(load_model, cfg["ckpt"], cfg["m"])
-        check_draw(s, "hess_batch", spec if params else None, "opt")
+        check_draw(s, "hess_batch", spec, "opt")
     batch = gen_dataset(spec, "opt", cfg["hess_batch"], derive_seed(cfg["seed"], TAG_EIG))
     result = convexity_grid(params, random_directions(params, cfg["seed"]), grid, batch, eig_cfg)
     write_convexity_csv(out_dir / "convexity.csv", grid, result)
@@ -593,8 +642,8 @@ HANDLERS: dict[str, Callable[[dict[str, Any], Path], Outcome]] = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    ns = build_parser().parse_args(argv)
     try:
+        ns = build_parser().parse_args(argv)
         return run_command(ns.command, resolve_options(ns))
     except ConfigError as exc:
         options = {opt.dest for opt in COMMAND_OPTS[ns.command]}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import string
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -81,9 +82,6 @@ class TraceRecord:
     zero_frac: float
     total_score: float
     event: str
-
-
-TRACE_HEADER = "step,member_id,perf_task_a,perf_task_b,perf_mean,zero_frac,total_score,event"
 
 
 def blend_score(perf_mean: float, zero_frac: float, gamma: float) -> float:
@@ -217,14 +215,18 @@ def run_sae(
 
 
 def write_trace(path, records: list[TraceRecord]) -> None:
+    """One row per record, with one ``perf_task_<a, b, ...>`` column per task of the run."""
+    n_tasks = len(records[0].perf) if records else 0
+    perf_columns = [f"perf_task_{string.ascii_lowercase[k]}" for k in range(n_tasks)]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(TRACE_HEADER.split(","))
+        writer.writerow(
+            ["step", "member_id", *perf_columns, "perf_mean", "zero_frac", "total_score", "event"]
+        )
         for r in records:
-            perf = list(r.perf) + [float("nan")] * (2 - len(r.perf))
             writer.writerow(
                 [
-                    r.step, r.member_id, repr(perf[0]), repr(perf[1]),
+                    r.step, r.member_id, *map(repr, r.perf),
                     repr(r.perf_mean), repr(r.zero_frac), repr(r.total_score), r.event,
                 ]
             )

@@ -325,6 +325,10 @@ def train(
     lead = dataset.labels.shape[:-1]  # () for one model, (K,) for a stack
     if p["fc1_w"].shape[:-2] != lead:
         raise ValueError(f"stack of models {p['fc1_w'].shape[:-2]} does not match dataset stack {lead}")
+    if p["fc1_w"].shape[-2] != dataset.inputs.shape[-1]:
+        raise ValueError(
+            f"inputs of width {dataset.inputs.shape[-1]} do not match fc1_w's {p['fc1_w'].shape[-2]} rows"
+        )
     seeds = [seed + k for k in range(math.prod(lead))]
     # Model k's rows start at k*n once the stack's rows are laid end to end.
     offsets = n * np.arange(len(seeds)).reshape(lead + (1,))

@@ -1,4 +1,5 @@
 import csv
+import shlex
 import shutil
 import struct
 from pathlib import Path
@@ -10,6 +11,7 @@ from conftest import rand_pset
 from sparsemerge import cli
 from sparsemerge.cli import COMMAND_OPTS, main, read_config_file
 from sparsemerge.params import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
+from sparsemerge.tasks import LAYER_NAMES, MlpSpec, init_mlp, twin_tasks
 
 FAST_TRAIN = ["--base-epochs", "3", "--expert-epochs", "40", "--seed", "0"]
 
@@ -128,6 +130,44 @@ def test_report_joins_rows(fast_experts_dir, tmp_path):
     first = (report_dir / "report.csv").read_bytes()
     assert main(["report", "--runs", *runs, "--out", str(report_dir)]) == 0
     assert (report_dir / "report.csv").read_bytes() == first
+
+
+def test_inputs_fix_the_modulus_and_the_partition():
+    """--m only where no checkpoint is loaded, --split-seed only where no experts run is."""
+    commands = {flag: [c for c, opts in COMMAND_OPTS.items() if flag in {o.flag for o in opts}]
+                for flag in ("--m", "--split-seed")}
+    assert commands == {"--m": ["gen-data", "train-experts"],
+                        "--split-seed": ["gen-data", "eval", "landscape", "convexity"]}
+    assert sum(len(opts) for opts in COMMAND_OPTS.values()) == 75
+
+
+def test_baseline_scores_on_the_partition_the_experts_run_records(fast_experts_dir, tmp_path):
+    """The test pools come from the experts' config.txt, whatever --seed is."""
+    experts = Path(shutil.copytree(fast_experts_dir, tmp_path / "experts"))
+    meta = (experts / "config.txt").read_text()
+    assert "split-seed=0\n" in meta
+    (experts / "config.txt").write_text(meta.replace("split-seed=0\n", "split-seed=3\n"))
+    out = tmp_path / "wa"
+    assert main(["baseline", "--method", "weight-average", "--experts", str(experts),
+                 "--seed", "5", "--out", str(out)]) == 0
+    merged = load_checkpoint(out / "merged.ckpt")
+    expected = cli.evaluate_model(merged, twin_tasks(13, split_seed=3))
+    assert read_rows(out / "summary.csv")[1] == ["weight-average", *map(repr, expected)]
+    echoed = read_config_file(out / "config.txt")
+    assert "m" not in echoed and "split-seed" not in echoed
+
+
+def test_readme_pipeline_parses():
+    """Every command line of README's Pipeline block is one the parser takes."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Pipeline", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    assert len(lines) >= 8
+    parser = cli.build_parser()
+    for line in lines:
+        prog, *argv = shlex.split(line)
+        assert prog == "sparsemerge", line
+        parser.parse_args(argv)
 
 
 def test_config_file_and_flag_override(fast_experts_dir, tmp_path):
@@ -250,7 +290,30 @@ def _not_an_mlp(tmp: Path) -> str:
     return str(tmp / "other.ckpt")
 
 
-M7_MISMATCH = "fc1_w is [26, 32], expected [14, 32]"
+def _mlp_layers(d_in, h1, h2, d_out):
+    """Zero layers of an MLP with these widths, which MlpSpec may not allow, for _raw_checkpoint."""
+    shapes = [(d_in, h1), (h1,), (h1, h2), (h2,), (h2, d_out), (d_out,)]
+    return [(name.encode(), shape, np.zeros(shape).ravel()) for name, shape in zip(LAYER_NAMES, shapes)]
+
+
+def _experts_without_config(experts: Path, tmp: Path) -> str:
+    copy = shutil.copytree(experts, tmp / "experts")
+    (copy / "config.txt").unlink()
+    return str(copy)
+
+
+def _experts_without_split_seed(experts: Path, tmp: Path) -> str:
+    copy = shutil.copytree(experts, tmp / "experts")
+    lines = (copy / "config.txt").read_text().splitlines(keepends=True)
+    (copy / "config.txt").write_text("".join(line for line in lines if not line.startswith("split-seed=")))
+    return str(copy)
+
+
+def _experts_with_sub_for_m7(experts: Path, tmp: Path) -> str:
+    copy = shutil.copytree(experts, tmp / "experts")
+    save_checkpoint(init_mlp(MlpSpec(7, 32), 0), copy / "expert_sub.ckpt")
+    return str(copy)
+
 
 # name -> (experts dir, scratch dir) -> (argv, text the error line must contain)
 BAD_INPUTS = {
@@ -276,14 +339,48 @@ BAD_INPUTS = {
     "evolve-expert-name-not-utf8": lambda ex, tmp: (
         ["evolve", "--experts", _experts_with_unreadable_sub(ex, tmp)],
         "expert_sub.ckpt: layer 0 name is not UTF-8"),
+    # A checkpoint fixes its modulus, and an experts run its partition: a flag
+    # or --config key for either is unknown.
     "eval-modulus-mismatch": lambda ex, tmp: (
-        ["eval", "--ckpt", str(ex / "expert_add.ckpt"), "--m", "7"], M7_MISMATCH),
+        ["eval", "--ckpt", str(ex / "expert_add.ckpt"), "--m", "7"], "error: unrecognized arguments: --m 7"),
     "evolve-modulus-mismatch": lambda ex, tmp: (
-        ["evolve", "--experts", str(ex), "--m", "7"], M7_MISMATCH),
+        ["evolve", "--experts", str(ex), "--m", "7"], "error: unrecognized arguments: --m 7"),
     "convexity-modulus-mismatch": lambda ex, tmp: (
-        ["convexity", "--ckpt", str(ex / "expert_add.ckpt"), "--m", "7", "--grid", "3"], M7_MISMATCH),
+        ["convexity", "--ckpt", str(ex / "expert_add.ckpt"), "--m", "7", "--grid", "3"],
+        "error: unrecognized arguments: --m 7"),
     "config-modulus-beats-experts": lambda ex, tmp: (
-        ["evolve", "--experts", str(ex), "--config", _write(tmp / "m.cfg", "m=7\n")], M7_MISMATCH),
+        ["evolve", "--experts", str(ex), "--config", _write(tmp / "m.cfg", "m=7\n")],
+        f"error: {tmp / 'm.cfg'}: unknown keys for evolve: m"),
+    "config-split-seed-beats-experts": lambda ex, tmp: (
+        ["baseline", "--method", "weight-average", "--experts", str(ex),
+         "--config", _write(tmp / "s.cfg", "split-seed=1\n")],
+        f"error: {tmp / 's.cfg'}: unknown keys for baseline: split-seed"),
+    "experts-without-config": lambda ex, tmp: (
+        ["pso", "--experts", _experts_without_config(ex, tmp)],
+        f"error: [Errno 2] No such file or directory: '{tmp / 'experts' / 'config.txt'}'"),
+    "experts-without-split-seed": lambda ex, tmp: (
+        ["baseline", "--method", "weight-average", "--experts", _experts_without_split_seed(ex, tmp)],
+        f"error: {tmp / 'experts' / 'config.txt'} has no split-seed, so the experts' partition is unknown"),
+    "experts-of-two-moduli": lambda ex, tmp: (
+        ["evolve", "--experts", _experts_with_sub_for_m7(ex, tmp)],
+        f"error: {tmp / 'experts'}: incompatible parameter sets: 'fc1_w' [26, 32] vs 'fc1_w' [14, 32]"),
+    "checkpoint-without-modulus": lambda ex, tmp: (
+        ["eval", "--ckpt", _raw_checkpoint(tmp / "m1.ckpt", *_mlp_layers(2, 4, 4, 1))],
+        f"error: {tmp / 'm1.ckpt'}: fc3_w has 1 output, expected a modulus >= 2"),
+    "flag-empty": lambda ex, tmp: (
+        ["gen-data", "--n", ""], "error: --n: expected a value, got ''"),
+    "flag-empty-out": lambda ex, tmp: (
+        ["gen-data", "--out", ""], "error: --out: expected a value, got ''"),
+    "config-empty-key": lambda ex, tmp: (
+        ["gen-data", "--config", _write(tmp / "n.cfg", "n=\n")],
+        f"error: n in {tmp / 'n.cfg'}: expected a value, got ''"),
+    "flag-not-a-choice": lambda ex, tmp: (
+        ["gen-data", "--which", "bogus"], "error: --which: expected one of train, opt, test, got 'bogus'"),
+    "flag-unknown": lambda ex, tmp: (
+        ["eval", "--ckpt", str(ex / "expert_add.ckpt"), "--bogus", "1"],
+        "error: unrecognized arguments: --bogus 1"),
+    "report-without-runs": lambda ex, tmp: (
+        ["report"], "error: the following arguments are required: --runs"),
     "eval-not-an-mlp": lambda ex, tmp: (
         ["eval", "--ckpt", _not_an_mlp(tmp)], "expected fc1_w"),
     "out-is-a-file": lambda ex, tmp: (
@@ -317,11 +414,15 @@ BAD_INPUTS = {
 }
 
 
-def test_train_experts_rejects_split_seed(tmp_path):
+def test_train_experts_rejects_split_seed(tmp_path, capsys):
     """Experts train on the partition of --seed; a second seed would only mislabel them."""
-    with pytest.raises(SystemExit) as exc:
-        main(["train-experts", *FAST_TRAIN, "--split-seed", "3", "--out", str(tmp_path / "o")])
-    assert exc.value.code == 2
+    assert main(["train-experts", *FAST_TRAIN, "--split-seed", "3", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: unrecognized arguments: --split-seed 3"]
+
+
+def test_missing_command_is_one_error_line(capsys):
+    assert main([]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: the following arguments are required: command"]
 
 
 # A numpy RuntimeWarning would print a second stderr line outside pytest.
@@ -337,12 +438,12 @@ def test_bad_input_exits_with_one_error_line(case, fast_experts_dir, tmp_path, c
     assert expected in lines[0]
 
 
-# What an m=13 checkpoint gets for not fitting --m 7.
-M7_WIDTHS = ("does not fit widths [14, 32, 32, 7] (m=7): fc1_w is [26, 32], expected [14, 32]; "
-             "fc3_w is [32, 13], expected [32, 7]; fc3_b is [13], expected [7]")
+# What _experts_with_truncated_sub's expert_sub.ckpt gets.
+TRUNCATED = "truncated checkpoint: ran out of bytes reading layer 0 values"
 
-# name -> (argv, "{experts}" standing for the experts run; the expected
-# "invalid config:" lines, in order, and any "error:" line, given in full)
+# name -> (argv, "{experts}" standing for the experts run and "{cut}" for a copy
+# of it whose expert_sub.ckpt is cut short; the expected "invalid config:"
+# lines, in order, and any "error:" line, given in full)
 BAD_SETTINGS = {
     "train-experts-recipe-and-sizes": (
         ["train-experts", "--m", "1", "--hidden", "0", "--lr", "0"],
@@ -372,11 +473,14 @@ BAD_SETTINGS = {
         ["evolve", "--experts", "{experts}", "--opt-batch", "500"],
         ["--opt-batch: must be <= 127, the size of the pool it draws from, got 500"]),
     "evolve-pop-and-checkpoint-mismatch": (
-        ["evolve", "--experts", "{experts}", "--m", "7", "--pop", "7"],
-        ["--pop: must be even and >= 2, got 7", f"error: {{experts}}/base.ckpt {M7_WIDTHS}"]),
+        ["evolve", "--experts", "{cut}", "--pop", "7"],
+        ["--pop: must be even and >= 2, got 7", f"error: {{cut}}/expert_sub.ckpt: {TRUNCATED}"]),
+    "eval-split-seed-and-unreadable-checkpoint": (
+        ["eval", "--ckpt", "{cut}/expert_sub.ckpt", "--split-seed", "-1"],
+        ["--split-seed: must be >= 0, got -1", f"error: {{cut}}/expert_sub.ckpt: {TRUNCATED}"]),
     "convexity-grid-and-checkpoint-mismatch": (
-        ["convexity", "--ckpt", "{experts}/expert_add.ckpt", "--m", "7", "--grid", "1"],
-        ["--grid: must be >= 2, got 1", f"error: {{experts}}/expert_add.ckpt {M7_WIDTHS}"]),
+        ["convexity", "--ckpt", "{cut}/expert_sub.ckpt", "--grid", "1"],
+        ["--grid: must be >= 2, got 1", f"error: {{cut}}/expert_sub.ckpt: {TRUNCATED}"]),
     # A non-finite float passes every bound check, so the coercion rejects it.
     "convexity-infinite-eig-tol": (
         ["convexity", "--ckpt", "{experts}/expert_add.ckpt", "--grid", "3", "--eig-tol", "inf"],
@@ -402,14 +506,15 @@ BAD_SETTINGS = {
 @pytest.mark.parametrize("case", list(BAD_SETTINGS))
 def test_every_bad_setting_is_named_before_any_work(case, fast_experts_dir, tmp_path, capsys):
     """Exactly one invalid config line per bad setting (no numpy message), a
-    checkpoint that does not fit --m named with them, and nothing trained or
+    checkpoint that does not load named after them, and nothing trained or
     written first."""
     argv, expected = BAD_SETTINGS[case]
     out = tmp_path / "o"
-    argv = [a.format(experts=fast_experts_dir) for a in argv] + ["--out", str(out)]
+    dirs = dict(experts=fast_experts_dir, cut=_experts_with_truncated_sub(fast_experts_dir, tmp_path))
+    argv = [a.format(**dirs) for a in argv] + ["--out", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err.splitlines() == [
-        line.format(experts=fast_experts_dir) if line.startswith("error: ") else f"invalid config: {line}"
+        line.format(**dirs) if line.startswith("error: ") else f"invalid config: {line}"
         for line in expected
     ]
     written = [p.name for p in out.rglob("*")

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from sparsemerge.evolve import (
     AnnealTarget,
     EvolveConfig,
     PsoConfig,
+    TraceRecord,
     best_member,
     blend_score,
     evolve_step,
@@ -13,6 +16,7 @@ from sparsemerge.evolve import (
     pso_update,
     run_pso,
     run_sae,
+    write_trace,
 )
 from sparsemerge.merge import MergeConfig, RedenseMode
 from sparsemerge.params import flatten
@@ -319,3 +323,17 @@ def test_best_member_tie_breaks_to_lower_id(expert_bundle):
     archive = init_archive([expert_add, expert_add], cfg)
     assert archive.members[0].total_score == archive.members[1].total_score
     assert best_member(archive).id == 0
+
+
+@pytest.mark.parametrize("perf, columns", [
+    ((0.5,), ["perf_task_a"]),
+    ((0.1, 0.2, 0.9), ["perf_task_a", "perf_task_b", "perf_task_c"]),
+])
+def test_write_trace_has_one_column_per_task(perf, columns, tmp_path):
+    """No padding for one task, and no accuracy dropped for three."""
+    record = TraceRecord(1, 4, perf, sum(perf) / len(perf), 0.25, 0.5, "member")
+    write_trace(tmp_path / "trace.csv", [record])
+    with open(tmp_path / "trace.csv", newline="") as f:
+        header, row = list(csv.reader(f))
+    assert header == ["step", "member_id", *columns, "perf_mean", "zero_frac", "total_score", "event"]
+    assert row == ["1", "4", *map(repr, perf), repr(record.perf_mean), "0.25", "0.5", "member"]

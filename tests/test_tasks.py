@@ -426,3 +426,11 @@ def test_train_rejects_a_model_stack_that_does_not_match_the_dataset():
     for model, data in ((stack([net, net]), one), (net, two), (stack([net] * 3), two)):
         with pytest.raises(ValueError, match="does not match"):
             train(model, data, learning_rate=0.1, epochs=1, batch_size=32, seed=0)
+
+
+def test_train_rejects_inputs_of_another_width():
+    """A net for m=13 on m=7 data is a shape error up front, not a divergence."""
+    net = init_mlp(MlpSpec(13, 8), 0)
+    data = full_split(ModularTaskSpec(7, ModularOp.ADD), "train")
+    with pytest.raises(ValueError, match="inputs of width 14 do not match fc1_w's 26 rows"):
+        train(net, data, learning_rate=0.1, epochs=2, batch_size=32, seed=0)
