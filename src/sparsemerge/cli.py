@@ -190,7 +190,8 @@ COMMAND_OPTS: dict[str, list[Opt]] = {
     "train-experts": SHARED_OPTS + [M_OPT] + TRAIN_OPTS,
     "evolve": SHARED_OPTS + EVOLVE_OPTS,
     "pso": SHARED_OPTS + PSO_OPTS,
-    "baseline": SHARED_OPTS + BASELINE_OPTS,
+    # A merge draws no randomness, and the experts run gives the partition.
+    "baseline": [OUT_OPT] + BASELINE_OPTS,
     "eval": SHARED_OPTS + [SPLIT_SEED_OPT] + EVAL_OPTS,
     "landscape": SHARED_OPTS + [SPLIT_SEED_OPT] + SCAN_OPTS + LANDSCAPE_OPTS,
     "convexity": SHARED_OPTS + [SPLIT_SEED_OPT] + SCAN_OPTS + CONVEXITY_OPTS,
@@ -251,7 +252,10 @@ def read_config_file(path: Path) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key}")
+        values[key] = value.strip()
     return values
 
 
@@ -334,18 +338,25 @@ def read_summary(path: Path) -> list[list[str]]:
 class Settings:
     """Builds a command's configs from its options, loads its checkpoints and
     collects every violation; leaving the ``with`` block raises them as one
-    ConfigError, one per field, then the first input that failed to load."""
+    ConfigError, one per field, then the first input that failed to load.
+    Leaving it without one creates the --out directory: nothing is written
+    until every check passes."""
 
     def __init__(self, cfg: dict[str, Any]):
         self.cfg = cfg
         self.violations: dict[str | None, str] = {}
+        if "seed" in cfg:
+            self.check(cfg["seed"] >= 0, "seed", f"must be >= 0, got {cfg['seed']}")
 
     def __enter__(self) -> "Settings":
         return self
 
     def __exit__(self, exc_type, *_) -> None:
-        if exc_type is None and self.violations:
+        if exc_type is not None:
+            return
+        if self.violations:
             raise ConfigError(sorted(self.violations.items(), key=lambda item: item[0] is None))
+        Path(self.cfg["out"]).mkdir(parents=True, exist_ok=True)
 
     def check(self, ok: bool, field: str, reason: str) -> None:
         if not ok:
@@ -378,10 +389,8 @@ def build_tasks(s: Settings, m: int | None, split_seed: int | None) -> tuple[Mod
     """The task of --op, or both tasks where the command has no --op, modulo
     ``m`` and partitioned by ``split_seed`` (None: --seed). Each task is None
     where ``m`` is None: the input that gives it did not load."""
-    seed = s.cfg["seed"]
-    s.check(seed >= 0, "seed", f"must be >= 0, got {seed}")
     if split_seed is None:
-        split_seed = max(seed, 0)  # a negative --seed is named once, as --seed
+        split_seed = max(s.cfg["seed"], 0)  # a negative --seed is named once, as --seed
     ops = [{}] if "op" in s.cfg else [{"op": op} for op in ModularOp]
     if m is None:  # no task to build, but a bad --split-seed is still named
         s.check(split_seed >= 0, "split_seed", f"must be >= 0, got {split_seed}")
@@ -468,7 +477,7 @@ def experts_and_tasks(
     modulo the experts' modulus, on the partition they trained on."""
     loaded = s.load(load_experts, s.cfg["experts"])
     if loaded is None:
-        return None, build_tasks(s, None, None)
+        return None, (None, None)
     experts, split_seed = loaded
     return experts, build_tasks(s, modulus(experts[0]), split_seed)
 
@@ -484,7 +493,6 @@ def run_command(command: str, cfg: dict[str, Any]) -> int:
     out_dir = Path(cfg["out"])
     if out_dir.exists() and not out_dir.is_dir():
         raise ValueError(f"--out {out_dir} exists and is not a directory")
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
     rows, lines = HANDLERS[command](cfg, out_dir)
     if rows:
@@ -617,9 +625,9 @@ def cmd_convexity(cfg: dict[str, Any], out_dir: Path) -> Outcome:
 
 
 def cmd_report(cfg: dict[str, Any], out_dir: Path) -> Outcome:
-    rows: list[list[str]] = []
-    for run in cfg["runs"]:
-        rows.extend(read_summary(Path(run) / "summary.csv"))
+    with Settings(cfg) as s:
+        summaries = [s.load(read_summary, Path(run) / "summary.csv") for run in cfg["runs"]]
+    rows = [row for summary in summaries for row in summary]
     path = out_dir / "report.csv"
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)

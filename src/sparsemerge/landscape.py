@@ -3,8 +3,7 @@
 The extreme Hessian eigenvalues of each cell come from one matrix-free
 Lanczos run with full reorthogonalisation. Its Hessian-vector products are
 exact on a batch's cross-entropy (Pearlmutter's R-operator, computed by
-``tasks.loss_and_grad``) and central finite differences of any other
-gradient function. Every exact product of a cell is taken at one point on
+``tasks.loss_and_grad``). Every product of a cell is taken at one point on
 one read-only batch, so the forward and backward pass there run once per
 cell and each product adds only the tangent's pass. Scans move along two
 random directions rescaled layer-wise to the anchor model's norms.
@@ -23,43 +22,13 @@ from .params import ParameterSet, check_fields, flatten, param_count, unflatten
 from .seeding import TAG_DIRECTIONS, TAG_EIG, derive_seed, substream
 from .tasks import Dataset, loss, loss_and_grad
 
-# A gradient function takes a point and returns its gradient as a set laid
-# out like the point. ``hvp`` and ``extreme_eigs`` pass their tangents and
-# products as flat vectors aligned with ``flatten`` of the point instead.
-GradFn = Callable[[ParameterSet], ParameterSet]
-
-# Step of the finite-difference Hessian-vector product.
-HVP_STEP = 1e-4
 # Eigenvalue estimates below ZERO_TOL * spread are reported as exactly 0: they
-# are below the rounding error of the products (about 1e-12 relative for the
-# finite-difference ones), so a flat direction scores exactly 0.
+# are below the rounding error of the products, so a flat direction scores
+# exactly 0.
 ZERO_TOL = 1e-9
 # A Lanczos residual below BREAKDOWN * spread is rounding error: the Krylov
 # space is invariant and its Ritz values are exact eigenvalues.
 BREAKDOWN = 1e-12
-
-
-class _BatchGrad:
-    """Gradient of the mean cross-entropy on a fixed batch; ``hvp`` takes the
-    exact Hessian-vector product of this function instead of differencing it.
-
-    The batch is a read-only copy, so ``tasks.loss_and_grad`` may reuse its
-    linearization at a point across the HVPs taken there."""
-
-    __slots__ = ("batch",)
-
-    def __init__(self, batch: Dataset):
-        inputs, labels = np.array(batch.inputs), np.array(batch.labels)
-        inputs.flags.writeable = labels.flags.writeable = False
-        self.batch = Dataset(inputs, labels)
-
-    def __call__(self, theta: ParameterSet) -> ParameterSet:
-        return unflatten(theta, loss_and_grad(theta, self.batch)[1])
-
-
-def batch_grad(batch: Dataset) -> GradFn:
-    """Gradient of the mean cross-entropy on a fixed batch."""
-    return _BatchGrad(batch)
 
 
 @dataclass(frozen=True)
@@ -135,26 +104,13 @@ def loss_grid(
     return out
 
 
-def hvp(grad_fn: GradFn, theta: ParameterSet, v: np.ndarray) -> np.ndarray:
-    """Hessian-vector product H(theta) * v of the loss whose gradient is grad_fn.
+def hvp(theta: ParameterSet, batch: Dataset, v: np.ndarray) -> np.ndarray:
+    """Exact Hessian-vector product H(theta) * v of the mean cross-entropy on
+    ``batch``: one backpropagation with the tangent v (``tasks.loss_and_grad``).
 
     ``v`` and the product are flat vectors aligned with ``flatten(theta)``.
-    For a ``batch_grad`` gradient it is exact: one backpropagation with the
-    tangent v (``tasks.loss_and_grad``). For any other gradient function it is
-    the central difference (g(theta + h*v_hat) - g(theta - h*v_hat)) / (2h) * ||v||,
-    h = HVP_STEP, with the probe normalized so that the step is independent
-    of ||v||.
     """
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ValueError("zero-norm direction")
-    if isinstance(grad_fn, _BatchGrad):
-        return loss_and_grad(theta, grad_fn.batch, v)[1]
-    flat_theta = flatten(theta)
-    vhat = v / norm
-    g_plus = flatten(grad_fn(unflatten(theta, flat_theta + HVP_STEP * vhat)))
-    g_minus = flatten(grad_fn(unflatten(theta, flat_theta - HVP_STEP * vhat)))
-    return (g_plus - g_minus) * (norm / (2.0 * HVP_STEP))
+    return loss_and_grad(theta, batch, v)[1]
 
 
 @dataclass(frozen=True)
@@ -181,22 +137,22 @@ class EigResult:
 
 
 def extreme_eigs(
-    grad_fn: GradFn, theta: ParameterSet, cfg: EigConfig = EigConfig()
+    matvec: Callable[[np.ndarray], np.ndarray], n: int, cfg: EigConfig = EigConfig()
 ) -> EigResult:
-    """Extreme Hessian eigenvalues by Lanczos with full reorthogonalisation.
+    """Extreme eigenvalues of a symmetric operator by Lanczos with full
+    reorthogonalisation.
 
-    Each step takes one ``hvp`` of the newest basis vector, orthogonalises
-    the product against the whole basis (two Gram-Schmidt passes) and extends
-    the tridiagonal matrix T whose eigenvalues (Ritz values) approximate the
-    spectrum from the inside. Basis vectors and products are flat vectors, so
-    for a ``batch_grad`` gradient the loop builds no set. The run stops when
-    the residuals |beta * s_last| of both extreme Ritz pairs are at most
-    ``cfg.tol`` times the spread (the largest Ritz magnitude), or at breakdown
-    (beta at rounding level: the Ritz values are exact), and takes at most
-    min(cfg.iters, n) steps for n parameters. ``converged`` is False only when
-    it stops at that limit.
+    ``matvec`` maps a flat vector of length n to its product with the
+    operator (for a convexity cell, ``hvp`` at the cell's point). Each step
+    takes one product of the newest basis vector, orthogonalises it against
+    the whole basis (two Gram-Schmidt passes) and extends the tridiagonal
+    matrix T whose eigenvalues (Ritz values) approximate the spectrum from
+    the inside. The run stops when the residuals |beta * s_last| of both
+    extreme Ritz pairs are at most ``cfg.tol`` times the spread (the largest
+    Ritz magnitude), or at breakdown (beta at rounding level: the Ritz values
+    are exact), and takes at most min(cfg.iters, n) steps. ``converged`` is
+    False only when it stops at that limit.
     """
-    n = param_count(theta)
     steps = min(cfg.iters, n)
     basis = np.zeros((steps, n))
     # T, written in place: step j's alpha on the diagonal, its beta beside it
@@ -207,7 +163,7 @@ def extreme_eigs(
     converged = False
     for j in range(steps):
         basis[j] = q
-        w = hvp(grad_fn, theta, q)
+        w = matvec(q)
         tri[j, j] = q @ w
         span = basis[: j + 1]
         for _ in range(2):
@@ -255,12 +211,17 @@ def convexity_grid(
     lmax = np.zeros((r, r))
     lmin = np.zeros((r, r))
     flags = np.zeros((r, r), dtype=bool)
-    grad_fn = batch_grad(dataset)
+    # A read-only copy, so that every product of a cell reuses the
+    # linearization ``loss_and_grad`` took at the cell's point.
+    inputs, labels = np.array(dataset.inputs), np.array(dataset.labels)
+    inputs.flags.writeable = labels.flags.writeable = False
+    batch = Dataset(inputs, labels)
+    n = param_count(theta0)
     for i, alpha in enumerate(grid.alphas):
         for j, beta in enumerate(grid.betas):
             theta = point_params(theta0, dirs, float(alpha), float(beta))
             cell_cfg = dataclasses.replace(eig_cfg, seed=derive_seed(eig_cfg.seed, TAG_EIG, i, j))
-            result = extreme_eigs(grad_fn, theta, cell_cfg)
+            result = extreme_eigs(lambda v: hvp(theta, batch, v), n, cell_cfg)
             conv[i, j] = convexity_score(result.lam_max, result.lam_min, grid.eps)
             lmax[i, j] = result.lam_max
             lmin[i, j] = result.lam_min

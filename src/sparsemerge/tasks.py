@@ -205,7 +205,7 @@ def loss_and_grad(p: ParameterSet, batch: Dataset, tangent: np.ndarray | None = 
     masks, whose second derivative is zero off the kinks. The forward and
     backward pass depend only on the point and the batch, so a tangent call
     on the same ``p`` and the same read-only batch as the tangent call before
-    it (every Lanczos step of a cell, see ``landscape.batch_grad``) reuses
+    it (every Lanczos step of a cell, see ``landscape.convexity_grid``) reuses
     them and runs only the tangent's pass.
     """
     if tangent is None:

@@ -13,12 +13,7 @@ import pytest
 
 from sparsemerge.cli import main as cli
 from sparsemerge.evolve import EvolveConfig, PsoConfig, run_pso, run_sae
-from sparsemerge.landscape import (
-    EigConfig,
-    batch_grad,
-    convexity_score,
-    extreme_eigs,
-)
+from sparsemerge.landscape import EigConfig, convexity_score, extreme_eigs, hvp
 from sparsemerge.merge import compute_lambda, merge_layer, redense, weight_average
 from sparsemerge.params import ParameterSet, flatten, param_count, unflatten
 from sparsemerge.sparsity import SparsitySchedule, prune, schedule_rate
@@ -155,27 +150,12 @@ def test_criterion_06_gradient_check():
                 assert diff / scale < 1e-4, f"layer {name}"
 
 
-def quad_grad(theta):
-    return ParameterSet.from_pairs((name, 2.0 * arr) for name, arr in theta.items())
-
-
-def saddle_grad(theta):
-    w = theta["w"]
-    return ParameterSet.from_pairs([("w", np.array([2.0 * w[0], -2.0 * w[1]]))])
-
-
-def flat_grad(theta):
-    w = theta["w"]
-    return ParameterSet.from_pairs([("w", np.array([2.0 * w[0], 0.0]))])
-
-
 def test_criterion_07_curvature_oracle():
     with criterion(7, "curvature oracle", 30.0):
         net = init_mlp(MlpSpec(2, 3), 0)
         n = param_count(net)
         assert n <= 40
         batch = gen_dataset(ModularTaskSpec(2, ModularOp.ADD), "train", 3, seed=0)
-        grad_fn = batch_grad(batch)
         eig_cfg = EigConfig(iters=800, tol=1e-12)
         rng = np.random.default_rng(0)
         for _ in range(10):
@@ -185,19 +165,19 @@ def test_criterion_07_curvature_oracle():
             for j in range(n):
                 bumped = flat.copy()
                 bumped[j] += 1e-5
-                g_plus = flatten(grad_fn(unflatten(point, bumped)))
+                g_plus = loss_and_grad(unflatten(point, bumped), batch)[1]
                 bumped[j] -= 2e-5
-                g_minus = flatten(grad_fn(unflatten(point, bumped)))
+                g_minus = loss_and_grad(unflatten(point, bumped), batch)[1]
                 hess[:, j] = (g_plus - g_minus) / 2e-5
             spectrum = np.linalg.eigvalsh((hess + hess.T) / 2.0)
-            result = extreme_eigs(grad_fn, point, eig_cfg)
+            result = extreme_eigs(lambda v: hvp(point, batch, v), n, eig_cfg)
             assert abs(result.lam_max - spectrum[-1]) <= 0.02 * abs(spectrum[-1])
             assert abs(result.lam_min - spectrum[0]) <= 0.02 * abs(spectrum[0])
 
-        point = ParameterSet.from_pairs([("w", np.array([0.3, -0.45]))])
-        convex = extreme_eigs(quad_grad, point, eig_cfg)
-        saddle = extreme_eigs(saddle_grad, point, eig_cfg)
-        flat_case = extreme_eigs(flat_grad, point, eig_cfg)
+        # Hessians of L = w1^2 + w2^2, of L = w1^2 - w2^2, and of L = w1^2 with w2 unused.
+        convex = extreme_eigs(lambda v: np.array([2.0, 2.0]) * v, 2, eig_cfg)
+        saddle = extreme_eigs(lambda v: np.array([2.0, -2.0]) * v, 2, eig_cfg)
+        flat_case = extreme_eigs(lambda v: np.array([2.0, 0.0]) * v, 2, eig_cfg)
         assert convexity_score(convex.lam_max, convex.lam_min, 1e-8) == 0.5
         assert convexity_score(saddle.lam_max, saddle.lam_min, 1e-8) == 0.5
         assert convexity_score(flat_case.lam_max, flat_case.lam_min, 1e-8) == 0.0

@@ -138,23 +138,23 @@ def test_inputs_fix_the_modulus_and_the_partition():
                 for flag in ("--m", "--split-seed")}
     assert commands == {"--m": ["gen-data", "train-experts"],
                         "--split-seed": ["gen-data", "eval", "landscape", "convexity"]}
-    assert sum(len(opts) for opts in COMMAND_OPTS.values()) == 75
+    assert sum(len(opts) for opts in COMMAND_OPTS.values()) == 74
 
 
 def test_baseline_scores_on_the_partition_the_experts_run_records(fast_experts_dir, tmp_path):
-    """The test pools come from the experts' config.txt, whatever --seed is."""
+    """The test pools come from the experts' config.txt."""
     experts = Path(shutil.copytree(fast_experts_dir, tmp_path / "experts"))
     meta = (experts / "config.txt").read_text()
     assert "split-seed=0\n" in meta
     (experts / "config.txt").write_text(meta.replace("split-seed=0\n", "split-seed=3\n"))
     out = tmp_path / "wa"
     assert main(["baseline", "--method", "weight-average", "--experts", str(experts),
-                 "--seed", "5", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     merged = load_checkpoint(out / "merged.ckpt")
     expected = cli.evaluate_model(merged, twin_tasks(13, split_seed=3))
     assert read_rows(out / "summary.csv")[1] == ["weight-average", *map(repr, expected)]
     echoed = read_config_file(out / "config.txt")
-    assert "m" not in echoed and "split-seed" not in echoed
+    assert "m" not in echoed and "split-seed" not in echoed and "seed" not in echoed
 
 
 def test_readme_pipeline_parses():
@@ -168,6 +168,19 @@ def test_readme_pipeline_parses():
         prog, *argv = shlex.split(line)
         assert prog == "sparsemerge", line
         parser.parse_args(argv)
+
+
+def test_readme_command_flags_parse():
+    """Every flag in the key-flags column of README's Commands table is one its command takes."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    table = readme.split("### Commands", 1)[1].split("\nShared flags", 1)[0]
+    rows = [line.strip("|").split("|") for line in table.splitlines() if line.startswith("| `")]
+    flags = {command.strip(" `"): key_flags.strip(" `").split() for command, *_, key_flags in rows}
+    assert sorted(flags) == sorted(COMMAND_OPTS)
+    parser = cli.build_parser()
+    for command, command_flags in flags.items():
+        for flag in command_flags:
+            parser.parse_args([command, flag, "1"])
 
 
 def test_config_file_and_flag_override(fast_experts_dir, tmp_path):
@@ -351,6 +364,13 @@ BAD_INPUTS = {
     "config-modulus-beats-experts": lambda ex, tmp: (
         ["evolve", "--experts", str(ex), "--config", _write(tmp / "m.cfg", "m=7\n")],
         f"error: {tmp / 'm.cfg'}: unknown keys for evolve: m"),
+    "config-duplicate-key": lambda ex, tmp: (
+        ["gen-data", "--config", _write(tmp / "d.cfg", "seed=1\nseed=2\n")],
+        f"error: {tmp / 'd.cfg'}:2: duplicate key seed"),
+    # A merge draws no randomness and the experts run gives the partition.
+    "baseline-seed": lambda ex, tmp: (
+        ["baseline", "--method", "weight-average", "--experts", str(ex), "--seed", "7"],
+        "error: unrecognized arguments: --seed 7"),
     "config-split-seed-beats-experts": lambda ex, tmp: (
         ["baseline", "--method", "weight-average", "--experts", str(ex),
          "--config", _write(tmp / "s.cfg", "split-seed=1\n")],
@@ -507,7 +527,7 @@ BAD_SETTINGS = {
 def test_every_bad_setting_is_named_before_any_work(case, fast_experts_dir, tmp_path, capsys):
     """Exactly one invalid config line per bad setting (no numpy message), a
     checkpoint that does not load named after them, and nothing trained or
-    written first."""
+    written first, not even the --out directory."""
     argv, expected = BAD_SETTINGS[case]
     out = tmp_path / "o"
     dirs = dict(experts=fast_experts_dir, cut=_experts_with_truncated_sub(fast_experts_dir, tmp_path))
@@ -517,9 +537,7 @@ def test_every_bad_setting_is_named_before_any_work(case, fast_experts_dir, tmp_
         line.format(**dirs) if line.startswith("error: ") else f"invalid config: {line}"
         for line in expected
     ]
-    written = [p.name for p in out.rglob("*")
-               if p.suffix in {".ckpt", ".csv", ".pgm"} or p.name == "config.txt"]
-    assert not written, written
+    assert not out.exists()
 
 
 class RecordingConfig(dict):

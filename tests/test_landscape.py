@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from sparsemerge import landscape
+from sparsemerge import landscape, tasks
 from sparsemerge.landscape import (
     EigConfig,
     GridSpec,
-    batch_grad,
     convexity_grid,
     convexity_score,
     extreme_eigs,
@@ -30,25 +29,26 @@ from sparsemerge.tasks import (
 )
 
 
-def quadratic_grad(theta: ParameterSet) -> ParameterSet:
-    """Gradient of L = sum(w^2): analytic Hessian is 2I."""
-    return ParameterSet.from_pairs((name, 2.0 * arr) for name, arr in theta.items())
+def diagonal(*entries: float):
+    """The symmetric operator diag(entries) and its size, as extreme_eigs takes them."""
+    d = np.array(entries)
+    return (lambda v: d * v), d.size
 
 
-def saddle_grad(theta: ParameterSet) -> ParameterSet:
-    """Gradient of L = w1^2 - w2^2 on a single 2-entry layer."""
-    w = theta["w"]
-    return ParameterSet.from_pairs([("w", np.array([2.0 * w[0], -2.0 * w[1]]))])
+def counting(fn):
+    """``fn`` and the one-entry count of the calls made through it."""
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return fn(*args)
+
+    return counted, count
 
 
-def flat_grad(theta: ParameterSet) -> ParameterSet:
-    """Gradient of L = w1^2 with w2 unused."""
-    w = theta["w"]
-    return ParameterSet.from_pairs([("w", np.array([2.0 * w[0], 0.0]))])
-
-
-def two_param_point() -> ParameterSet:
-    return ParameterSet.from_pairs([("w", np.array([0.3, -0.45]))])
+def hessian_of(theta: ParameterSet, batch):
+    """The Hessian of the batch's mean cross-entropy at theta, as extreme_eigs takes it."""
+    return (lambda v: hvp(theta, batch, v)), param_count(theta)
 
 
 def small_net_and_batch():
@@ -57,16 +57,17 @@ def small_net_and_batch():
     return net, batch
 
 
-def dense_hessian(grad_fn, theta: ParameterSet, h: float = 1e-5) -> np.ndarray:
+def dense_hessian(theta: ParameterSet, batch, h: float = 1e-5) -> np.ndarray:
+    """Central differences of the batch's gradients, one column per parameter."""
     flat = flatten(theta)
     n = flat.size
     hess = np.zeros((n, n))
     for j in range(n):
         bumped = flat.copy()
         bumped[j] += h
-        g_plus = flatten(grad_fn(unflatten(theta, bumped)))
+        g_plus = loss_and_grad(unflatten(theta, bumped), batch)[1]
         bumped[j] -= 2 * h
-        g_minus = flatten(grad_fn(unflatten(theta, bumped)))
+        g_minus = loss_and_grad(unflatten(theta, bumped), batch)[1]
         hess[:, j] = (g_plus - g_minus) / (2 * h)
     return (hess + hess.T) / 2.0
 
@@ -142,75 +143,65 @@ def test_grid_spec_validation():
         GridSpec(alpha_max=0.0)
 
 
-def test_hvp_on_quadratic_is_two_v():
-    theta = two_param_point()
-    v = np.array([1.7, -0.6])
-    result = hvp(quadratic_grad, theta, v)
-    assert np.allclose(result, 2.0 * v, atol=1e-6, rtol=0)
-
-
 def test_hvp_linearity():
     net, batch = small_net_and_batch()
-    grad_fn = batch_grad(batch)
     rng = np.random.default_rng(4)
     v = rng.standard_normal(flatten(net).size)
     for scale in (0.5, 2.0, -3.0):
-        lhs = hvp(grad_fn, net, scale * v)
-        rhs = scale * hvp(grad_fn, net, v)
+        lhs = hvp(net, batch, scale * v)
+        rhs = scale * hvp(net, batch, v)
         denom = max(np.max(np.abs(rhs)), 1e-12)
         assert np.max(np.abs(lhs - rhs)) / denom < 1e-5
 
 
 def test_hvp_symmetry():
     net, batch = small_net_and_batch()
-    grad_fn = batch_grad(batch)
     rng = np.random.default_rng(8)
     n = flatten(net).size
     assert n <= 100
-    # Probe away from the init point so no finite-difference step crosses a
-    # rectifier kink, where the Hessian does not exist.
     point = unflatten(net, flatten(net) + 0.2 * rng.standard_normal(n))
     for _ in range(5):
         u = rng.standard_normal(n)
         v = rng.standard_normal(n)
-        left = float(hvp(grad_fn, point, u) @ v)
-        right = float(u @ hvp(grad_fn, point, v))
+        left = float(hvp(point, batch, u) @ v)
+        right = float(u @ hvp(point, batch, v))
         assert abs(left - right) / max(abs(left), abs(right), 1e-12) < 1e-5
 
 
-def test_batch_grad_holds_a_read_only_copy_of_its_batch():
-    _, batch = small_net_and_batch()
-    grad_fn = batch_grad(batch)
-    with pytest.raises(ValueError, match="read-only"):
-        grad_fn.batch.inputs[0, 0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        grad_fn.batch.labels[0] = 1
-    batch.inputs[0, 0] = 2.0  # the caller's batch stays its own and writable
-    assert grad_fn.batch.inputs[0, 0] != 2.0
-
-
-def test_hvp_rejects_zero_direction():
-    theta = two_param_point()
-    with pytest.raises(ValueError):
-        hvp(quadratic_grad, theta, np.zeros(2))
+def test_convexity_grid_linearizes_each_cell_once_on_a_read_only_copy(monkeypatch):
+    net, batch = small_net_and_batch()
+    inputs, labels = batch.inputs.copy(), batch.labels.copy()
+    hvp_counted, products = counting(landscape.hvp)
+    linearize_counted, linearized = counting(tasks._linearize)
+    monkeypatch.setattr(landscape, "hvp", hvp_counted)
+    monkeypatch.setattr(tasks, "_linearize", linearize_counted)
+    grid = GridSpec(0.3, 0.3, 2)
+    convexity_grid(net, random_directions(net, seed=7), grid, batch, EigConfig(iters=5))
+    assert linearized[0] == 4 < products[0]
+    # The caller's batch stays its own: writable and unchanged.
+    assert batch.inputs.flags.writeable and batch.labels.flags.writeable
+    assert np.array_equal(batch.inputs, inputs) and np.array_equal(batch.labels, labels)
 
 
 def test_extreme_eigs_convex_quadratic():
-    result = extreme_eigs(quadratic_grad, two_param_point(), EigConfig(iters=500, tol=1e-11))
+    # The Hessian of L = w1^2 + w2^2.
+    result = extreme_eigs(*diagonal(2.0, 2.0), EigConfig(iters=500, tol=1e-11))
     assert result.lam_max == pytest.approx(2.0, abs=1e-6)
     assert result.lam_min == pytest.approx(2.0, abs=1e-6)
     assert convexity_score(result.lam_max, result.lam_min, 1e-8) == 0.5
 
 
 def test_extreme_eigs_symmetric_saddle():
-    result = extreme_eigs(saddle_grad, two_param_point(), EigConfig(iters=500, tol=1e-11))
+    # The Hessian of L = w1^2 - w2^2.
+    result = extreme_eigs(*diagonal(2.0, -2.0), EigConfig(iters=500, tol=1e-11))
     assert result.lam_max == pytest.approx(2.0, abs=1e-6)
     assert result.lam_min == pytest.approx(-2.0, abs=1e-6)
     assert convexity_score(result.lam_max, result.lam_min, 1e-8) == 0.5
 
 
 def test_extreme_eigs_flat_direction():
-    result = extreme_eigs(flat_grad, two_param_point(), EigConfig(iters=500, tol=1e-11))
+    # The Hessian of L = w1^2 with w2 unused.
+    result = extreme_eigs(*diagonal(2.0, 0.0), EigConfig(iters=500, tol=1e-11))
     assert result.lam_max == pytest.approx(2.0, abs=1e-6)
     assert result.lam_min == 0.0
     assert convexity_score(result.lam_max, result.lam_min, 1e-8) == 0.0
@@ -219,27 +210,25 @@ def test_extreme_eigs_flat_direction():
 def test_extreme_eigs_against_dense_hessian():
     net, batch = small_net_and_batch()
     assert flatten(net).size <= 40
-    grad_fn = batch_grad(batch)
     rng = np.random.default_rng(0)
     for _ in range(3):
         point = unflatten(net, flatten(net) + 0.2 * rng.standard_normal(flatten(net).size))
-        spectrum = np.linalg.eigvalsh(dense_hessian(grad_fn, point))
-        result = extreme_eigs(grad_fn, point, EigConfig(iters=600, tol=1e-12))
+        spectrum = np.linalg.eigvalsh(dense_hessian(point, batch))
+        result = extreme_eigs(*hessian_of(point, batch), EigConfig(iters=600, tol=1e-12))
         assert result.lam_max == pytest.approx(spectrum[-1], rel=0.02)
         assert result.lam_min == pytest.approx(spectrum[0], rel=0.02)
 
 
 def test_rayleigh_quotients_inside_extreme_bounds():
     net, batch = small_net_and_batch()
-    grad_fn = batch_grad(batch)
     rng = np.random.default_rng(4)
     n = flatten(net).size
     point = unflatten(net, flatten(net) + 0.2 * rng.standard_normal(n))
-    result = extreme_eigs(grad_fn, point, EigConfig(iters=600, tol=1e-12))
+    result = extreme_eigs(*hessian_of(point, batch), EigConfig(iters=600, tol=1e-12))
     slack = 0.02 * max(abs(result.lam_max), abs(result.lam_min))
     for _ in range(10):
         probe = rng.standard_normal(n)
-        rayleigh = float(hvp(grad_fn, point, probe) @ probe) / float(probe @ probe)
+        rayleigh = float(hvp(point, batch, probe) @ probe) / float(probe @ probe)
         assert result.lam_min - slack <= rayleigh <= result.lam_max + slack
 
 
@@ -250,10 +239,10 @@ def wider_net_and_batch():
     return net, batch
 
 
-def exact_hessian(grad_fn, theta: ParameterSet) -> np.ndarray:
+def exact_hessian(theta: ParameterSet, batch) -> np.ndarray:
     """Dense Hessian, column by column from hvp."""
     n = param_count(theta)
-    return np.stack([hvp(grad_fn, theta, e) for e in np.eye(n)], axis=1)
+    return np.stack([hvp(theta, batch, e) for e in np.eye(n)], axis=1)
 
 
 def kink_margin(theta: ParameterSet, batch) -> float:
@@ -263,88 +252,82 @@ def kink_margin(theta: ParameterSet, batch) -> float:
     return float(min(np.abs(z1).min(), np.abs(z2).min()))
 
 
-def counting_hvp(monkeypatch) -> list[int]:
-    """Count the products extreme_eigs takes; returns the one-entry counter."""
-    count = [0]
-    inner = landscape.hvp
-
-    def counted(*args):
-        count[0] += 1
-        return inner(*args)
-
-    monkeypatch.setattr(landscape, "hvp", counted)
-    return count
+def finite_difference_hvp(theta: ParameterSet, batch, v: np.ndarray, h: float = 1e-4) -> np.ndarray:
+    """(g(theta + h*v_hat) - g(theta - h*v_hat)) / (2h) * ||v|| for the batch's
+    gradient g, with the probe normalized so that the step is independent of ||v||."""
+    flat, norm = flatten(theta), float(np.linalg.norm(v))
+    vhat = v / norm
+    g_plus = loss_and_grad(unflatten(theta, flat + h * vhat), batch)[1]
+    g_minus = loss_and_grad(unflatten(theta, flat - h * vhat), batch)[1]
+    return (g_plus - g_minus) * (norm / (2.0 * h))
 
 
 def test_exact_hvp_matches_finite_differences_away_from_kinks():
     net, batch = wider_net_and_batch()
-    exact = batch_grad(batch)
-
-    def plain(theta):  # not a batch_grad, so hvp differences it
-        return unflatten(theta, loss_and_grad(theta, batch)[1])
-
     rng = np.random.default_rng(3)
     n = param_count(net)
     checked = 0
     while checked < 5:
         point = unflatten(net, flatten(net) + 0.3 * rng.standard_normal(n))
-        # A unit probe of step HVP_STEP moves each pre-activation by well under 1e-2.
+        # A unit probe of step 1e-4 moves each pre-activation by well under 1e-2.
         if kink_margin(point, batch) < 1e-2:
             continue
         v = rng.standard_normal(n)
-        want = hvp(plain, point, v)
-        got = hvp(exact, point, v)
+        want = finite_difference_hvp(point, batch, v)
+        got = hvp(point, batch, v)
         assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
         checked += 1
 
 
 def test_exact_hessian_is_symmetric_and_lanczos_finds_its_extremes():
     net, batch = small_net_and_batch()
-    grad_fn = batch_grad(batch)
     rng = np.random.default_rng(1)
     for _ in range(3):
         point = unflatten(net, flatten(net) + 0.2 * rng.standard_normal(param_count(net)))
-        hess = exact_hessian(grad_fn, point)
+        hess = exact_hessian(point, batch)
         assert np.max(np.abs(hess - hess.T)) <= 1e-12 * np.max(np.abs(hess))
         spectrum = np.linalg.eigvalsh(hess)
-        result = extreme_eigs(grad_fn, point, EigConfig())
+        result = extreme_eigs(*hessian_of(point, batch), EigConfig())
         assert result.converged
         assert result.lam_max == pytest.approx(spectrum[-1], rel=1e-6)
         assert result.lam_min == pytest.approx(spectrum[0], rel=1e-6)
 
 
-def test_lanczos_stops_by_breakdown_on_a_two_parameter_saddle(monkeypatch):
-    count = counting_hvp(monkeypatch)
+def test_lanczos_stops_by_breakdown_on_a_two_parameter_saddle():
+    matvec, n = diagonal(2.0, -2.0)
+    matvec, count = counting(matvec)
     # No residual meets this tolerance; only breakdown ends the run converged.
-    result = extreme_eigs(saddle_grad, two_param_point(), EigConfig(iters=500, tol=1e-300))
+    result = extreme_eigs(matvec, n, EigConfig(iters=500, tol=1e-300))
     assert result.converged
     assert count[0] <= 2
     assert result.lam_max == pytest.approx(2.0, abs=1e-6)
     assert result.lam_min == pytest.approx(-2.0, abs=1e-6)
 
 
-def test_lanczos_takes_at_most_one_step_per_parameter(monkeypatch):
+def test_lanczos_takes_at_most_one_step_per_parameter():
     net, batch = small_net_and_batch()
-    count = counting_hvp(monkeypatch)
-    extreme_eigs(batch_grad(batch), net, EigConfig(iters=500, tol=1e-300))
-    assert 0 < count[0] <= param_count(net)
+    matvec, n = hessian_of(net, batch)
+    matvec, count = counting(matvec)
+    extreme_eigs(matvec, n, EigConfig(iters=500, tol=1e-300))
+    assert 0 < count[0] <= n
 
 
-def test_too_few_lanczos_steps_are_not_converged(monkeypatch):
+def test_too_few_lanczos_steps_are_not_converged():
     net, batch = wider_net_and_batch()
-    assert param_count(net) >= 40
-    count = counting_hvp(monkeypatch)
-    result = extreme_eigs(batch_grad(batch), net, EigConfig(iters=3))
+    matvec, n = hessian_of(net, batch)
+    assert n >= 40
+    matvec, count = counting(matvec)
+    result = extreme_eigs(matvec, n, EigConfig(iters=3))
     assert count[0] == 3
     assert not result.converged
 
 
-def test_lanczos_builds_no_parameter_set_inside_the_loop(monkeypatch, built_sets):
+def test_lanczos_builds_no_parameter_set_inside_the_loop(built_sets):
     net, batch = wider_net_and_batch()
-    grad_fn = batch_grad(batch)
-    count = counting_hvp(monkeypatch)
+    matvec, n = hessian_of(net, batch)
+    matvec, count = counting(matvec)
     built_sets.clear()
-    extreme_eigs(grad_fn, net, EigConfig(iters=5))
+    extreme_eigs(matvec, n, EigConfig(iters=5))
     assert count[0] == 5
     assert built_sets == []
 
@@ -355,12 +338,11 @@ def test_converged_cells_match_the_dense_spectrum():
     grid = GridSpec(0.5, 0.5, 3)
     result = convexity_grid(net, dirs, grid, batch)
     assert result.converged.mean() >= 0.9
-    grad_fn = batch_grad(batch)
     for i, alpha in enumerate(grid.alphas):
         for j, beta in enumerate(grid.betas):
             if not result.converged[i, j]:
                 continue
-            spectrum = np.linalg.eigvalsh(exact_hessian(grad_fn, point_params(net, dirs, alpha, beta)))
+            spectrum = np.linalg.eigvalsh(exact_hessian(point_params(net, dirs, alpha, beta), batch))
             assert result.lam_max[i, j] == pytest.approx(spectrum[-1], rel=1e-4)
             assert result.lam_min[i, j] == pytest.approx(spectrum[0], rel=1e-4)
 
