@@ -3,12 +3,13 @@
 Every command resolves each setting as CLI flag > --config file > built-in
 default, echoes the resolved configuration into the run directory, and draws
 all randomness from one master seed. What the inputs fix is read from them,
-not from a flag: a checkpoint gives the modulus and the hidden width, and an
-experts run's config.txt gives the train/test partition its experts trained
-on. Timestamps are confined to run.log so that two runs with identical
-configuration produce byte-identical artifacts. Bad input, a bad flag
-included, ends with one ``error:`` line, or one ``invalid config:`` line per
-violated setting, and exit code 2.
+not from a flag: a checkpoint gives the modulus and the hidden width, and the
+config.txt of the run that wrote it gives the train/test partition it trained
+on. Every run records the partition it used there. Timestamps are confined
+to run.log so that two runs with identical configuration produce
+byte-identical artifacts. Bad input, a bad flag included, ends with one
+``error:`` line, or one ``invalid config:`` line per violated setting, and
+exit code 2.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .tasks import (
     build_experts,
     full_split,
     gen_dataset,
+    loss,
     sample_pairs,
 )
 
@@ -106,9 +108,6 @@ SHARED_OPTS = [
 
 # Only for commands that load no checkpoint: a checkpoint fixes its modulus.
 M_OPT = Opt("--m", int, ModularTaskSpec.modulus, help="modulus of the twin tasks")
-
-# Only for commands that load no experts run: experts fix the partition they trained on.
-SPLIT_SEED_OPT = Opt("--split-seed", int, None, help="train/test partition seed (defaults to --seed)")
 
 TRAIN_OPTS = [
     Opt("--hidden", int, MlpSpec.hidden, help="hidden width of the network"),
@@ -157,7 +156,7 @@ BASELINE_OPTS = [
 ]
 
 SCAN_OPTS = [
-    Opt("--ckpt", str, None, help="checkpoint to scan around", required=True),
+    Opt("--ckpt", str, None, help="checkpoint to scan around; its run gives the partition", required=True),
     Opt("--op", str, ModularTaskSpec.op.value, choices=_choices(ModularOp)),
     Opt("--grid", int, GridSpec.resolution),
     Opt("--alpha-max", float, GridSpec.alpha_max),
@@ -173,28 +172,30 @@ CONVEXITY_OPTS = [
     Opt("--hess-batch", int, 64),
 ]
 
+# Only gen-data loads no checkpoint: a checkpoint's run records its partition.
 GEN_DATA_OPTS = [
+    Opt("--split-seed", int, None, help="train/test partition seed (defaults to --seed)"),
     Opt("--op", str, ModularTaskSpec.op.value, choices=_choices(ModularOp)),
     Opt("--which", str, "train", choices=("train", "opt", "test")),
     Opt("--n", int, 0, help="sample size; 0 means the whole pool"),
 ]
 
 EVAL_OPTS = [
-    Opt("--ckpt", str, None, required=True),
+    Opt("--ckpt", str, None, help="checkpoint to score; its run gives the partition", required=True),
     Opt("--label", str, "model"),
 ]
 
 COMMAND_OPTS: dict[str, list[Opt]] = {
-    "gen-data": SHARED_OPTS + [M_OPT, SPLIT_SEED_OPT] + GEN_DATA_OPTS,
-    # Experts train on the partition of --seed, which their config.txt records.
+    "gen-data": SHARED_OPTS + [M_OPT] + GEN_DATA_OPTS,
+    # Experts train on the partition of --seed.
     "train-experts": SHARED_OPTS + [M_OPT] + TRAIN_OPTS,
     "evolve": SHARED_OPTS + EVOLVE_OPTS,
     "pso": SHARED_OPTS + PSO_OPTS,
-    # A merge draws no randomness, and the experts run gives the partition.
+    # A merge or a score draws no randomness, and the loaded run gives the partition.
     "baseline": [OUT_OPT] + BASELINE_OPTS,
-    "eval": SHARED_OPTS + [SPLIT_SEED_OPT] + EVAL_OPTS,
-    "landscape": SHARED_OPTS + [SPLIT_SEED_OPT] + SCAN_OPTS + LANDSCAPE_OPTS,
-    "convexity": SHARED_OPTS + [SPLIT_SEED_OPT] + SCAN_OPTS + CONVEXITY_OPTS,
+    "eval": [OUT_OPT] + EVAL_OPTS,
+    "landscape": SHARED_OPTS + SCAN_OPTS + LANDSCAPE_OPTS,
+    "convexity": SHARED_OPTS + SCAN_OPTS + CONVEXITY_OPTS,
     "report": [OUT_OPT],
 }
 
@@ -387,13 +388,12 @@ class Settings:
 
 def build_tasks(s: Settings, m: int | None, split_seed: int | None) -> tuple[ModularTaskSpec | None, ...]:
     """The task of --op, or both tasks where the command has no --op, modulo
-    ``m`` and partitioned by ``split_seed`` (None: --seed). Each task is None
-    where ``m`` is None: the input that gives it did not load."""
-    if split_seed is None:
-        split_seed = max(s.cfg["seed"], 0)  # a negative --seed is named once, as --seed
+    ``m`` and partitioned by ``split_seed``, which the run's config.txt records.
+    Each task is None where ``m`` or ``split_seed`` is None: the input that
+    gives it did not load."""
+    s.cfg["split_seed"] = split_seed
     ops = [{}] if "op" in s.cfg else [{"op": op} for op in ModularOp]
-    if m is None:  # no task to build, but a bad --split-seed is still named
-        s.check(split_seed >= 0, "split_seed", f"must be >= 0, got {split_seed}")
+    if m is None or split_seed is None:
         return tuple(None for _ in ops)
     return tuple(s.build(ModularTaskSpec, modulus=m, split_seed=split_seed, **op) for op in ops)
 
@@ -452,22 +452,27 @@ def load_model(path) -> ParameterSet:
     return params
 
 
-def load_experts(path) -> tuple[tuple[ParameterSet, ...], int]:
-    """(base, expert_add, expert_sub) of a train-experts run, all of one shape,
-    and the split seed its config.txt records: the partition they trained on."""
+def load_experts(path) -> tuple[ParameterSet, ...]:
+    """(base, expert_add, expert_sub) of a train-experts run, all of one shape."""
     run = Path(path)
     models = tuple(load_model(run / f"{name}.ckpt") for name in EXPERT_NAMES)
     try:
         require_compatible(*models)
     except ValueError as exc:
         raise ValueError(f"{run}: {exc}") from None
-    meta = run / "config.txt"
+    return models
+
+
+def recorded_split_seed(run) -> int:
+    """The split seed that run directory ``run``'s config.txt records: the
+    partition the models the run wrote trained on, or were scored on."""
+    meta = Path(run) / "config.txt"
     raw = read_config_file(meta).get("split-seed")
     if raw is None:
-        raise ValueError(f"{meta} has no split-seed, so the experts' partition is unknown")
+        raise ValueError(f"{meta} has no split-seed, so the run's partition is unknown")
     if not (raw.isascii() and raw.isdigit()):
         raise ValueError(f"{meta}: split-seed: expected an int >= 0, got {raw!r}")
-    return models, int(raw)
+    return int(raw)
 
 
 def experts_and_tasks(
@@ -475,11 +480,17 @@ def experts_and_tasks(
 ) -> tuple[tuple[ParameterSet, ...] | None, tuple[ModularTaskSpec | None, ...]]:
     """The --experts run's models (None if they did not load) and both tasks,
     modulo the experts' modulus, on the partition they trained on."""
-    loaded = s.load(load_experts, s.cfg["experts"])
-    if loaded is None:
-        return None, (None, None)
-    experts, split_seed = loaded
-    return experts, build_tasks(s, modulus(experts[0]), split_seed)
+    experts = s.load(load_experts, s.cfg["experts"])
+    split_seed = s.load(recorded_split_seed, s.cfg["experts"])
+    return experts, build_tasks(s, modulus(experts[0] if experts else None), split_seed)
+
+
+def model_and_tasks(s: Settings) -> tuple[ParameterSet | None, tuple[ModularTaskSpec | None, ...]]:
+    """The --ckpt model (None if it did not load) and its tasks, modulo its
+    modulus, on the partition that the run directory holding it records."""
+    params = s.load(load_model, s.cfg["ckpt"])
+    split_seed = s.load(recorded_split_seed, Path(s.cfg["ckpt"]).parent)
+    return params, build_tasks(s, modulus(params), split_seed)
 
 
 def run_command(command: str, cfg: dict[str, Any]) -> int:
@@ -512,7 +523,9 @@ def run_command(command: str, cfg: dict[str, Any]) -> int:
 
 def cmd_gen_data(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     with Settings(cfg) as s:
-        (spec,) = build_tasks(s, cfg["m"], cfg["split_seed"])
+        # Without --split-seed, the partition of --seed (a negative one is named once, as --seed).
+        split_seed = max(cfg["seed"], 0) if cfg["split_seed"] is None else cfg["split_seed"]
+        (spec,) = build_tasks(s, cfg["m"], split_seed)
         pool = check_draw(s, "n", spec, cfg["which"], low=0)
     pairs = sample_pairs(spec, cfg["which"], cfg["n"] or pool, cfg["seed"])
     path = out_dir / f"{cfg['op']}_{cfg['which']}.csv"
@@ -526,10 +539,9 @@ def cmd_gen_data(cfg: dict[str, Any], out_dir: Path) -> Outcome:
 
 def cmd_train_experts(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     with Settings(cfg) as s:
-        specs = build_tasks(s, cfg["m"], None)
+        specs = build_tasks(s, cfg["m"], max(cfg["seed"], 0))  # a negative --seed is named once
         net = s.build(MlpSpec)
         recipe = s.build(ExpertTrainConfig)
-    cfg["split_seed"] = cfg["seed"]  # passed on to runs on these experts
     models = build_experts(cfg["seed"], net.modulus, net.hidden, recipe)
     rows = []
     for name, model in zip(EXPERT_NAMES, models):
@@ -569,9 +581,9 @@ def cmd_pso(cfg: dict[str, Any], out_dir: Path) -> Outcome:
 
 
 def cmd_baseline(cfg: dict[str, Any], out_dir: Path) -> Outcome:
-    if cfg["method"] == "weight-average" and cfg["scale"] != 1.0:
-        raise ValueError("--scale applies only to --method task-arithmetic")
     with Settings(cfg) as s:
+        s.check(cfg["method"] == "task-arithmetic" or cfg["scale"] == 1.0, "scale",
+                f"applies only to --method task-arithmetic, got {cfg['scale']}")
         experts, specs = experts_and_tasks(s)
     base, expert_add, expert_sub = experts
     if cfg["method"] == "weight-average":
@@ -585,31 +597,29 @@ def cmd_baseline(cfg: dict[str, Any], out_dir: Path) -> Outcome:
 
 def cmd_eval(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     with Settings(cfg) as s:
-        params = s.load(load_model, cfg["ckpt"])
-        specs = build_tasks(s, modulus(params), cfg["split_seed"])
+        params, specs = model_and_tasks(s)
     row = (cfg["label"], *evaluate_model(params, specs))
     return [row], [score_line(*row)]
 
 
 def cmd_landscape(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     with Settings(cfg) as s:
-        params = s.load(load_model, cfg["ckpt"])
-        (spec,) = build_tasks(s, modulus(params), cfg["split_seed"])
+        params, (spec,) = model_and_tasks(s)
         grid = s.build(GridSpec)
-    losses = loss_grid(params, random_directions(params, cfg["seed"]), grid, full_split(spec, cfg["split"]))
+    data = full_split(spec, cfg["split"])
+    losses = loss_grid(params, random_directions(params, cfg["seed"]), grid, data)
     write_grid_csv(out_dir / "landscape.csv", grid, losses)
     write_pgm(out_dir / "landscape.pgm", losses)
-    center = grid.resolution // 2
+    # The checkpoint itself: an even grid has no cell at alpha = beta = 0.
     return [], [
         f"landscape grid {grid.resolution}x{grid.resolution}: "
-        f"min={losses.min():.4f} center={losses[center, center]:.4f}"
+        f"min={losses.min():.4f} center={loss(params, data):.4f}"
     ]
 
 
 def cmd_convexity(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     with Settings(cfg) as s:
-        params = s.load(load_model, cfg["ckpt"])
-        (spec,) = build_tasks(s, modulus(params), cfg["split_seed"])
+        params, (spec,) = model_and_tasks(s)
         grid = s.build(GridSpec)
         eig_cfg = s.build(EigConfig)
         check_draw(s, "hess_batch", spec, "opt")

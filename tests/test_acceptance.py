@@ -192,7 +192,7 @@ def convexity_runs(experts_dir, tmp_path_factory):
         out = tmp_path_factory.mktemp(f"conv_{tag}")
         started = time.time()
         code = cli(["convexity", "--ckpt", str(ckpt), "--grid", "21",
-                    "--seed", "0", "--split-seed", "0", "--out", str(out)])
+                    "--seed", "0", "--out", str(out)])
         durations.append(time.time() - started)
         assert code == 0
         dirs.append(out)

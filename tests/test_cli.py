@@ -11,7 +11,7 @@ from conftest import rand_pset
 from sparsemerge import cli
 from sparsemerge.cli import COMMAND_OPTS, main, read_config_file
 from sparsemerge.params import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
-from sparsemerge.tasks import LAYER_NAMES, MlpSpec, init_mlp, twin_tasks
+from sparsemerge.tasks import LAYER_NAMES, MlpSpec, full_split, init_mlp, loss, twin_tasks
 
 FAST_TRAIN = ["--base-epochs", "3", "--expert-epochs", "40", "--seed", "0"]
 
@@ -82,7 +82,7 @@ def test_baseline_task_arithmetic_scale_zero_equals_base(fast_experts_dir, tmp_p
 def test_eval_checkpoint(fast_experts_dir, tmp_path):
     out = tmp_path / "eval"
     assert main(["eval", "--ckpt", str(fast_experts_dir / "expert_add.ckpt"),
-                 "--label", "expert_add", "--split-seed", "0", "--out", str(out)]) == 0
+                 "--label", "expert_add", "--out", str(out)]) == 0
     rows = read_rows(out / "summary.csv")
     assert rows[1][0] == "expert_add"
 
@@ -133,12 +133,14 @@ def test_report_joins_rows(fast_experts_dir, tmp_path):
 
 
 def test_inputs_fix_the_modulus_and_the_partition():
-    """--m only where no checkpoint is loaded, --split-seed only where no experts run is."""
+    """--m and --split-seed only where no checkpoint is loaded; --seed only where
+    randomness is drawn."""
     commands = {flag: [c for c, opts in COMMAND_OPTS.items() if flag in {o.flag for o in opts}]
-                for flag in ("--m", "--split-seed")}
+                for flag in ("--m", "--split-seed", "--seed")}
     assert commands == {"--m": ["gen-data", "train-experts"],
-                        "--split-seed": ["gen-data", "eval", "landscape", "convexity"]}
-    assert sum(len(opts) for opts in COMMAND_OPTS.values()) == 74
+                        "--split-seed": ["gen-data"],
+                        "--seed": ["gen-data", "train-experts", "evolve", "pso", "landscape", "convexity"]}
+    assert sum(len(opts) for opts in COMMAND_OPTS.values()) == 70
 
 
 def test_baseline_scores_on_the_partition_the_experts_run_records(fast_experts_dir, tmp_path):
@@ -154,7 +156,36 @@ def test_baseline_scores_on_the_partition_the_experts_run_records(fast_experts_d
     expected = cli.evaluate_model(merged, twin_tasks(13, split_seed=3))
     assert read_rows(out / "summary.csv")[1] == ["weight-average", *map(repr, expected)]
     echoed = read_config_file(out / "config.txt")
-    assert "m" not in echoed and "split-seed" not in echoed and "seed" not in echoed
+    assert echoed["split-seed"] == "3"
+    assert "m" not in echoed and "seed" not in echoed
+
+
+def test_eval_scores_each_checkpoint_on_the_partition_its_run_records(tmp_path, capsys):
+    """On experts whose seed is not the default, eval of every checkpoint that
+    train-experts, evolve, pso and baseline write gives that run's summary row."""
+    experts = tmp_path / "experts"
+    assert main(["train-experts", "--base-epochs", "3", "--expert-epochs", "40", "--seed", "1",
+                 "--out", str(experts)]) == 0
+    runs = {"sae": ["evolve", "--steps", "4", "--seed", "1"],
+            "pso": ["pso", "--iters", "4", "--seed", "1"],
+            "wa": ["baseline", "--method", "weight-average"]}
+    for name, argv in runs.items():
+        assert main([*argv, "--experts", str(experts), "--out", str(tmp_path / name)]) == 0
+    checkpoints = [(experts / f"{name}.ckpt", name) for name in cli.EXPERT_NAMES] + [
+        (tmp_path / "sae" / "best.ckpt", "sae"), (tmp_path / "pso" / "best.ckpt", "pso"),
+        (tmp_path / "wa" / "merged.ckpt", "weight-average")]
+    capsys.readouterr()
+    for k, (ckpt, method) in enumerate(checkpoints):
+        (row,) = [r for r in read_rows(ckpt.parent / "summary.csv")[1:] if r[0] == method]
+        out = tmp_path / f"eval{k}"
+        assert main(["eval", "--ckpt", str(ckpt), "--label", method, "--out", str(out)]) == 0
+        assert read_rows(out / "summary.csv")[1] == row
+        assert capsys.readouterr().out.splitlines() == [cli.score_line(method, *map(float, row[1:]))]
+        assert read_config_file(out / "config.txt")["split-seed"] == "1"
+    conv = tmp_path / "conv"
+    assert main(["convexity", "--ckpt", str(experts / "expert_add.ckpt"), "--grid", "2",
+                 "--eig-iters", "2", "--out", str(conv)]) == 0
+    assert read_config_file(conv / "config.txt")["split-seed"] == "1"
 
 
 def test_readme_pipeline_parses():
@@ -246,7 +277,7 @@ def test_landscape_and_convexity_outputs(fast_experts_dir, tmp_path):
     ckpt = fast_experts_dir / "expert_add.ckpt"
     land = tmp_path / "land"
     assert main(["landscape", "--ckpt", str(ckpt), "--grid", "5", "--alpha-max", "0.5",
-                 "--beta-max", "0.5", "--split-seed", "0", "--out", str(land)]) == 0
+                 "--beta-max", "0.5", "--out", str(land)]) == 0
     rows = read_rows(land / "landscape.csv")
     assert rows[0] == ["i", "j", "alpha", "beta", "value"]
     assert len(rows) == 1 + 25
@@ -254,12 +285,20 @@ def test_landscape_and_convexity_outputs(fast_experts_dir, tmp_path):
 
     conv = tmp_path / "conv"
     assert main(["convexity", "--ckpt", str(ckpt), "--grid", "3", "--alpha-max", "0.3",
-                 "--beta-max", "0.3", "--eig-iters", "60", "--split-seed", "0",
-                 "--out", str(conv)]) == 0
+                 "--beta-max", "0.3", "--eig-iters", "60", "--out", str(conv)]) == 0
     rows = read_rows(conv / "convexity.csv")
     assert rows[0] == ["i", "j", "alpha", "beta", "value", "lambda_max", "lambda_min", "converged"]
     values = [float(r[4]) for r in rows[1:]]
     assert all(0.0 <= v <= 0.5 for v in values)
+
+
+def test_landscape_center_is_the_checkpoint_on_an_even_grid(fast_experts_dir, tmp_path, capsys):
+    """A 4x4 grid has no cell at alpha = beta = 0; center= is still the checkpoint's loss."""
+    ckpt = fast_experts_dir / "expert_add.ckpt"
+    assert main(["landscape", "--ckpt", str(ckpt), "--grid", "4", "--out", str(tmp_path / "land")]) == 0
+    train_add, _ = twin_tasks(13, split_seed=0)
+    at_ckpt = loss(load_checkpoint(ckpt), full_split(train_add, "train"))
+    assert capsys.readouterr().out.split("center=")[1].strip() == f"{at_ckpt:.4f}"
 
 
 def _write(path: Path, text: str) -> str:
@@ -313,6 +352,10 @@ def _experts_without_config(experts: Path, tmp: Path) -> str:
     copy = shutil.copytree(experts, tmp / "experts")
     (copy / "config.txt").unlink()
     return str(copy)
+
+
+def _checkpoint_away_from_its_run(experts: Path, tmp: Path) -> str:
+    return str(shutil.copy(experts / "expert_add.ckpt", tmp / "alone.ckpt"))
 
 
 def _experts_without_split_seed(experts: Path, tmp: Path) -> str:
@@ -380,7 +423,17 @@ BAD_INPUTS = {
         f"error: [Errno 2] No such file or directory: '{tmp / 'experts' / 'config.txt'}'"),
     "experts-without-split-seed": lambda ex, tmp: (
         ["baseline", "--method", "weight-average", "--experts", _experts_without_split_seed(ex, tmp)],
-        f"error: {tmp / 'experts' / 'config.txt'} has no split-seed, so the experts' partition is unknown"),
+        f"error: {tmp / 'experts' / 'config.txt'} has no split-seed, so the run's partition is unknown"),
+    # A checkpoint's run gives its partition, and a score draws no randomness.
+    "checkpoint-away-from-its-run": lambda ex, tmp: (
+        ["eval", "--ckpt", _checkpoint_away_from_its_run(ex, tmp)],
+        f"error: [Errno 2] No such file or directory: '{tmp / 'config.txt'}'"),
+    "eval-seed": lambda ex, tmp: (
+        ["eval", "--ckpt", str(ex / "expert_add.ckpt"), "--seed", "1"],
+        "error: unrecognized arguments: --seed 1"),
+    "convexity-split-seed": lambda ex, tmp: (
+        ["convexity", "--ckpt", str(ex / "expert_add.ckpt"), "--split-seed", "0"],
+        "error: unrecognized arguments: --split-seed 0"),
     "experts-of-two-moduli": lambda ex, tmp: (
         ["evolve", "--experts", _experts_with_sub_for_m7(ex, tmp)],
         f"error: {tmp / 'experts'}: incompatible parameter sets: 'fc1_w' [26, 32] vs 'fc1_w' [14, 32]"),
@@ -410,9 +463,6 @@ BAD_INPUTS = {
     "config-not-an-int": lambda ex, tmp: (
         ["evolve", "--experts", str(ex), "--config", _write(tmp / "p.cfg", "pop=abc\n")],
         f"pop in {tmp / 'p.cfg'}"),
-    "weight-average-with-scale": lambda ex, tmp: (
-        ["baseline", "--method", "weight-average", "--experts", str(ex), "--scale", "0.3"],
-        "--scale"),
     "config-not-a-choice": lambda ex, tmp: (
         ["evolve", "--experts", str(ex), "--config", _write(tmp / "c.cfg", "measure=bogus\n")],
         f"measure in {tmp / 'c.cfg'}"),
@@ -483,8 +533,8 @@ BAD_SETTINGS = {
     "evolve-seed-and-pop": (
         ["evolve", "--experts", "{experts}", "--seed", "-1", "--pop", "7"],
         ["--seed: must be >= 0, got -1", "--pop: must be even and >= 2, got 7"]),
-    "eval-split-seed": (
-        ["eval", "--ckpt", "{experts}/expert_add.ckpt", "--split-seed", "-1"],
+    "gen-data-split-seed": (
+        ["gen-data", "--split-seed", "-1"],
         ["--split-seed: must be >= 0, got -1"]),
     "gen-data-negative-n": (
         ["gen-data", "--n", "-1"],
@@ -495,9 +545,9 @@ BAD_SETTINGS = {
     "evolve-pop-and-checkpoint-mismatch": (
         ["evolve", "--experts", "{cut}", "--pop", "7"],
         ["--pop: must be even and >= 2, got 7", f"error: {{cut}}/expert_sub.ckpt: {TRUNCATED}"]),
-    "eval-split-seed-and-unreadable-checkpoint": (
-        ["eval", "--ckpt", "{cut}/expert_sub.ckpt", "--split-seed", "-1"],
-        ["--split-seed: must be >= 0, got -1", f"error: {{cut}}/expert_sub.ckpt: {TRUNCATED}"]),
+    "landscape-grid-and-unreadable-checkpoint": (
+        ["landscape", "--ckpt", "{cut}/expert_sub.ckpt", "--grid", "1"],
+        ["--grid: must be >= 2, got 1", f"error: {{cut}}/expert_sub.ckpt: {TRUNCATED}"]),
     "convexity-grid-and-checkpoint-mismatch": (
         ["convexity", "--ckpt", "{cut}/expert_sub.ckpt", "--grid", "1"],
         ["--grid: must be >= 2, got 1", f"error: {{cut}}/expert_sub.ckpt: {TRUNCATED}"]),
@@ -514,6 +564,10 @@ BAD_SETTINGS = {
     "pso-infinite-inertia": (
         ["pso", "--experts", "{experts}", "--iters", "1", "--w", "inf"],
         ["error: --w: expected a finite float, got 'inf'"]),
+    "weight-average-with-scale": (
+        ["baseline", "--method", "weight-average", "--scale", "2", "--experts", "{experts}/nonexistent"],
+        ["--scale: applies only to --method task-arithmetic, got 2.0",
+         "error: [Errno 2] No such file or directory: '{experts}/nonexistent/base.ckpt'"]),
     "baseline-nan-scale": (
         ["baseline", "--experts", "{experts}", "--method", "task-arithmetic", "--scale", "nan"],
         ["error: --scale: expected a finite float, got 'nan'"]),
