@@ -56,7 +56,6 @@ from .params import (
 from .seeding import TAG_EIG, derive_seed
 from .sparsity import Granularity, SparsityMeasure, SparsitySchedule
 from .tasks import (
-    LAYER_NAMES,
     ExpertTrainConfig,
     MlpSpec,
     ModularOp,
@@ -271,13 +270,18 @@ def resolve_options(ns: argparse.Namespace) -> dict[str, Any]:
     sources: list[tuple[dict[str, Any], str]] = [
         ({opt.key: getattr(ns, opt.dest) for opt in opts}, "")
     ]
+    cfg: dict[str, Any] = {"runs": ns.runs} if "runs" in ns else {}
     if ns.config is not None:
         file_values = read_config_file(Path(ns.config))
-        unknown = sorted(set(file_values) - {opt.key for opt in opts})
+        keys = {opt.key for opt in opts}
+        # Every run records its partition as split-seed, which only gen-data sets:
+        # elsewhere (report aside) build_tasks checks the key, as in a replayed config.txt.
+        if "split-seed" in file_values and "split-seed" not in keys and ns.command != "report":
+            cfg["claimed_split_seed"] = (file_values.pop("split-seed"), ns.config)
+        unknown = sorted(set(file_values) - keys)
         if unknown:
             raise ValueError(f"{ns.config}: unknown keys for {ns.command}: {', '.join(unknown)}")
         sources.append((file_values, ns.config))
-    cfg: dict[str, Any] = {"runs": ns.runs} if "runs" in ns else {}
     for opt in opts:
         found = [(src[opt.key], where) for src, where in sources if src.get(opt.key) is not None]
         if not found:
@@ -390,7 +394,11 @@ def build_tasks(s: Settings, m: int | None, split_seed: int | None) -> tuple[Mod
     """The task of --op, or both tasks where the command has no --op, modulo
     ``m`` and partitioned by ``split_seed``, which the run's config.txt records.
     Each task is None where ``m`` or ``split_seed`` is None: the input that
-    gives it did not load."""
+    gives it did not load. A split-seed key in --config on a command that does
+    not set the partition must name this one."""
+    claimed, path = s.cfg.pop("claimed_split_seed", (None, None))
+    s.check(claimed is None or split_seed is None or claimed == str(split_seed), None,
+            f"{path}: split-seed={claimed} is not the partition this command uses, split-seed={split_seed}")
     s.cfg["split_seed"] = split_seed
     ops = [{}] if "op" in s.cfg else [{"op": op} for op in ModularOp]
     if m is None or split_seed is None:
@@ -421,46 +429,14 @@ def score_line(method: str, a: float, b: float, avg: float) -> str:
     return f"{method}: task_a={a:.4f} task_b={b:.4f} avg={avg:.4f}"
 
 
-def modulus(params: ParameterSet | None) -> int | None:
-    """The modulus of a model from load_model (its output width); None for none."""
-    return None if params is None else params["fc3_w"].shape[-1]
-
-
 def load_model(path) -> ParameterSet:
-    """Load a checkpoint and check that it is an MLP for the twin tasks.
-
-    The modulus and the hidden width are read from the output widths of fc3_w
-    and fc1_w; every layer must then have the shape MlpSpec(m, hidden) gives it.
-    """
+    """Load a checkpoint and check that it is an MLP for the twin tasks (see MlpSpec.of)."""
     try:
         params = load_checkpoint(path)
-    except CheckpointError as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
-    if params.names != LAYER_NAMES:
-        raise ValueError(f"{path}: layers {', '.join(params.names)}, expected {', '.join(LAYER_NAMES)}")
-    m = modulus(params)
-    if m < 2:
-        raise ValueError(f"{path}: fc3_w has {m} output, expected a modulus >= 2")
-    spec = MlpSpec(m, params["fc1_w"].shape[-1])
-    wrong = [
-        f"{name} is {list(arr.shape)}, expected {list(shape)}"
-        for (name, arr), shape in zip(params.items(), spec.shapes)
-        if arr.shape != shape
-    ]
-    if wrong:
-        raise ValueError(f"{path} does not fit widths {list(spec.widths)} (m={m}): {'; '.join(wrong)}")
+        MlpSpec.of(params)
+    except (CheckpointError, ValueError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     return params
-
-
-def load_experts(path) -> tuple[ParameterSet, ...]:
-    """(base, expert_add, expert_sub) of a train-experts run, all of one shape."""
-    run = Path(path)
-    models = tuple(load_model(run / f"{name}.ckpt") for name in EXPERT_NAMES)
-    try:
-        require_compatible(*models)
-    except ValueError as exc:
-        raise ValueError(f"{run}: {exc}") from None
-    return models
 
 
 def recorded_split_seed(run) -> int:
@@ -475,22 +451,27 @@ def recorded_split_seed(run) -> int:
     return int(raw)
 
 
-def experts_and_tasks(
-    s: Settings,
-) -> tuple[tuple[ParameterSet, ...] | None, tuple[ModularTaskSpec | None, ...]]:
-    """The --experts run's models (None if they did not load) and both tasks,
-    modulo the experts' modulus, on the partition they trained on."""
-    experts = s.load(load_experts, s.cfg["experts"])
-    split_seed = s.load(recorded_split_seed, s.cfg["experts"])
-    return experts, build_tasks(s, modulus(experts[0] if experts else None), split_seed)
+def expert_paths(run) -> list[Path]:
+    return [Path(run) / f"{name}.ckpt" for name in EXPERT_NAMES]
 
 
-def model_and_tasks(s: Settings) -> tuple[ParameterSet | None, tuple[ModularTaskSpec | None, ...]]:
-    """The --ckpt model (None if it did not load) and its tasks, modulo its
-    modulus, on the partition that the run directory holding it records."""
-    params = s.load(load_model, s.cfg["ckpt"])
-    split_seed = s.load(recorded_split_seed, Path(s.cfg["ckpt"]).parent)
-    return params, build_tasks(s, modulus(params), split_seed)
+def load_run(s: Settings, paths) -> tuple[tuple[ParameterSet | None, ...], tuple[ModularTaskSpec | None, ...]]:
+    """The models at ``paths``, checkpoints of one run directory, and their
+    tasks: modulo their modulus, on the partition the run's config.txt records.
+    A model that did not load is None, and all are None where their layouts
+    differ. --out may not be the run, whose records it would replace."""
+    run = Path(paths[0]).parent
+    s.check(Path(s.cfg["out"]).resolve() != run.resolve(), "out",
+            f"must not be {run}, the run this command reads")
+    models = tuple(s.load(load_model, path) for path in paths)
+    if None not in models:
+        try:
+            require_compatible(*models)
+        except ValueError as exc:
+            s.check(False, None, f"{run}: {exc}")
+            models = (None,) * len(paths)
+    m = None if None in models else MlpSpec.of(models[0]).modulus
+    return models, build_tasks(s, m, s.load(recorded_split_seed, run))
 
 
 def run_command(command: str, cfg: dict[str, Any]) -> int:
@@ -552,7 +533,7 @@ def cmd_train_experts(cfg: dict[str, Any], out_dir: Path) -> Outcome:
 
 def cmd_evolve(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     with Settings(cfg) as s:
-        experts, specs = experts_and_tasks(s)
+        experts, specs = load_run(s, expert_paths(cfg["experts"]))
         evolve_cfg = s.build(EvolveConfig, schedule=s.build(SparsitySchedule),
                              merge_cfg=s.build(MergeConfig), tasks=specs)
         check_draw(s, "opt_batch", specs[0], "opt")
@@ -569,7 +550,7 @@ def cmd_evolve(cfg: dict[str, Any], out_dir: Path) -> Outcome:
 
 def cmd_pso(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     with Settings(cfg) as s:
-        experts, specs = experts_and_tasks(s)
+        experts, specs = load_run(s, expert_paths(cfg["experts"]))
         pso_cfg = s.build(PsoConfig)
         check_draw(s, "opt_batch", specs[0], "opt")
     _, expert_add, expert_sub = experts
@@ -584,7 +565,7 @@ def cmd_baseline(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     with Settings(cfg) as s:
         s.check(cfg["method"] == "task-arithmetic" or cfg["scale"] == 1.0, "scale",
                 f"applies only to --method task-arithmetic, got {cfg['scale']}")
-        experts, specs = experts_and_tasks(s)
+        experts, specs = load_run(s, expert_paths(cfg["experts"]))
     base, expert_add, expert_sub = experts
     if cfg["method"] == "weight-average":
         merged = weight_average([expert_add, expert_sub])
@@ -597,14 +578,14 @@ def cmd_baseline(cfg: dict[str, Any], out_dir: Path) -> Outcome:
 
 def cmd_eval(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     with Settings(cfg) as s:
-        params, specs = model_and_tasks(s)
+        (params,), specs = load_run(s, [cfg["ckpt"]])
     row = (cfg["label"], *evaluate_model(params, specs))
     return [row], [score_line(*row)]
 
 
 def cmd_landscape(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     with Settings(cfg) as s:
-        params, (spec,) = model_and_tasks(s)
+        (params,), (spec,) = load_run(s, [cfg["ckpt"]])
         grid = s.build(GridSpec)
     data = full_split(spec, cfg["split"])
     losses = loss_grid(params, random_directions(params, cfg["seed"]), grid, data)
@@ -619,7 +600,7 @@ def cmd_landscape(cfg: dict[str, Any], out_dir: Path) -> Outcome:
 
 def cmd_convexity(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     with Settings(cfg) as s:
-        params, (spec,) = model_and_tasks(s)
+        (params,), (spec,) = load_run(s, [cfg["ckpt"]])
         grid = s.build(GridSpec)
         eig_cfg = s.build(EigConfig)
         check_draw(s, "hess_batch", spec, "opt")

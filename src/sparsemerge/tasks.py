@@ -146,6 +146,23 @@ class MlpSpec:
         d_in, h, _, d_out = self.widths
         return ((d_in, h), (h,), (h, h), (h,), (h, d_out), (d_out,))
 
+    @classmethod
+    def of(cls, params: ParameterSet) -> "MlpSpec":
+        """The spec of the MLP ``params`` holds: the modulus and the hidden width are
+        the output widths of fc3_w and fc1_w. Raises ValueError unless the layers
+        are LAYER_NAMES, in order, with the shapes the spec gives them."""
+        if params.names != LAYER_NAMES:
+            raise ValueError(f"layers {', '.join(params.names)}, expected {', '.join(LAYER_NAMES)}")
+        m = params["fc3_w"].shape[-1]
+        if m < 2:
+            raise ValueError(f"fc3_w has {m} output, expected a modulus >= 2")
+        spec = cls(m, params["fc1_w"].shape[-1])
+        wrong = [f"{name} is {list(arr.shape)}, expected {list(shape)}"
+                 for (name, arr), shape in zip(params.items(), spec.shapes) if arr.shape != shape]
+        if wrong:
+            raise ValueError(f"does not fit widths {list(spec.widths)} (m={m}): {'; '.join(wrong)}")
+        return spec
+
 
 LAYER_NAMES = ("fc1_w", "fc1_b", "fc2_w", "fc2_b", "fc3_w", "fc3_b")
 

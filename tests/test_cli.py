@@ -188,17 +188,53 @@ def test_eval_scores_each_checkpoint_on_the_partition_its_run_records(tmp_path, 
     assert read_config_file(conv / "config.txt")["split-seed"] == "1"
 
 
-def test_readme_pipeline_parses():
-    """Every command line of README's Pipeline block is one the parser takes."""
+def readme_pipeline() -> list[list[str]]:
+    """The command lines of README's Pipeline block, each split into words."""
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     block = readme.split("## Pipeline", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_pipeline_parses():
+    """Every command line of README's Pipeline block is one the parser takes."""
+    lines = readme_pipeline()
     assert len(lines) >= 8
     parser = cli.build_parser()
-    for line in lines:
-        prog, *argv = shlex.split(line)
-        assert prog == "sparsemerge", line
+    for prog, *argv in lines:
+        assert prog == "sparsemerge", argv
         parser.parse_args(argv)
+
+
+# Per README Pipeline command: flags that make it quick, on FAST experts of seed 1.
+QUICK_ARGS = {
+    "train-experts": ["--base-epochs", "3", "--expert-epochs", "40", "--seed", "1"],
+    "evolve": ["--steps", "4"],
+    "pso": ["--iters", "4"],
+    "landscape": ["--grid", "3"],
+    "convexity": ["--grid", "3", "--eig-iters", "10"],
+}
+
+
+def test_every_run_replays_from_its_config(tmp_path, monkeypatch, capsys):
+    """README's pipeline plus eval and gen-data; each run's config.txt, given as
+    --config from the same working directory, writes the same files again."""
+    lines = [argv for _, *argv in readme_pipeline()] + [
+        ["eval", "--ckpt", "runs/sae/best.ckpt", "--label", "sae", "--out", "runs/eval"],
+        ["gen-data", "--seed", "1", "--n", "5", "--out", "runs/data"]]
+    monkeypatch.chdir(tmp_path)
+    commands = {}
+    for argv in lines:
+        assert main([*argv, *QUICK_ARGS.get(argv[0], [])]) == 0, argv
+        commands[argv[argv.index("--out") + 1]] = argv[0]
+    assert len(commands) == 10
+    capsys.readouterr()
+    for run, command in commands.items():
+        if command == "report":  # it writes no config.txt
+            continue
+        replay = f"replay/{run}"
+        assert main([command, "--config", f"{run}/config.txt", "--out", replay]) == 0, command
+        assert capsys.readouterr().err == ""
+        assert tree_bytes(Path(replay)) == tree_bytes(Path(run)), command
 
 
 def test_readme_command_flags_parse():
@@ -342,9 +378,11 @@ def _not_an_mlp(tmp: Path) -> str:
     return str(tmp / "other.ckpt")
 
 
-def _mlp_layers(d_in, h1, h2, d_out):
-    """Zero layers of an MLP with these widths, which MlpSpec may not allow, for _raw_checkpoint."""
-    shapes = [(d_in, h1), (h1,), (h1, h2), (h2,), (h2, d_out), (d_out,)]
+def _mlp_layers(d_in, h1, h2, d_out, **shapes):
+    """Zero layers of an MLP with these widths, which MlpSpec may not allow, for
+    _raw_checkpoint; a keyword gives that layer another shape."""
+    widths = [(d_in, h1), (h1,), (h1, h2), (h2,), (h2, d_out), (d_out,)]
+    shapes = [shapes.get(name, shape) for name, shape in zip(LAYER_NAMES, widths)]
     return [(name.encode(), shape, np.zeros(shape).ravel()) for name, shape in zip(LAYER_NAMES, shapes)]
 
 
@@ -414,10 +452,17 @@ BAD_INPUTS = {
     "baseline-seed": lambda ex, tmp: (
         ["baseline", "--method", "weight-average", "--experts", str(ex), "--seed", "7"],
         "error: unrecognized arguments: --seed 7"),
+    # A config.txt records the partition it used, which --config checks, not sets.
     "config-split-seed-beats-experts": lambda ex, tmp: (
         ["baseline", "--method", "weight-average", "--experts", str(ex),
          "--config", _write(tmp / "s.cfg", "split-seed=1\n")],
-        f"error: {tmp / 's.cfg'}: unknown keys for baseline: split-seed"),
+        f"error: {tmp / 's.cfg'}: split-seed=1 is not the partition this command uses, split-seed=0"),
+    "config-split-seed-beats-seed": lambda ex, tmp: (
+        ["train-experts", "--config", _write(tmp / "s.cfg", "seed=2\nsplit-seed=1\n")],
+        f"error: {tmp / 's.cfg'}: split-seed=1 is not the partition this command uses, split-seed=2"),
+    "report-split-seed": lambda ex, tmp: (
+        ["report", "--runs", str(ex), "--config", _write(tmp / "s.cfg", "split-seed=0\n")],
+        f"error: {tmp / 's.cfg'}: unknown keys for report: split-seed"),
     "experts-without-config": lambda ex, tmp: (
         ["pso", "--experts", _experts_without_config(ex, tmp)],
         f"error: [Errno 2] No such file or directory: '{tmp / 'experts' / 'config.txt'}'"),
@@ -437,6 +482,9 @@ BAD_INPUTS = {
     "experts-of-two-moduli": lambda ex, tmp: (
         ["evolve", "--experts", _experts_with_sub_for_m7(ex, tmp)],
         f"error: {tmp / 'experts'}: incompatible parameter sets: 'fc1_w' [26, 32] vs 'fc1_w' [14, 32]"),
+    "checkpoint-of-wrong-shape": lambda ex, tmp: (
+        ["eval", "--ckpt", _raw_checkpoint(tmp / "w.ckpt", *_mlp_layers(4, 3, 3, 2, fc2_w=(3, 5)))],
+        f"error: {tmp / 'w.ckpt'}: does not fit widths [4, 3, 3, 2] (m=2): fc2_w is [3, 5], expected [3, 3]"),
     "checkpoint-without-modulus": lambda ex, tmp: (
         ["eval", "--ckpt", _raw_checkpoint(tmp / "m1.ckpt", *_mlp_layers(2, 4, 4, 1))],
         f"error: {tmp / 'm1.ckpt'}: fc3_w has 1 output, expected a modulus >= 2"),
@@ -511,9 +559,9 @@ def test_bad_input_exits_with_one_error_line(case, fast_experts_dir, tmp_path, c
 # What _experts_with_truncated_sub's expert_sub.ckpt gets.
 TRUNCATED = "truncated checkpoint: ran out of bytes reading layer 0 values"
 
-# name -> (argv, "{experts}" standing for the experts run and "{cut}" for a copy
-# of it whose expert_sub.ckpt is cut short; the expected "invalid config:"
-# lines, in order, and any "error:" line, given in full)
+# name -> (argv, "{experts}" standing for the experts run, "{copy}" for a copy
+# of it and "{cut}" for a copy whose expert_sub.ckpt is cut short; the expected
+# "invalid config:" lines, in order, and any "error:" line, given in full)
 BAD_SETTINGS = {
     "train-experts-recipe-and-sizes": (
         ["train-experts", "--m", "1", "--hidden", "0", "--lr", "0"],
@@ -571,6 +619,13 @@ BAD_SETTINGS = {
     "baseline-nan-scale": (
         ["baseline", "--experts", "{experts}", "--method", "task-arithmetic", "--scale", "nan"],
         ["error: --scale: expected a finite float, got 'nan'"]),
+    # A run's records are not replaced by a command that reads them.
+    "eval-into-its-run": (
+        ["eval", "--ckpt", "{copy}/expert_add.ckpt", "--out", "{copy}"],
+        ["--out: must not be {copy}, the run this command reads"]),
+    "evolve-pop-into-its-run": (
+        ["evolve", "--experts", "{copy}", "--pop", "3", "--out", "{copy}/"],
+        ["--out: must not be {copy}, the run this command reads", "--pop: must be even and >= 2, got 3"]),
     "baseline-infinite-scale": (
         ["baseline", "--experts", "{experts}", "--method", "task-arithmetic", "--scale=-inf"],
         ["error: --scale: expected a finite float, got '-inf'"]),
@@ -584,14 +639,18 @@ def test_every_bad_setting_is_named_before_any_work(case, fast_experts_dir, tmp_
     written first, not even the --out directory."""
     argv, expected = BAD_SETTINGS[case]
     out = tmp_path / "o"
-    dirs = dict(experts=fast_experts_dir, cut=_experts_with_truncated_sub(fast_experts_dir, tmp_path))
-    argv = [a.format(**dirs) for a in argv] + ["--out", str(out)]
+    dirs = dict(experts=fast_experts_dir, copy=shutil.copytree(fast_experts_dir, tmp_path / "copy"),
+                cut=_experts_with_truncated_sub(fast_experts_dir, tmp_path))
+    argv = [a.format(**dirs) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err.splitlines() == [
-        line.format(**dirs) if line.startswith("error: ") else f"invalid config: {line}"
+        line.format(**dirs) if line.startswith("error: ") else f"invalid config: {line.format(**dirs)}"
         for line in expected
     ]
     assert not out.exists()
+    assert tree_bytes(dirs["copy"]) == tree_bytes(fast_experts_dir)
 
 
 class RecordingConfig(dict):

@@ -113,6 +113,47 @@ def zero_network(spec: MlpSpec) -> ParameterSet:
     return ParameterSet.from_pairs((name, np.zeros_like(arr)) for name, arr in template.items())
 
 
+@pytest.mark.parametrize("spec", [MlpSpec(13, 32), MlpSpec(2, 1), MlpSpec(5, 7)])
+def test_mlp_spec_of_reads_the_widths_back(spec):
+    assert MlpSpec.of(init_mlp(spec, 0)) == spec
+
+
+def _with_layer(p: ParameterSet, name: str, arr) -> ParameterSet:
+    return ParameterSet.from_pairs((n, arr if n == name else a) for n, a in p.items())
+
+
+NOT_AN_MLP = {
+    "layers out of order": (
+        lambda p: ParameterSet.from_pairs(reversed(list(p.items()))),
+        "layers fc3_b, fc3_w, fc2_b, fc2_w, fc1_b, fc1_w, expected fc1_w, fc1_b, fc2_w, fc2_b, fc3_w, fc3_b"),
+    "a layer missing": (
+        lambda p: ParameterSet.from_pairs(list(p.items())[:-1]),
+        "layers fc1_w, fc1_b, fc2_w, fc2_b, fc3_w, expected fc1_w, fc1_b, fc2_w, fc2_b, fc3_w, fc3_b"),
+    "one output": (
+        lambda p: _with_layer(_with_layer(p, "fc3_w", np.zeros((4, 1))), "fc3_b", np.zeros(1)),
+        "fc3_w has 1 output, expected a modulus >= 2"),
+    "wrong fc2_w": (
+        lambda p: _with_layer(p, "fc2_w", np.zeros((4, 5))),
+        "does not fit widths [6, 4, 4, 3] (m=3): fc2_w is [4, 5], expected [4, 4]"),
+    "wrong input width": (
+        lambda p: _with_layer(p, "fc1_w", np.zeros((7, 4))),
+        "does not fit widths [6, 4, 4, 3] (m=3): fc1_w is [7, 4], expected [6, 4]"),
+    "a stack": (
+        lambda p: stack([p, p]),
+        "does not fit widths [6, 4, 4, 3] (m=3): fc1_w is [2, 6, 4], expected [6, 4]; "
+        "fc1_b is [2, 4], expected [4]; fc2_w is [2, 4, 4], expected [4, 4]; fc2_b is [2, 4], "
+        "expected [4]; fc3_w is [2, 4, 3], expected [4, 3]; fc3_b is [2, 3], expected [3]"),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_AN_MLP))
+def test_mlp_spec_of_names_what_is_not_an_mlp(case):
+    change, message = NOT_AN_MLP[case]
+    with pytest.raises(ValueError) as info:
+        MlpSpec.of(change(init_mlp(MlpSpec(3, 4), 0)))
+    assert str(info.value) == message
+
+
 def test_zero_weight_network_gives_uniform_loss():
     spec = MlpSpec(13, 32)
     data = gen_dataset(ModularTaskSpec(13, ModularOp.ADD), "train", 50, seed=0)
