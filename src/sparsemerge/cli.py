@@ -165,15 +165,12 @@ SCAN_OPTS = [
 LANDSCAPE_OPTS = [Opt("--split", str, "train", choices=("train", "test"))]
 
 CONVEXITY_OPTS = [
-    Opt("--eps", float, GridSpec.eps),
     Opt("--eig-iters", int, EigConfig.iters),
     Opt("--eig-tol", float, EigConfig.tol),
     Opt("--hess-batch", int, 64),
 ]
 
-# Only gen-data loads no checkpoint: a checkpoint's run records its partition.
 GEN_DATA_OPTS = [
-    Opt("--split-seed", int, None, help="train/test partition seed (defaults to --seed)"),
     Opt("--op", str, ModularTaskSpec.op.value, choices=_choices(ModularOp)),
     Opt("--which", str, "train", choices=("train", "opt", "test")),
     Opt("--n", int, 0, help="sample size; 0 means the whole pool"),
@@ -185,8 +182,8 @@ EVAL_OPTS = [
 ]
 
 COMMAND_OPTS: dict[str, list[Opt]] = {
+    # A command that loads no checkpoint uses the partition of --seed.
     "gen-data": SHARED_OPTS + [M_OPT] + GEN_DATA_OPTS,
-    # Experts train on the partition of --seed.
     "train-experts": SHARED_OPTS + [M_OPT] + TRAIN_OPTS,
     "evolve": SHARED_OPTS + EVOLVE_OPTS,
     "pso": SHARED_OPTS + PSO_OPTS,
@@ -274,9 +271,8 @@ def resolve_options(ns: argparse.Namespace) -> dict[str, Any]:
     if ns.config is not None:
         file_values = read_config_file(Path(ns.config))
         keys = {opt.key for opt in opts}
-        # Every run records its partition as split-seed, which only gen-data sets:
-        # elsewhere (report aside) build_tasks checks the key, as in a replayed config.txt.
-        if "split-seed" in file_values and "split-seed" not in keys and ns.command != "report":
+        # Every run but report's records split-seed, which build_tasks checks, not sets.
+        if "split-seed" in file_values and ns.command != "report":
             cfg["claimed_split_seed"] = (file_values.pop("split-seed"), ns.config)
         unknown = sorted(set(file_values) - keys)
         if unknown:
@@ -340,6 +336,11 @@ def read_summary(path: Path) -> list[list[str]]:
     return rows[1:]
 
 
+def _error_text(exc: Exception) -> str:
+    """The ``error:`` line's text: a failed file operation names its file."""
+    return f"{exc.filename}: {exc.strerror}" if isinstance(exc, OSError) and exc.filename else str(exc)
+
+
 class Settings:
     """Builds a command's configs from its options, loads its checkpoints and
     collects every violation; leaving the ``with`` block raises them as one
@@ -386,7 +387,7 @@ class Settings:
             for field, reason in exc.violations:
                 self.check(False, field, reason)
         except (CheckpointError, OSError, ValueError) as exc:
-            self.check(False, None, str(exc))
+            self.check(False, None, _error_text(exc))
         return None
 
 
@@ -394,8 +395,7 @@ def build_tasks(s: Settings, m: int | None, split_seed: int | None) -> tuple[Mod
     """The task of --op, or both tasks where the command has no --op, modulo
     ``m`` and partitioned by ``split_seed``, which the run's config.txt records.
     Each task is None where ``m`` or ``split_seed`` is None: the input that
-    gives it did not load. A split-seed key in --config on a command that does
-    not set the partition must name this one."""
+    gives it did not load. A split-seed key in --config must name this one."""
     claimed, path = s.cfg.pop("claimed_split_seed", (None, None))
     s.check(claimed is None or split_seed is None or claimed == str(split_seed), None,
             f"{path}: split-seed={claimed} is not the partition this command uses, split-seed={split_seed}")
@@ -504,9 +504,7 @@ def run_command(command: str, cfg: dict[str, Any]) -> int:
 
 def cmd_gen_data(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     with Settings(cfg) as s:
-        # Without --split-seed, the partition of --seed (a negative one is named once, as --seed).
-        split_seed = max(cfg["seed"], 0) if cfg["split_seed"] is None else cfg["split_seed"]
-        (spec,) = build_tasks(s, cfg["m"], split_seed)
+        (spec,) = build_tasks(s, cfg["m"], max(cfg["seed"], 0))  # a negative --seed is named once
         pool = check_draw(s, "n", spec, cfg["which"], low=0)
     pairs = sample_pairs(spec, cfg["which"], cfg["n"] or pool, cfg["seed"])
     path = out_dir / f"{cfg['op']}_{cfg['which']}.csv"
@@ -654,7 +652,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"invalid config: {flag}: {reason}", file=sys.stderr)
         return 2
     except (CheckpointError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return 2
 
 

@@ -29,6 +29,8 @@ ZERO_TOL = 1e-9
 # A Lanczos residual below BREAKDOWN * spread is rounding error: the Krylov
 # space is invariant and its Ritz values are exact eigenvalues.
 BREAKDOWN = 1e-12
+# Keeps the convexity score finite where lambda_max is exactly 0.
+SCORE_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -42,14 +44,12 @@ class GridSpec:
     alpha_max: float = 1.0
     beta_max: float = 1.0
     resolution: int = 21
-    eps: float = 1e-8
 
     def __post_init__(self):
         check_fields(
             (self.alpha_max > 0, "alpha_max", f"must be > 0, got {self.alpha_max}"),
             (self.beta_max > 0, "beta_max", f"must be > 0, got {self.beta_max}"),
             (self.resolution >= 2, "resolution", f"must be >= 2, got {self.resolution}"),
-            (self.eps > 0, "eps", f"must be > 0, got {self.eps}"),
         )
 
     def axis(self, extent: float) -> np.ndarray:
@@ -222,7 +222,7 @@ def convexity_grid(
             theta = point_params(theta0, dirs, float(alpha), float(beta))
             cell_cfg = dataclasses.replace(eig_cfg, seed=derive_seed(eig_cfg.seed, TAG_EIG, i, j))
             result = extreme_eigs(lambda v: hvp(theta, batch, v), n, cell_cfg)
-            conv[i, j] = convexity_score(result.lam_max, result.lam_min, grid.eps)
+            conv[i, j] = convexity_score(result.lam_max, result.lam_min, SCORE_EPS)
             lmax[i, j] = result.lam_max
             lmin[i, j] = result.lam_min
             flags[i, j] = result.converged

@@ -386,8 +386,9 @@ class ExpertTrainConfig:
 
     The base is trained briefly on the conflicting 50/50 mixture with no
     regularization, so it stays underfit. The experts then fine-tune from it
-    with weight decay, which the modular tasks need before they generalize
-    past memorization of the train pairs.
+    with weight decay. At this recipe they memorize without generalizing: on
+    seed 0 each scores 1.0 on its train pool and 0.43-0.50 on the held-out
+    pool. Decay 0.003 gives the same, and 0.03 collapses to chance.
     """
 
     base_epochs: int = 30

@@ -133,14 +133,14 @@ def test_report_joins_rows(fast_experts_dir, tmp_path):
 
 
 def test_inputs_fix_the_modulus_and_the_partition():
-    """--m and --split-seed only where no checkpoint is loaded; --seed only where
-    randomness is drawn."""
+    """--m only where no checkpoint is loaded, --split-seed nowhere (--seed or the
+    loaded run gives the partition); --seed only where randomness is drawn."""
     commands = {flag: [c for c, opts in COMMAND_OPTS.items() if flag in {o.flag for o in opts}]
                 for flag in ("--m", "--split-seed", "--seed")}
     assert commands == {"--m": ["gen-data", "train-experts"],
-                        "--split-seed": ["gen-data"],
+                        "--split-seed": [],
                         "--seed": ["gen-data", "train-experts", "evolve", "pso", "landscape", "convexity"]}
-    assert sum(len(opts) for opts in COMMAND_OPTS.values()) == 70
+    assert sum(len(opts) for opts in COMMAND_OPTS.values()) == 68
 
 
 def test_baseline_scores_on_the_partition_the_experts_run_records(fast_experts_dir, tmp_path):
@@ -235,6 +235,20 @@ def test_every_run_replays_from_its_config(tmp_path, monkeypatch, capsys):
         assert main([command, "--config", f"{run}/config.txt", "--out", replay]) == 0, command
         assert capsys.readouterr().err == ""
         assert tree_bytes(Path(replay)) == tree_bytes(Path(run)), command
+
+
+def test_replay_from_another_directory_names_the_missing_input(fast_experts_dir, tmp_path, monkeypatch, capsys):
+    """A config.txt echoes its input paths as given, so from another working
+    directory its replay names the input it cannot find and writes nothing."""
+    shutil.copytree(fast_experts_dir, tmp_path / "runs" / "experts")
+    monkeypatch.chdir(tmp_path)
+    assert main(["baseline", "--method", "weight-average", "--experts", "runs/experts", "--out", "runs/wa"]) == 0
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    capsys.readouterr()
+    assert main(["baseline", "--config", "../runs/wa/config.txt", "--out", "wa"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: runs/experts/base.ckpt: No such file or directory"]
+    assert not Path("wa").exists()
 
 
 def test_readme_command_flags_parse():
@@ -460,19 +474,22 @@ BAD_INPUTS = {
     "config-split-seed-beats-seed": lambda ex, tmp: (
         ["train-experts", "--config", _write(tmp / "s.cfg", "seed=2\nsplit-seed=1\n")],
         f"error: {tmp / 's.cfg'}: split-seed=1 is not the partition this command uses, split-seed=2"),
+    "gen-data-config-split-seed-beats-seed": lambda ex, tmp: (
+        ["gen-data", "--seed", "2", "--config", _write(tmp / "s.cfg", "split-seed=1\n")],
+        f"error: {tmp / 's.cfg'}: split-seed=1 is not the partition this command uses, split-seed=2"),
     "report-split-seed": lambda ex, tmp: (
         ["report", "--runs", str(ex), "--config", _write(tmp / "s.cfg", "split-seed=0\n")],
         f"error: {tmp / 's.cfg'}: unknown keys for report: split-seed"),
     "experts-without-config": lambda ex, tmp: (
         ["pso", "--experts", _experts_without_config(ex, tmp)],
-        f"error: [Errno 2] No such file or directory: '{tmp / 'experts' / 'config.txt'}'"),
+        f"error: {tmp / 'experts' / 'config.txt'}: No such file or directory"),
     "experts-without-split-seed": lambda ex, tmp: (
         ["baseline", "--method", "weight-average", "--experts", _experts_without_split_seed(ex, tmp)],
         f"error: {tmp / 'experts' / 'config.txt'} has no split-seed, so the run's partition is unknown"),
     # A checkpoint's run gives its partition, and a score draws no randomness.
     "checkpoint-away-from-its-run": lambda ex, tmp: (
         ["eval", "--ckpt", _checkpoint_away_from_its_run(ex, tmp)],
-        f"error: [Errno 2] No such file or directory: '{tmp / 'config.txt'}'"),
+        f"error: {tmp / 'config.txt'}: No such file or directory"),
     "eval-seed": lambda ex, tmp: (
         ["eval", "--ckpt", str(ex / "expert_add.ckpt"), "--seed", "1"],
         "error: unrecognized arguments: --seed 1"),
@@ -532,10 +549,17 @@ BAD_INPUTS = {
 }
 
 
-def test_train_experts_rejects_split_seed(tmp_path, capsys):
-    """Experts train on the partition of --seed; a second seed would only mislabel them."""
-    assert main(["train-experts", *FAST_TRAIN, "--split-seed", "3", "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.splitlines() == ["error: unrecognized arguments: --split-seed 3"]
+@pytest.mark.parametrize("argv", [
+    ["train-experts", *FAST_TRAIN, "--split-seed", "3"],
+    ["gen-data", "--split-seed", "3"],
+    ["convexity", "--ckpt", "nope.ckpt", "--eps", "1e-8"],
+], ids=["train-experts-split-seed", "gen-data-split-seed", "convexity-eps"])
+def test_train_experts_rejects_split_seed(argv, tmp_path, capsys):
+    """Data and experts take the partition of --seed, where a second seed would
+    only mislabel them, and the convexity score's guard is a constant."""
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: unrecognized arguments: {' '.join(argv[-2:])}"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_command_is_one_error_line(capsys):
@@ -567,9 +591,9 @@ BAD_SETTINGS = {
         ["train-experts", "--m", "1", "--hidden", "0", "--lr", "0"],
         ["--m: must be >= 2, got 1", "--hidden: must be >= 1, got 0", "--lr: must be > 0, got 0.0"]),
     "convexity-grid-eigen-and-batch": (
-        ["convexity", "--ckpt", "{experts}/expert_add.ckpt", "--grid", "1", "--eps", "0",
+        ["convexity", "--ckpt", "{experts}/expert_add.ckpt", "--grid", "1",
          "--eig-iters", "0", "--eig-tol", "0", "--hess-batch", "0"],
-        ["--grid: must be >= 2, got 1", "--eps: must be > 0, got 0.0",
+        ["--grid: must be >= 2, got 1",
          "--eig-iters: must be >= 1, got 0", "--eig-tol: must be > 0, got 0.0",
          "--hess-batch: must be >= 1, got 0"]),
     "landscape-grid": (
@@ -581,9 +605,6 @@ BAD_SETTINGS = {
     "evolve-seed-and-pop": (
         ["evolve", "--experts", "{experts}", "--seed", "-1", "--pop", "7"],
         ["--seed: must be >= 0, got -1", "--pop: must be even and >= 2, got 7"]),
-    "gen-data-split-seed": (
-        ["gen-data", "--split-seed", "-1"],
-        ["--split-seed: must be >= 0, got -1"]),
     "gen-data-negative-n": (
         ["gen-data", "--n", "-1"],
         ["--n: must be >= 0, got -1"]),
@@ -603,9 +624,6 @@ BAD_SETTINGS = {
     "convexity-infinite-eig-tol": (
         ["convexity", "--ckpt", "{experts}/expert_add.ckpt", "--grid", "3", "--eig-tol", "inf"],
         ["error: --eig-tol: expected a finite float, got 'inf'"]),
-    "convexity-infinite-eps": (
-        ["convexity", "--ckpt", "{experts}/expert_add.ckpt", "--grid", "3", "--eps", "inf"],
-        ["error: --eps: expected a finite float, got 'inf'"]),
     "landscape-infinite-alpha-max": (
         ["landscape", "--ckpt", "{experts}/expert_add.ckpt", "--grid", "3", "--alpha-max", "inf"],
         ["error: --alpha-max: expected a finite float, got 'inf'"]),
@@ -615,7 +633,7 @@ BAD_SETTINGS = {
     "weight-average-with-scale": (
         ["baseline", "--method", "weight-average", "--scale", "2", "--experts", "{experts}/nonexistent"],
         ["--scale: applies only to --method task-arithmetic, got 2.0",
-         "error: [Errno 2] No such file or directory: '{experts}/nonexistent/base.ckpt'"]),
+         "error: {experts}/nonexistent/base.ckpt: No such file or directory"]),
     "baseline-nan-scale": (
         ["baseline", "--experts", "{experts}", "--method", "task-arithmetic", "--scale", "nan"],
         ["error: --scale: expected a finite float, got 'nan'"]),
