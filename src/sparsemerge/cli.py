@@ -273,7 +273,7 @@ def resolve_options(ns: argparse.Namespace) -> dict[str, Any]:
         keys = {opt.key for opt in opts}
         # Every run but report's records split-seed, which build_tasks checks, not sets.
         if "split-seed" in file_values and ns.command != "report":
-            cfg["claimed_split_seed"] = (file_values.pop("split-seed"), ns.config)
+            cfg["claimed_split_seed"] = (parse_split_seed(ns.config, file_values.pop("split-seed")), ns.config)
         unknown = sorted(set(file_values) - keys)
         if unknown:
             raise ValueError(f"{ns.config}: unknown keys for {ns.command}: {', '.join(unknown)}")
@@ -397,7 +397,7 @@ def build_tasks(s: Settings, m: int | None, split_seed: int | None) -> tuple[Mod
     Each task is None where ``m`` or ``split_seed`` is None: the input that
     gives it did not load. A split-seed key in --config must name this one."""
     claimed, path = s.cfg.pop("claimed_split_seed", (None, None))
-    s.check(claimed is None or split_seed is None or claimed == str(split_seed), None,
+    s.check(claimed is None or split_seed is None or claimed == split_seed, None,
             f"{path}: split-seed={claimed} is not the partition this command uses, split-seed={split_seed}")
     s.cfg["split_seed"] = split_seed
     ops = [{}] if "op" in s.cfg else [{"op": op} for op in ModularOp]
@@ -443,11 +443,15 @@ def recorded_split_seed(run) -> int:
     """The split seed that run directory ``run``'s config.txt records: the
     partition the models the run wrote trained on, or were scored on."""
     meta = Path(run) / "config.txt"
-    raw = read_config_file(meta).get("split-seed")
+    return parse_split_seed(meta, read_config_file(meta).get("split-seed"))
+
+
+def parse_split_seed(path, raw: str | None) -> int:
+    """The split-seed value ``raw`` that the config file at ``path`` holds, as an int >= 0."""
     if raw is None:
-        raise ValueError(f"{meta} has no split-seed, so the run's partition is unknown")
+        raise ValueError(f"{path} has no split-seed, so the run's partition is unknown")
     if not (raw.isascii() and raw.isdigit()):
-        raise ValueError(f"{meta}: split-seed: expected an int >= 0, got {raw!r}")
+        raise ValueError(f"{path}: split-seed: expected an int >= 0, got {raw!r}")
     return int(raw)
 
 
@@ -521,7 +525,7 @@ def cmd_train_experts(cfg: dict[str, Any], out_dir: Path) -> Outcome:
         specs = build_tasks(s, cfg["m"], max(cfg["seed"], 0))  # a negative --seed is named once
         net = s.build(MlpSpec)
         recipe = s.build(ExpertTrainConfig)
-    models = build_experts(cfg["seed"], net.modulus, net.hidden, recipe)
+    models = build_experts(specs, cfg["seed"], net.hidden, recipe)
     rows = []
     for name, model in zip(EXPERT_NAMES, models):
         save_checkpoint(model, out_dir / f"{name}.ckpt")

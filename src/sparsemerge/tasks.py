@@ -8,7 +8,6 @@ gives the merging experiments genuine tension between parents.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Literal
@@ -323,15 +322,16 @@ def train(
     learning_rate: float,
     epochs: int,
     batch_size: int,
-    seed: int,
+    seeds: list[int],
     weight_decay: float = 0.0,
 ) -> ParameterSet:
     """Plain mini-batch gradient descent, optionally with decoupled L2 shrink.
 
-    No optimizer state: the result is a pure function of its arguments. A
-    stack of K models (see ``params.stack``) trains on a stacked dataset in
-    lockstep, one step per batch for all K. Model k shuffles with seed
-    ``seed + k``, so it takes exactly the steps it would take alone.
+    No optimizer state: the result is a pure function of its arguments.
+    ``seeds`` holds one shuffle seed per model. A stack of K models (see
+    ``params.stack``) trains on a stacked dataset in lockstep, one step per
+    batch for all K, and model k shuffles with ``seeds[k]``, so it takes
+    exactly the steps it would take alone with that seed.
 
     Each step takes the flat gradient from one ``loss_and_grad`` call and
     builds one set, ``flatten(params) * shrink - learning_rate * grad``.
@@ -346,7 +346,6 @@ def train(
         raise ValueError(
             f"inputs of width {dataset.inputs.shape[-1]} do not match fc1_w's {p['fc1_w'].shape[-2]} rows"
         )
-    seeds = [seed + k for k in range(math.prod(lead))]
     # Model k's rows start at k*n once the stack's rows are laid end to end.
     offsets = n * np.arange(len(seeds)).reshape(lead + (1,))
     inputs = dataset.inputs.reshape(-1, dataset.inputs.shape[-1])
@@ -408,37 +407,33 @@ class ExpertTrainConfig:
 
 
 def build_experts(
+    tasks: tuple[ModularTaskSpec, ModularTaskSpec],
     seed: int,
-    modulus: int = 13,
     hidden: int = 32,
     recipe: ExpertTrainConfig = ExpertTrainConfig(),
 ) -> tuple[ParameterSet, ParameterSet, ParameterSet]:
-    """Train (base, expert_add, expert_sub) on the twin tasks.
+    """Train (base, expert_add, expert_sub) on the train pools of ``tasks``,
+    the twin tasks (add, then sub) of one modulus and one partition.
 
-    Both experts fine-tune from the base in lockstep, as one stack of two
-    models; expert_add shuffles with seed 7*seed + 1 and expert_sub with
-    7*seed + 2.
+    The base initializes from ``seed`` and shuffles with ``[seed]``. Both
+    experts then fine-tune from it in lockstep, as one stack of two models
+    with shuffle seeds ``[7*seed + 1, 7*seed + 2]``.
     """
-    add_spec, sub_spec = twin_tasks(modulus, split_seed=seed)
-    add_train = full_split(add_spec, "train")
-    sub_train = full_split(sub_spec, "train")
+    add_train, sub_train = (full_split(spec, "train") for spec in tasks)
     mixture = Dataset(
         np.concatenate([add_train.inputs, sub_train.inputs]),
         np.concatenate([add_train.labels, sub_train.labels]),
     )
     sgd = dict(learning_rate=recipe.learning_rate, batch_size=recipe.batch_size)
-    base = _train_phase(
-        "base", init_mlp(MlpSpec(modulus, hidden), seed), mixture, epochs=recipe.base_epochs, seed=seed, **sgd
-    )
+    net = init_mlp(MlpSpec(tasks[0].modulus, hidden), seed)
+    base = _train_phase("base", net, mixture, epochs=recipe.base_epochs, seeds=[seed], **sgd)
     # The two train pools always have the same size, so they stack.
     pools = Dataset(
         np.stack([add_train.inputs, sub_train.inputs]),
         np.stack([add_train.labels, sub_train.labels]),
     )
-    experts = _train_phase(
-        "experts", stack([base, base]), pools,
-        epochs=recipe.expert_epochs, seed=seed * 7 + 1, weight_decay=recipe.weight_decay, **sgd,
-    )
+    experts = _train_phase("experts", stack([base, base]), pools, epochs=recipe.expert_epochs,
+                           seeds=[7 * seed + 1, 7 * seed + 2], weight_decay=recipe.weight_decay, **sgd)
     expert_add, expert_sub = unstack(experts)
     return base, expert_add, expert_sub
 

@@ -46,8 +46,8 @@ def experts5():
     """Trained experts for seeds 0..4, keyed by seed."""
     out = {}
     for seed in range(5):
-        base, expert_add, expert_sub = build_experts(seed)
-        out[seed] = (base, expert_add, expert_sub, twin_tasks(13, split_seed=seed))
+        specs = twin_tasks(13, split_seed=seed)
+        out[seed] = (*build_experts(specs, seed), specs)
     return out
 
 

@@ -477,6 +477,9 @@ BAD_INPUTS = {
     "gen-data-config-split-seed-beats-seed": lambda ex, tmp: (
         ["gen-data", "--seed", "2", "--config", _write(tmp / "s.cfg", "split-seed=1\n")],
         f"error: {tmp / 's.cfg'}: split-seed=1 is not the partition this command uses, split-seed=2"),
+    "config-split-seed-not-an-int": lambda ex, tmp: (
+        ["gen-data", "--config", _write(tmp / "s.cfg", "split-seed=x\n")],
+        f"error: {tmp / 's.cfg'}: split-seed: expected an int >= 0, got 'x'"),
     "report-split-seed": lambda ex, tmp: (
         ["report", "--runs", str(ex), "--config", _write(tmp / "s.cfg", "split-seed=0\n")],
         f"error: {tmp / 's.cfg'}: unknown keys for report: split-seed"),
@@ -560,6 +563,15 @@ def test_train_experts_rejects_split_seed(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: unrecognized arguments: {' '.join(argv[-2:])}"]
     assert not (tmp_path / "o").exists()
+
+
+def test_config_split_seed_is_read_as_an_int(tmp_path):
+    """A --config split-seed is compared with the partition as an int, as every
+    setting is read by its type: split-seed=01 names partition 1."""
+    assert main(["gen-data", "--seed", "1", "--out", str(tmp_path / "flag")]) == 0
+    assert main(["gen-data", "--seed", "1", "--out", str(tmp_path / "config"),
+                 "--config", _write(tmp_path / "s.cfg", "split-seed=01\n")]) == 0
+    assert tree_bytes(tmp_path / "config") == tree_bytes(tmp_path / "flag")
 
 
 def test_missing_command_is_one_error_line(capsys):

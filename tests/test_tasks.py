@@ -208,7 +208,7 @@ def test_one_epoch_reduces_loss():
     spec = ModularTaskSpec(13, ModularOp.ADD, split_seed=0)
     data = full_split(spec, "train")
     net = init_mlp(MlpSpec(13, 32), 0)
-    trained = train(net, data, learning_rate=0.1, epochs=1, batch_size=32, seed=0)
+    trained = train(net, data, learning_rate=0.1, epochs=1, batch_size=32, seeds=[0])
     assert loss(trained, data) < loss(net, data)
 
 
@@ -216,7 +216,7 @@ def test_descent_sanity_at_small_learning_rate():
     spec = ModularTaskSpec(13, ModularOp.SUB, split_seed=1)
     data = full_split(spec, "train")
     net = init_mlp(MlpSpec(13, 32), 1)
-    trained = train(net, data, learning_rate=0.01, epochs=5, batch_size=32, seed=3)
+    trained = train(net, data, learning_rate=0.01, epochs=5, batch_size=32, seeds=[3])
     assert loss(trained, data) <= loss(net, data)
 
 
@@ -309,12 +309,27 @@ def test_lockstep_experts_equal_separate_training():
     bit the expert a K=1 train call from the same base gives."""
     seed, m, hidden = 3, 5, 8
     recipe = ExpertTrainConfig(base_epochs=3, expert_epochs=40, batch_size=4)
-    base, expert_add, expert_sub = build_experts(seed, m, hidden, recipe)
-    for k, (spec, expert) in enumerate(zip(twin_tasks(m, split_seed=seed), (expert_add, expert_sub))):
+    specs = twin_tasks(m, split_seed=seed)
+    base, expert_add, expert_sub = build_experts(specs, seed, hidden, recipe)
+    for k, (spec, expert) in enumerate(zip(specs, (expert_add, expert_sub))):
         alone = train(base, full_split(spec, "train"), learning_rate=recipe.learning_rate,
                       epochs=recipe.expert_epochs, batch_size=recipe.batch_size,
-                      seed=seed * 7 + 1 + k, weight_decay=recipe.weight_decay)
+                      seeds=[seed * 7 + 1 + k], weight_decay=recipe.weight_decay)
         assert np.array_equal(flatten(expert), flatten(alone))
+
+
+def test_a_stack_of_unrelated_models_equals_training_each_alone():
+    """Each model of a stack shuffles with its own seed, whatever its start:
+    two nets of different inits, on the pools of two different tasks, trained
+    as one stack, are bit for bit the nets that train gives each alone."""
+    specs = (ModularTaskSpec(5, ModularOp.ADD, split_seed=1), ModularTaskSpec(5, ModularOp.SUB, split_seed=4))
+    nets = [init_mlp(MlpSpec(5, 8), 2), init_mlp(MlpSpec(5, 8), 9)]
+    pools = [full_split(spec, "train") for spec in specs]
+    seeds, sgd = [3, 11], dict(learning_rate=0.5, epochs=20, batch_size=4, weight_decay=0.012)
+    data = Dataset(np.stack([d.inputs for d in pools]), np.stack([d.labels for d in pools]))
+    together = unstack(train(stack(nets), data, seeds=seeds, **sgd))
+    for net, pool, seed, trained in zip(nets, pools, seeds, together):
+        assert np.array_equal(flatten(trained), flatten(train(net, pool, seeds=[seed], **sgd)))
 
 
 def test_stacked_gradient_slices_equal_single_model_gradients():
@@ -453,9 +468,9 @@ def test_train_builds_one_parameter_set_per_step(built_sets):
     epochs, batch_size = 3, 5
     steps = epochs * -(-len(one) // batch_size)
     assert len(one) % batch_size != 0  # the last batch of each epoch is short
-    for model, data in ((net, one), (stack([net, net]), two)):
+    for model, data, seeds in ((net, one, [0]), (stack([net, net]), two, [0, 1])):
         built_sets.clear()
-        train(model, data, learning_rate=0.1, epochs=epochs, batch_size=batch_size, seed=0)
+        train(model, data, learning_rate=0.1, epochs=epochs, batch_size=batch_size, seeds=seeds)
         assert len(built_sets) == steps
 
 
@@ -466,7 +481,7 @@ def test_train_rejects_a_model_stack_that_does_not_match_the_dataset():
     net = init_mlp(MlpSpec(5, 4), 0)
     for model, data in ((stack([net, net]), one), (net, two), (stack([net] * 3), two)):
         with pytest.raises(ValueError, match="does not match"):
-            train(model, data, learning_rate=0.1, epochs=1, batch_size=32, seed=0)
+            train(model, data, learning_rate=0.1, epochs=1, batch_size=32, seeds=[0])
 
 
 def test_train_rejects_inputs_of_another_width():
@@ -474,4 +489,4 @@ def test_train_rejects_inputs_of_another_width():
     net = init_mlp(MlpSpec(13, 8), 0)
     data = full_split(ModularTaskSpec(7, ModularOp.ADD), "train")
     with pytest.raises(ValueError, match="inputs of width 14 do not match fc1_w's 26 rows"):
-        train(net, data, learning_rate=0.1, epochs=2, batch_size=32, seed=0)
+        train(net, data, learning_rate=0.1, epochs=2, batch_size=32, seeds=[0])
