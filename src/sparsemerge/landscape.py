@@ -73,7 +73,7 @@ def random_directions(theta0: ParameterSet, seed: int) -> DirectionPair:
     dirs = []
     for _ in range(2):
         layers = []
-        for name, arr in theta0.items():
+        for name, arr in theta0.layers:
             raw = rng.standard_normal(arr.shape)
             target = float(np.linalg.norm(arr))
             raw_norm = float(np.linalg.norm(raw))
@@ -185,9 +185,9 @@ def extreme_eigs(
     return EigResult(lam_max, lam_min, converged)
 
 
-def convexity_score(lam_max: float, lam_min: float, eps: float) -> float:
-    """clip(|lam_min| / (|lam_max| + eps), 0, 0.5)"""
-    return float(np.clip(abs(lam_min) / (abs(lam_max) + eps), 0.0, 0.5))
+def convexity_score(lam_max: float, lam_min: float) -> float:
+    """clip(|lam_min| / (|lam_max| + SCORE_EPS), 0, 0.5)"""
+    return float(np.clip(abs(lam_min) / (abs(lam_max) + SCORE_EPS), 0.0, 0.5))
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,7 @@ def convexity_grid(
             theta = point_params(theta0, dirs, float(alpha), float(beta))
             cell_cfg = dataclasses.replace(eig_cfg, seed=derive_seed(eig_cfg.seed, TAG_EIG, i, j))
             result = extreme_eigs(lambda v: hvp(theta, batch, v), n, cell_cfg)
-            conv[i, j] = convexity_score(result.lam_max, result.lam_min, SCORE_EPS)
+            conv[i, j] = convexity_score(result.lam_max, result.lam_min)
             lmax[i, j] = result.lam_max
             lmin[i, j] = result.lam_min
             flags[i, j] = result.converged

@@ -143,9 +143,6 @@ class ParameterSet:
     def __getitem__(self, name: str) -> np.ndarray:
         return self._views[name]
 
-    def items(self):
-        return iter(self.layers)
-
 
 def require_compatible(*sets: ParameterSet) -> None:
     """Raise ValueError unless every set has the first one's layer names, order and shapes."""

@@ -101,7 +101,7 @@ def collect_stats(p: ParameterSet) -> SparsityStats:
     zeros = 0
     total_abs = 0.0
     n = param_count(p)
-    for name, arr in p.items():
+    for name, arr in p.layers:
         z = int(np.count_nonzero(arr == 0.0))
         # numpy's mean is this same float64 sum divided by the size.
         abs_sum = float(np.abs(arr).sum())

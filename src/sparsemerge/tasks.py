@@ -157,7 +157,7 @@ class MlpSpec:
             raise ValueError(f"fc3_w has {m} output, expected a modulus >= 2")
         spec = cls(m, params["fc1_w"].shape[-1])
         wrong = [f"{name} is {list(arr.shape)}, expected {list(shape)}"
-                 for (name, arr), shape in zip(params.items(), spec.shapes) if arr.shape != shape]
+                 for (name, arr), shape in zip(params.layers, spec.shapes) if arr.shape != shape]
         if wrong:
             raise ValueError(f"does not fit widths {list(spec.widths)} (m={m}): {'; '.join(wrong)}")
         return spec
@@ -199,10 +199,18 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Mean of -log p(label) over the rows of each model: a 0-d array for one
+    model, one value per model for a stack."""
+    # Each row's label, picked through a (rows, m) view of the probabilities.
+    picked = probs.reshape(-1, probs.shape[-1])[np.arange(labels.size), labels.ravel()]
+    return -np.log(np.maximum(picked.reshape(labels.shape), 1e-300)).mean(axis=-1)
+
+
 def loss(p: ParameterSet, batch: Dataset) -> float:
-    probs = softmax(forward(p, batch.inputs))
-    picked = probs[np.arange(len(batch)), batch.labels]
-    return float(-np.log(np.maximum(picked, 1e-300)).mean())
+    """Mean cross-entropy of one model on ``batch``: bit for bit the value
+    ``loss_and_grad`` returns."""
+    return float(_cross_entropy(softmax(forward(p, batch.inputs)), batch.labels))
 
 
 def loss_and_grad(p: ParameterSet, batch: Dataset, tangent: np.ndarray | None = None) -> tuple:
@@ -259,15 +267,12 @@ def _linearize(p: ParameterSet, batch: Dataset) -> tuple:
     y = batch.labels
     z1, a1, z2, a2, logits = _forward_cached(p, batch.inputs)
     probs = softmax(logits)
-    # Each row's label, picked through a (rows, m) view of the probabilities.
-    rows, labels = np.arange(y.size), y.ravel()
-    picked = probs.reshape(-1, probs.shape[-1])[rows, labels].reshape(y.shape)
-    value = -np.log(np.maximum(picked, 1e-300)).mean(axis=-1)
+    value = _cross_entropy(probs, y)
     # Float masks: a product with a bool mask casts the mask on every use,
     # and each R-operator pass uses both twice.
     mask1, mask2 = (z1 > 0).astype(np.float64), (z2 > 0).astype(np.float64)
     g = probs.copy()
-    g.reshape(-1, g.shape[-1])[rows, labels] -= 1.0
+    g.reshape(-1, g.shape[-1])[np.arange(y.size), y.ravel()] -= 1.0
     g /= len(batch)
     d_z2 = (g @ p["fc3_w"].swapaxes(-1, -2)) * mask2
     return a1, a2, probs, mask1, mask2, g, d_z2, value
@@ -370,13 +375,6 @@ def train(
                         f"(learning rate {learning_rate!r}): {exc}"
                     ) from None
     return params
-
-
-def twin_tasks(modulus: int = 13, split_seed: int = 0) -> tuple[ModularTaskSpec, ModularTaskSpec]:
-    return (
-        ModularTaskSpec(modulus, ModularOp.ADD, split_seed),
-        ModularTaskSpec(modulus, ModularOp.SUB, split_seed),
-    )
 
 
 @dataclass(frozen=True)

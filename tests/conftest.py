@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from sparsemerge.cli import main as cli_main
+from sparsemerge.cli import Settings, build_tasks, main as cli_main
 from sparsemerge.params import ParameterSet
-from sparsemerge.tasks import build_experts, twin_tasks
+from sparsemerge.tasks import ModularTaskSpec, build_experts
 
 
 def rand_pset(seed: int, shapes=None, sparsity: float = 0.0) -> ParameterSet:
@@ -19,6 +19,12 @@ def rand_pset(seed: int, shapes=None, sparsity: float = 0.0) -> ParameterSet:
             arr = np.where(mask, 0.0, arr)
         pairs.append((name, arr))
     return ParameterSet.from_pairs(pairs)
+
+
+def twin_tasks(modulus: int, split_seed: int) -> tuple[ModularTaskSpec, ModularTaskSpec]:
+    """The twin tasks (add, then sub) of one modulus and one partition, by the
+    rule of every command with no --op: ``cli.build_tasks``."""
+    return build_tasks(Settings({}), modulus, split_seed)
 
 
 @pytest.fixture

@@ -178,9 +178,9 @@ def test_criterion_07_curvature_oracle():
         convex = extreme_eigs(lambda v: np.array([2.0, 2.0]) * v, 2, eig_cfg)
         saddle = extreme_eigs(lambda v: np.array([2.0, -2.0]) * v, 2, eig_cfg)
         flat_case = extreme_eigs(lambda v: np.array([2.0, 0.0]) * v, 2, eig_cfg)
-        assert convexity_score(convex.lam_max, convex.lam_min, 1e-8) == 0.5
-        assert convexity_score(saddle.lam_max, saddle.lam_min, 1e-8) == 0.5
-        assert convexity_score(flat_case.lam_max, flat_case.lam_min, 1e-8) == 0.0
+        assert convexity_score(convex.lam_max, convex.lam_min) == 0.5
+        assert convexity_score(saddle.lam_max, saddle.lam_min) == 0.5
+        assert convexity_score(flat_case.lam_max, flat_case.lam_min) == 0.0
 
 
 @pytest.fixture(scope="module")

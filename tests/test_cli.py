@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import rand_pset
+from conftest import rand_pset, twin_tasks
 from sparsemerge import cli
 from sparsemerge.cli import COMMAND_OPTS, main, read_config_file
 from sparsemerge.params import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
-from sparsemerge.tasks import LAYER_NAMES, MlpSpec, full_split, init_mlp, loss, twin_tasks
+from sparsemerge.tasks import LAYER_NAMES, MlpSpec, full_split, init_mlp, loss
 
 FAST_TRAIN = ["--base-epochs", "3", "--expert-epochs", "40", "--seed", "0"]
 
@@ -75,7 +75,7 @@ def test_baseline_task_arithmetic_scale_zero_equals_base(fast_experts_dir, tmp_p
                  "--experts", str(fast_experts_dir), "--out", str(out)]) == 0
     merged = load_checkpoint(out / "merged.ckpt")
     base = load_checkpoint(fast_experts_dir / "base.ckpt")
-    for name, arr in base.items():
+    for name, arr in base.layers:
         assert np.array_equal(merged[name], arr)
 
 

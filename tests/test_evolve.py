@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from conftest import twin_tasks
 from sparsemerge import evolve, sparsity
 from sparsemerge.evolve import (
     AnnealTarget,
@@ -22,7 +23,7 @@ from sparsemerge.merge import MergeConfig, RedenseMode
 from sparsemerge.params import flatten
 from sparsemerge.seeding import TAG_PAIRING, substream
 from sparsemerge.sparsity import SparsitySchedule, collect_stats
-from sparsemerge.tasks import Dataset, MlpSpec, full_split, init_mlp, twin_tasks
+from sparsemerge.tasks import Dataset, MlpSpec, full_split, init_mlp
 
 
 def make_cfg(specs, **overrides):
@@ -178,7 +179,7 @@ def test_offspring_zero_fraction_respects_schedule(expert_bundle):
     _, expert_add, expert_sub, specs = expert_bundle
     cfg = make_cfg(specs)
     _, records = run_sae([expert_add, expert_sub], cfg)
-    n = sum(arr.size for _, arr in expert_add.items())
+    n = sum(arr.size for _, arr in expert_add.layers)
     for r in records:
         if r.event.startswith("offspring"):
             rate_token = [t for t in r.event.split() if t.startswith("rate=")][0]
@@ -226,7 +227,7 @@ def test_archive_annealing_never_touches_roots(expert_bundle):
     for member in surviving_roots:
         assert any(np.array_equal(flatten(member.params), rp) for rp in root_params)
     rate = 0.6  # schedule_rate(defaults, 2)
-    n = sum(arr.size for _, arr in expert_add.items())
+    n = sum(arr.size for _, arr in expert_add.layers)
     for member in stepped.members:
         if not member.root_dense:
             assert member.stats.zero_frac >= np.floor(rate * n) / n - 1e-12

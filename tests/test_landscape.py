@@ -76,7 +76,7 @@ def test_direction_norms_match_anchor():
     theta = init_mlp(MlpSpec(13, 32), 0)
     dirs = random_directions(theta, seed=5)
     for d in (dirs.d1, dirs.d2):
-        for name, arr in theta.items():
+        for name, arr in theta.layers:
             assert np.linalg.norm(d[name]) == pytest.approx(np.linalg.norm(arr), abs=1e-9)
 
 
@@ -188,7 +188,7 @@ def test_extreme_eigs_convex_quadratic():
     result = extreme_eigs(*diagonal(2.0, 2.0), EigConfig(iters=500, tol=1e-11))
     assert result.lam_max == pytest.approx(2.0, abs=1e-6)
     assert result.lam_min == pytest.approx(2.0, abs=1e-6)
-    assert convexity_score(result.lam_max, result.lam_min, 1e-8) == 0.5
+    assert convexity_score(result.lam_max, result.lam_min) == 0.5
 
 
 def test_extreme_eigs_symmetric_saddle():
@@ -196,7 +196,7 @@ def test_extreme_eigs_symmetric_saddle():
     result = extreme_eigs(*diagonal(2.0, -2.0), EigConfig(iters=500, tol=1e-11))
     assert result.lam_max == pytest.approx(2.0, abs=1e-6)
     assert result.lam_min == pytest.approx(-2.0, abs=1e-6)
-    assert convexity_score(result.lam_max, result.lam_min, 1e-8) == 0.5
+    assert convexity_score(result.lam_max, result.lam_min) == 0.5
 
 
 def test_extreme_eigs_flat_direction():
@@ -204,7 +204,7 @@ def test_extreme_eigs_flat_direction():
     result = extreme_eigs(*diagonal(2.0, 0.0), EigConfig(iters=500, tol=1e-11))
     assert result.lam_max == pytest.approx(2.0, abs=1e-6)
     assert result.lam_min == 0.0
-    assert convexity_score(result.lam_max, result.lam_min, 1e-8) == 0.0
+    assert convexity_score(result.lam_max, result.lam_min) == 0.0
 
 
 def test_extreme_eigs_against_dense_hessian():
@@ -348,12 +348,12 @@ def test_converged_cells_match_the_dense_spectrum():
 
 
 def test_convexity_score_clipping():
-    assert convexity_score(2.0, 2.0, 1e-8) == 0.5
-    assert convexity_score(1.0, 0.0, 1e-8) == 0.0
-    assert convexity_score(1.0, -0.25, 1e-8) == pytest.approx(0.25, rel=1e-6)
+    assert convexity_score(2.0, 2.0) == 0.5
+    assert convexity_score(1.0, 0.0) == 0.0
+    assert convexity_score(1.0, -0.25) == pytest.approx(0.25, rel=1e-6)
     # Clipping is idempotent and order-preserving below the cap.
-    low = convexity_score(1.0, -0.1, 1e-8)
-    high = convexity_score(1.0, -0.3, 1e-8)
+    low = convexity_score(1.0, -0.1)
+    high = convexity_score(1.0, -0.3)
     assert low < high < 0.5
 
 

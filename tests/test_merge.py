@@ -129,17 +129,17 @@ def test_merge_models_identical_parents():
     p = rand_pset(0, sparsity=0.2)
     merged, lambdas = merge_models(p, p, collect_stats(p), collect_stats(p), 0.7, 0.7, MergeConfig())
     assert all(lam == 0.5 for lam in lambdas.values())
-    for name, arr in p.items():
+    for name, arr in p.layers:
         nonzero = arr != 0.0
         assert np.array_equal(merged[name][nonzero], arr[nonzero])
 
 
 def test_merge_models_dense_vs_all_zero():
     dense = rand_pset(1)
-    hollow = ParameterSet.from_pairs((name, np.zeros_like(arr)) for name, arr in dense.items())
+    hollow = ParameterSet.from_pairs((name, np.zeros_like(arr)) for name, arr in dense.layers)
     stats = collect_stats(dense), collect_stats(hollow)
     merged, _ = merge_models(dense, hollow, *stats, 0.1, 0.9, MergeConfig())
-    for name, arr in dense.items():
+    for name, arr in dense.layers:
         assert np.array_equal(merged[name], arr)
 
 
@@ -180,11 +180,11 @@ def recomputed_weights(a, b, measure, granularity):
     """Sparsity weights computed from the models themselves, as merge_models
     did before it took the parents' statistics."""
     def measures(p):
-        zero = {name: np.count_nonzero(arr == 0.0) / arr.size for name, arr in p.items()}
-        mean = {name: float(np.abs(arr).mean()) for name, arr in p.items()}
-        n = sum(arr.size for _, arr in p.items())
-        total_zero = sum(np.count_nonzero(arr == 0.0) for _, arr in p.items()) / n
-        total_mean = sum(float(np.abs(arr).sum()) for _, arr in p.items()) / n
+        zero = {name: np.count_nonzero(arr == 0.0) / arr.size for name, arr in p.layers}
+        mean = {name: float(np.abs(arr).mean()) for name, arr in p.layers}
+        n = sum(arr.size for _, arr in p.layers)
+        total_zero = sum(np.count_nonzero(arr == 0.0) for _, arr in p.layers) / n
+        total_mean = sum(float(np.abs(arr).sum()) for _, arr in p.layers) / n
         return zero, mean, total_zero, total_mean
 
     zero_a, mean_a, total_zero_a, total_mean_a = measures(a)
@@ -224,7 +224,7 @@ def test_redense_examples():
     assert np.array_equal(redense(p, donor)["t"], [7.0, 5.0])
     dense = rand_pset(2)
     restored = redense(dense, rand_pset(3))
-    for name, arr in dense.items():
+    for name, arr in dense.layers:
         assert np.array_equal(restored[name], arr)
 
 
@@ -249,7 +249,7 @@ def test_redense_never_zeroes_donor_nonzero():
 def test_weight_average_examples():
     theta = rand_pset(4)
     avg = weight_average([theta, theta])
-    for name, arr in theta.items():
+    for name, arr in theta.layers:
         assert np.array_equal(avg[name], arr)
     two = ParameterSet.from_pairs([("t", np.array([2.0]))])
     four = ParameterSet.from_pairs([("t", np.array([4.0]))])
@@ -277,10 +277,10 @@ def test_task_arithmetic_examples():
 
     rand_base, expert = rand_pset(5), rand_pset(6)
     zero_scale = task_arithmetic(rand_base, [expert], 0.0)
-    for name, arr in rand_base.items():
+    for name, arr in rand_base.layers:
         assert np.array_equal(zero_scale[name], arr)
     identity = task_arithmetic(rand_base, [expert], 1.0)
-    for name, arr in expert.items():
+    for name, arr in expert.layers:
         assert np.array_equal(identity[name], arr)
     with pytest.raises(ValueError):
         task_arithmetic(rand_base, [], 1.0)

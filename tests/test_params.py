@@ -58,7 +58,7 @@ def test_layer_validation():
 
 def test_param_count_matches_dim_products():
     p = rand_pset(3)
-    assert param_count(p) == sum(np.prod(arr.shape) for _, arr in p.items())
+    assert param_count(p) == sum(np.prod(arr.shape) for _, arr in p.layers)
 
 
 def test_roundtrip_preserves_values_at_f32(tmp_path):
@@ -66,7 +66,7 @@ def test_roundtrip_preserves_values_at_f32(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(p, path)
     loaded = load_checkpoint(path)
-    for (name, arr), (name2, arr2) in zip(p.items(), loaded.items()):
+    for (name, arr), (name2, arr2) in zip(p.layers, loaded.layers):
         assert name == name2
         assert np.array_equal(arr2, arr.astype(np.float32).astype(np.float64))
 
@@ -94,7 +94,7 @@ def test_file_size_follows_format(tmp_path):
     path = tmp_path / "mlp.ckpt"
     save_checkpoint(p, path)
     expected = 12
-    for name, arr in p.items():
+    for name, arr in p.layers:
         expected += 4 + len(name.encode()) + 4 + 8 * arr.ndim + 4 * arr.size
     assert path.stat().st_size == expected
 
@@ -156,7 +156,7 @@ def test_flatten_unflatten_roundtrip():
     flat = flatten(p)
     assert flat.shape == (param_count(p),)
     back = unflatten(p, flat)
-    for (name, arr), (_, arr2) in zip(p.items(), back.items()):
+    for (name, arr), (_, arr2) in zip(p.layers, back.layers):
         assert np.array_equal(arr, arr2)
 
 

@@ -98,7 +98,7 @@ def test_prune_forced_magnitude_order():
 def test_prune_rate_zero_is_identity():
     p = rand_pset(0)
     pruned = prune(p, 0.0)
-    for name, arr in p.items():
+    for name, arr in p.layers:
         assert np.array_equal(arr, pruned[name])
 
 
@@ -226,7 +226,7 @@ def test_magnitude_weights_sum_to_one_when_any_entry_nonzero():
                     any_nonzero = np.any(a[name] != 0.0) or np.any(b[name] != 0.0)
                 else:
                     any_nonzero = any(
-                        np.any(arr != 0.0) for p in (a, b) for _, arr in p.items()
+                        np.any(arr != 0.0) for p in (a, b) for _, arr in p.layers
                     )
                 if any_nonzero:
                     assert abs(w_a + w_b - 1.0) < 1e-9

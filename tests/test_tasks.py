@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import twin_tasks
 from sparsemerge import tasks
 from sparsemerge.params import (
     ParameterSet,
@@ -29,7 +30,6 @@ from sparsemerge.tasks import (
     sample_pairs,
     softmax,
     train,
-    twin_tasks,
 )
 
 
@@ -110,7 +110,7 @@ def test_labels_match_op_in_generated_data():
 
 def zero_network(spec: MlpSpec) -> ParameterSet:
     template = init_mlp(spec, 0)
-    return ParameterSet.from_pairs((name, np.zeros_like(arr)) for name, arr in template.items())
+    return ParameterSet.from_pairs((name, np.zeros_like(arr)) for name, arr in template.layers)
 
 
 @pytest.mark.parametrize("spec", [MlpSpec(13, 32), MlpSpec(2, 1), MlpSpec(5, 7)])
@@ -119,15 +119,15 @@ def test_mlp_spec_of_reads_the_widths_back(spec):
 
 
 def _with_layer(p: ParameterSet, name: str, arr) -> ParameterSet:
-    return ParameterSet.from_pairs((n, arr if n == name else a) for n, a in p.items())
+    return ParameterSet.from_pairs((n, arr if n == name else a) for n, a in p.layers)
 
 
 NOT_AN_MLP = {
     "layers out of order": (
-        lambda p: ParameterSet.from_pairs(reversed(list(p.items()))),
+        lambda p: ParameterSet.from_pairs(reversed(p.layers)),
         "layers fc3_b, fc3_w, fc2_b, fc2_w, fc1_b, fc1_w, expected fc1_w, fc1_b, fc2_w, fc2_b, fc3_w, fc3_b"),
     "a layer missing": (
-        lambda p: ParameterSet.from_pairs(list(p.items())[:-1]),
+        lambda p: ParameterSet.from_pairs(p.layers[:-1]),
         "layers fc1_w, fc1_b, fc2_w, fc2_b, fc3_w, expected fc1_w, fc1_b, fc2_w, fc2_b, fc3_w, fc3_b"),
     "one output": (
         lambda p: _with_layer(_with_layer(p, "fc3_w", np.zeros((4, 1))), "fc3_b", np.zeros(1)),
@@ -161,6 +161,19 @@ def test_zero_weight_network_gives_uniform_loss():
     assert value == pytest.approx(np.log(13.0), abs=1e-12)
 
 
+def test_loss_is_the_value_loss_and_grad_returns():
+    """One cross-entropy: ``loss`` is bit for bit the value of ``loss_and_grad``,
+    for one model and for each model of a stack of two."""
+    spec = MlpSpec(5, 8)
+    models = [init_mlp(spec, seed) for seed in (1, 2)]
+    batches = [gen_dataset(ModularTaskSpec(5, op, split_seed=1), "train", 9, seed=3) for op in ModularOp]
+    assert loss(models[0], batches[0]) == loss_and_grad(models[0], batches[0])[0]
+    stacked_batch = Dataset(np.stack([b.inputs for b in batches]), np.stack([b.labels for b in batches]))
+    values = loss_and_grad(stack(models), stacked_batch)[0]
+    assert values.shape == (2,)
+    assert [loss(m, b) for m, b in zip(models, batches)] == list(values)
+
+
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
     probs = softmax(rng.standard_normal((40, 13)) * 10.0)
@@ -184,7 +197,7 @@ def gradient_check(seed: int, spec: MlpSpec, batch: Dataset) -> float:
     rng = np.random.default_rng(seed)
     base = init_mlp(spec, seed)
     jitter = ParameterSet.from_pairs(
-        (name, arr + 0.3 * rng.standard_normal(arr.shape)) for name, arr in base.items()
+        (name, arr + 0.3 * rng.standard_normal(arr.shape)) for name, arr in base.layers
     )
     analytic = unflatten(jitter, loss_and_grad(jitter, batch)[1])
     numeric = fd_gradient(jitter, batch)
