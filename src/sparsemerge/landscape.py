@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,9 +48,13 @@ class GridSpec:
     resolution: int = 21
 
     def __post_init__(self):
+        # An axis spans 2 * extent, which must itself be a finite float.
+        widest = sys.float_info.max / 2
         check_fields(
             (self.alpha_max > 0, "alpha_max", f"must be > 0, got {self.alpha_max}"),
+            (self.alpha_max <= widest, "alpha_max", f"must be <= {widest!r}, got {self.alpha_max}"),
             (self.beta_max > 0, "beta_max", f"must be > 0, got {self.beta_max}"),
+            (self.beta_max <= widest, "beta_max", f"must be <= {widest!r}, got {self.beta_max}"),
             (self.resolution >= 2, "resolution", f"must be >= 2, got {self.resolution}"),
         )
 
@@ -94,13 +100,19 @@ def point_params(
 def loss_grid(
     theta0: ParameterSet, dirs: DirectionPair, grid: GridSpec, dataset: Dataset
 ) -> np.ndarray:
-    alphas, betas = grid.alphas, grid.betas
+    """Loss at every cell; the first cell whose model or loss is not finite
+    (an overflow, which is not warned of) ends the scan with a ValueError
+    that names it."""
     out = np.zeros((grid.resolution, grid.resolution))
-    for i, alpha in enumerate(alphas):
-        for j, beta in enumerate(betas):
-            out[i, j] = loss(point_params(theta0, dirs, float(alpha), float(beta)), dataset)
-    if not np.all(np.isfinite(out)):
-        raise ValueError("non-finite loss encountered on the grid")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, alpha in enumerate(map(float, grid.alphas)):
+            for j, beta in enumerate(map(float, grid.betas)):
+                try:
+                    out[i, j] = loss(point_params(theta0, dirs, alpha, beta), dataset)
+                    if not np.isfinite(out[i, j]):
+                        raise ValueError("non-finite loss")
+                except ValueError as exc:
+                    raise ValueError(f"cell ({i}, {j}, alpha={alpha!r}, beta={beta!r}): {exc}") from None
     return out
 
 
@@ -151,7 +163,8 @@ def extreme_eigs(
     extreme Ritz pairs are at most ``cfg.tol`` times the spread (the largest
     Ritz magnitude), or at breakdown (beta at rounding level: the Ritz values
     are exact), and takes at most min(cfg.iters, n) steps. ``converged`` is
-    False only when it stops at that limit.
+    False only when it stops at that limit. A product that is not finite
+    raises ValueError.
     """
     steps = min(cfg.iters, n)
     basis = np.zeros((steps, n))
@@ -169,6 +182,8 @@ def extreme_eigs(
         for _ in range(2):
             w = w - span.T @ (span @ w)
         beta = float(np.linalg.norm(w))
+        if not math.isfinite(beta):
+            raise ValueError(f"non-finite operator product at Lanczos step {j + 1}")
         ritz, vecs = np.linalg.eigh(tri[: j + 1, : j + 1])
         spread = max(abs(ritz[0]), abs(ritz[-1]))
         residual = beta * max(abs(vecs[-1, 0]), abs(vecs[-1, -1]))
@@ -205,7 +220,10 @@ def convexity_grid(
     dataset: Dataset,
     eig_cfg: EigConfig = EigConfig(),
 ) -> ConvexityResult:
-    """Convexity proxy per grid cell; non-converged cells are flagged, never hidden."""
+    """Convexity proxy per grid cell; non-converged cells are flagged, never
+    hidden. A cell whose model or Hessian products are not finite (an
+    overflow, which is not warned of) ends the map with a ValueError that
+    names it."""
     r = grid.resolution
     conv = np.zeros((r, r))
     lmax = np.zeros((r, r))
@@ -217,15 +235,19 @@ def convexity_grid(
     inputs.flags.writeable = labels.flags.writeable = False
     batch = Dataset(inputs, labels)
     n = param_count(theta0)
-    for i, alpha in enumerate(grid.alphas):
-        for j, beta in enumerate(grid.betas):
-            theta = point_params(theta0, dirs, float(alpha), float(beta))
-            cell_cfg = dataclasses.replace(eig_cfg, seed=derive_seed(eig_cfg.seed, TAG_EIG, i, j))
-            result = extreme_eigs(lambda v: hvp(theta, batch, v), n, cell_cfg)
-            conv[i, j] = convexity_score(result.lam_max, result.lam_min)
-            lmax[i, j] = result.lam_max
-            lmin[i, j] = result.lam_min
-            flags[i, j] = result.converged
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, alpha in enumerate(map(float, grid.alphas)):
+            for j, beta in enumerate(map(float, grid.betas)):
+                cell_cfg = dataclasses.replace(eig_cfg, seed=derive_seed(eig_cfg.seed, TAG_EIG, i, j))
+                try:
+                    theta = point_params(theta0, dirs, alpha, beta)
+                    result = extreme_eigs(lambda v: hvp(theta, batch, v), n, cell_cfg)
+                except ValueError as exc:
+                    raise ValueError(f"cell ({i}, {j}, alpha={alpha!r}, beta={beta!r}): {exc}") from None
+                conv[i, j] = convexity_score(result.lam_max, result.lam_min)
+                lmax[i, j] = result.lam_max
+                lmin[i, j] = result.lam_min
+                flags[i, j] = result.converged
     return ConvexityResult(conv, lmax, lmin, flags)
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 CHECKPOINT_MAGIC = b"SAEC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(Exception):
@@ -192,7 +192,7 @@ def repeat_per_layer(p: ParameterSet, values) -> np.ndarray:
 
 
 def save_checkpoint(p: ParameterSet, path) -> None:
-    """Write a binary checkpoint; values are rounded to 32-bit floats."""
+    """Write a binary checkpoint that holds the set's float64 values exactly."""
     buf = bytearray()
     buf += CHECKPOINT_MAGIC
     buf += struct.pack("<II", CHECKPOINT_VERSION, len(p.layers))
@@ -202,7 +202,7 @@ def save_checkpoint(p: ParameterSet, path) -> None:
         buf += encoded
         buf += struct.pack("<I", arr.ndim)
         buf += np.asarray(arr.shape, dtype="<u8").tobytes()
-        buf += np.ascontiguousarray(arr, dtype=np.float64).astype("<f4").tobytes()
+        buf += np.asarray(arr, dtype="<f8").tobytes()
     Path(path).write_bytes(bytes(buf))
 
 
@@ -237,8 +237,8 @@ def load_checkpoint(path) -> ParameterSet:
         numel = 1
         for d in shape:
             numel *= d
-        raw = np.frombuffer(take(4 * numel, f"layer {i} values"), dtype="<f4")
-        pairs.append((name, raw.astype(np.float64).reshape(shape)))
+        raw = np.frombuffer(take(8 * numel, f"layer {i} values"), dtype="<f8")
+        pairs.append((name, raw.reshape(shape)))
     if offset != len(data):
         raise CheckpointError(f"{len(data) - offset} trailing bytes after last layer")
     try:

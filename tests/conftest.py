@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from sparsemerge import cli
 from sparsemerge.cli import Settings, build_tasks, main as cli_main
-from sparsemerge.params import ParameterSet
+from sparsemerge.params import ParameterSet, load_checkpoint
 from sparsemerge.tasks import ModularTaskSpec, build_experts
 
 
@@ -48,19 +49,34 @@ def expert_bundle(experts5):
 
 
 @pytest.fixture(scope="session")
-def experts5():
-    """Trained experts for seeds 0..4, keyed by seed."""
-    out = {}
-    for seed in range(5):
+def experts5(experts_dir):
+    """Trained experts for seeds 0..4, keyed by seed. Seed 0's are the
+    checkpoints of experts_dir, which hold the trained models bit for bit."""
+    out = {0: (*map(load_checkpoint, cli.expert_paths(experts_dir)), twin_tasks(13, split_seed=0))}
+    for seed in range(1, 5):
         specs = twin_tasks(13, split_seed=seed)
         out[seed] = (*build_experts(specs, seed), specs)
     return out
 
 
 @pytest.fixture(scope="session")
-def experts_dir(tmp_path_factory):
-    """CLI-produced experts run directory (seed 0, default recipe)."""
+def experts_run(tmp_path_factory):
+    """The CLI's experts run (seed 0, default recipe): its directory, and the
+    (arguments, models) of each build_experts call it made."""
     out = tmp_path_factory.mktemp("experts_seed0")
-    code = cli_main(["train-experts", "--seed", "0", "--out", str(out)])
-    assert code == 0
-    return out
+    calls = []
+
+    def recording(*args):
+        calls.append((args, build_experts(*args)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "build_experts", recording)
+        assert cli_main(["train-experts", "--seed", "0", "--out", str(out)]) == 0
+    return out, calls
+
+
+@pytest.fixture(scope="session")
+def experts_dir(experts_run):
+    """CLI-produced experts run directory (seed 0, default recipe)."""
+    return experts_run[0]

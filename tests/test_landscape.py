@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import twin_tasks
 from sparsemerge import landscape, tasks
 from sparsemerge.landscape import (
     EigConfig,
@@ -16,7 +17,8 @@ from sparsemerge.landscape import (
     write_grid_csv,
     write_pgm,
 )
-from sparsemerge.params import ParameterSet, flatten, param_count, unflatten
+from sparsemerge.params import ParameterSet, flatten, load_checkpoint, param_count, unflatten
+from sparsemerge.seeding import TAG_EIG, derive_seed
 from sparsemerge.tasks import (
     MlpSpec,
     ModularOp,
@@ -345,6 +347,29 @@ def test_converged_cells_match_the_dense_spectrum():
             spectrum = np.linalg.eigvalsh(exact_hessian(point_params(net, dirs, alpha, beta), batch))
             assert result.lam_max[i, j] == pytest.approx(spectrum[-1], rel=1e-4)
             assert result.lam_min[i, j] == pytest.approx(spectrum[0], rel=1e-4)
+
+
+@pytest.mark.parametrize("i, j", [(10, 10), (0, 0)], ids=["centre", "corner"])
+def test_lanczos_finds_the_extremes_of_a_trained_expert(experts_dir, i, j):
+    """Two cells of the default convexity map of seed 0's expert_add (2,349
+    parameters), with the batch, directions and cell seed that ``convexity``
+    uses: both extremes are within the solver's own contract, EigConfig.tol
+    times the spread, of the dense spectrum built from unit HVPs."""
+    theta0 = load_checkpoint(experts_dir / "expert_add.ckpt")
+    batch = gen_dataset(twin_tasks(13, 0)[0], "opt", 64, derive_seed(0, TAG_EIG))
+    # Read-only, so that the cell's products share one linearization, as in a map.
+    batch.inputs.flags.writeable = batch.labels.flags.writeable = False
+    grid, cfg = GridSpec(), EigConfig(seed=derive_seed(0, TAG_EIG, i, j))
+    theta = point_params(theta0, random_directions(theta0, 0), float(grid.alphas[i]), float(grid.betas[j]))
+    hess = exact_hessian(theta, batch)
+    assert hess.shape == (2349, 2349)
+    assert np.max(np.abs(hess - hess.T)) <= 1e-12 * np.max(np.abs(hess))
+    spectrum = np.linalg.eigvalsh(hess)
+    spread = max(abs(spectrum[0]), abs(spectrum[-1]))
+    result = extreme_eigs(*hessian_of(theta, batch), cfg)
+    assert result.converged
+    assert abs(result.lam_max - spectrum[-1]) <= cfg.tol * spread
+    assert abs(result.lam_min - spectrum[0]) <= cfg.tol * spread
 
 
 def test_convexity_score_clipping():

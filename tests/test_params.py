@@ -61,14 +61,14 @@ def test_param_count_matches_dim_products():
     assert param_count(p) == sum(np.prod(arr.shape) for _, arr in p.layers)
 
 
-def test_roundtrip_preserves_values_at_f32(tmp_path):
+def test_roundtrip_is_exact(tmp_path):
     p = rand_pset(7)
     path = tmp_path / "model.ckpt"
     save_checkpoint(p, path)
     loaded = load_checkpoint(path)
     for (name, arr), (name2, arr2) in zip(p.layers, loaded.layers):
         assert name == name2
-        assert np.array_equal(arr2, arr.astype(np.float32).astype(np.float64))
+        assert np.array_equal(arr2, arr)
 
 
 def test_second_save_is_byte_identical(tmp_path):
@@ -95,8 +95,8 @@ def test_file_size_follows_format(tmp_path):
     save_checkpoint(p, path)
     expected = 12
     for name, arr in p.layers:
-        expected += 4 + len(name.encode()) + 4 + 8 * arr.ndim + 4 * arr.size
-    assert path.stat().st_size == expected
+        expected += 4 + len(name.encode()) + 4 + 8 * arr.ndim + 8 * arr.size
+    assert path.stat().st_size == expected == 18954
 
 
 def test_corrupt_magic_rejected(tmp_path):
