@@ -573,8 +573,9 @@ def cmd_baseline(cfg: dict[str, Any], out_dir: Path) -> Outcome:
         merged = weight_average([expert_add, expert_sub])
     else:
         merged = task_arithmetic(base, [expert_add, expert_sub], cfg["scale"])
-    save_checkpoint(merged, out_dir / "merged.ckpt")
+    # Scored first: a merge that cannot be scored writes nothing.
     row = (cfg["method"], *evaluate_model(merged, specs))
+    save_checkpoint(merged, out_dir / "merged.ckpt")
     return [row], [score_line(*row)]
 
 

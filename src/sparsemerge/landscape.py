@@ -3,10 +3,10 @@
 The extreme Hessian eigenvalues of each cell come from one matrix-free
 Lanczos run with full reorthogonalisation. Its Hessian-vector products are
 exact on a batch's cross-entropy (Pearlmutter's R-operator, computed by
-``tasks.loss_and_grad``). Every product of a cell is taken at one point on
-one read-only batch, so the forward and backward pass there run once per
-cell and each product adds only the tangent's pass. Scans move along two
-random directions rescaled layer-wise to the anchor model's norms.
+``tasks.loss_and_grad``). Each cell linearizes once at its point
+(``tasks.linearize``: the forward and backward pass) and hands that to every
+product it takes, so each product adds only the tangent's pass. Scans move
+along two random directions rescaled layer-wise to the anchor model's norms.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .params import ParameterSet, check_fields, flatten, param_count, unflatten
 from .seeding import TAG_DIRECTIONS, TAG_EIG, derive_seed, substream
-from .tasks import Dataset, loss, loss_and_grad
+from .tasks import Dataset, linearize, loss, loss_and_grad
 
 # Eigenvalue estimates below ZERO_TOL * spread are reported as exactly 0: they
 # are below the rounding error of the products, so a flat direction scores
@@ -116,13 +116,14 @@ def loss_grid(
     return out
 
 
-def hvp(theta: ParameterSet, batch: Dataset, v: np.ndarray) -> np.ndarray:
+def hvp(theta: ParameterSet, batch: Dataset, v: np.ndarray, lin: tuple | None = None) -> np.ndarray:
     """Exact Hessian-vector product H(theta) * v of the mean cross-entropy on
-    ``batch``: one backpropagation with the tangent v (``tasks.loss_and_grad``).
+    ``batch``: one backpropagation with the tangent v (``tasks.loss_and_grad``),
+    which given ``lin = linearize(theta, batch)`` runs only the tangent's pass.
 
     ``v`` and the product are flat vectors aligned with ``flatten(theta)``.
     """
-    return loss_and_grad(theta, batch, v)[1]
+    return loss_and_grad(theta, batch, v, lin)[1]
 
 
 @dataclass(frozen=True)
@@ -229,11 +230,6 @@ def convexity_grid(
     lmax = np.zeros((r, r))
     lmin = np.zeros((r, r))
     flags = np.zeros((r, r), dtype=bool)
-    # A read-only copy, so that every product of a cell reuses the
-    # linearization ``loss_and_grad`` took at the cell's point.
-    inputs, labels = np.array(dataset.inputs), np.array(dataset.labels)
-    inputs.flags.writeable = labels.flags.writeable = False
-    batch = Dataset(inputs, labels)
     n = param_count(theta0)
     with np.errstate(over="ignore", invalid="ignore"):
         for i, alpha in enumerate(map(float, grid.alphas)):
@@ -241,7 +237,8 @@ def convexity_grid(
                 cell_cfg = dataclasses.replace(eig_cfg, seed=derive_seed(eig_cfg.seed, TAG_EIG, i, j))
                 try:
                     theta = point_params(theta0, dirs, alpha, beta)
-                    result = extreme_eigs(lambda v: hvp(theta, batch, v), n, cell_cfg)
+                    lin = linearize(theta, dataset)
+                    result = extreme_eigs(lambda v: hvp(theta, dataset, v, lin), n, cell_cfg)
                 except ValueError as exc:
                     raise ValueError(f"cell ({i}, {j}, alpha={alpha!r}, beta={beta!r}): {exc}") from None
                 conv[i, j] = convexity_score(result.lam_max, result.lam_min)

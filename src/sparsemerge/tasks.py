@@ -213,7 +213,8 @@ def loss(p: ParameterSet, batch: Dataset) -> float:
     return float(_cross_entropy(softmax(forward(p, batch.inputs)), batch.labels))
 
 
-def loss_and_grad(p: ParameterSet, batch: Dataset, tangent: np.ndarray | None = None) -> tuple:
+def loss_and_grad(p: ParameterSet, batch: Dataset, tangent: np.ndarray | None = None,
+                  lin: tuple | None = None) -> tuple:
     """Mean cross-entropy and its exact gradient via backpropagation.
 
     Every derivative it takes or returns is one float64 vector aligned with
@@ -227,41 +228,34 @@ def loss_and_grad(p: ParameterSet, batch: Dataset, tangent: np.ndarray | None = 
     differentiation (Pearlmutter's R-operator) pushes the tangent through the
     forward pass and then through the backward pass, reusing its rectifier
     masks, whose second derivative is zero off the kinks. The forward and
-    backward pass depend only on the point and the batch, so a tangent call
-    on the same ``p`` and the same read-only batch as the tangent call before
-    it (every Lanczos step of a cell, see ``landscape.convexity_grid``) reuses
-    them and runs only the tangent's pass.
+    backward pass depend only on the point and the batch: given ``lin``, the
+    ``linearize(p, batch)`` of this very ``p`` and ``batch`` (every Lanczos
+    step of a cell, see ``landscape.convexity_grid``), it runs only the pass
+    that follows them. A ``lin`` taken at another point or on another batch
+    raises ValueError.
     """
-    if tangent is None:
-        a1, a2, _, mask1, _, g, d_z2, value = _linearize(p, batch)
-        d_z1 = (d_z2 @ p["fc2_w"].swapaxes(-1, -2)) * mask1
-        return value, _assemble(p, (
-            batch.inputs.swapaxes(-1, -2) @ d_z1, d_z1.sum(axis=-2),
-            a1.swapaxes(-1, -2) @ d_z2, d_z2.sum(axis=-2),
-            a2.swapaxes(-1, -2) @ g, g.sum(axis=-2),
-        ))
-    global _last_linearization
-    memo = _last_linearization
-    if memo[0] is p and memo[1] is batch:
-        lin = memo[2]
-    else:
-        lin = _linearize(p, batch)
-        if not (batch.inputs.flags.writeable or batch.labels.flags.writeable):
-            _last_linearization = (p, batch, lin)
-    # A copy, so that no caller can write into the value a later hit returns.
-    return lin[-1].copy(), _r_op(p, batch, lin, tangent)
+    if lin is None:
+        lin = linearize(p, batch)
+    elif lin[0] is not p or lin[1] is not batch:
+        raise ValueError("the linearization was taken at another point or on another batch")
+    # A copy, so that no caller can write into the linearization's value.
+    value = lin[-1].copy()
+    if tangent is not None:
+        return value, _r_op(lin, tangent)
+    _, _, a1, a2, _, mask1, _, g, d_z2, _ = lin
+    d_z1 = (d_z2 @ p["fc2_w"].swapaxes(-1, -2)) * mask1
+    return value, _assemble(p, (
+        batch.inputs.swapaxes(-1, -2) @ d_z1, d_z1.sum(axis=-2),
+        a1.swapaxes(-1, -2) @ d_z2, d_z2.sum(axis=-2),
+        a2.swapaxes(-1, -2) @ g, g.sum(axis=-2),
+    ))
 
 
-# (point, batch, _linearize(point, batch)) of the last tangent call on a
-# read-only batch. The set and the batch are immutable and held here, so an
-# identity match is the same point on the same rows; one entry stays alive.
-_last_linearization: tuple = (None, None, None)
-
-
-def _linearize(p: ParameterSet, batch: Dataset) -> tuple:
+def linearize(p: ParameterSet, batch: Dataset) -> tuple:
     """What ``loss_and_grad`` computes from the point and the batch alone:
-    activations, probabilities, rectifier masks, the error g at the logits,
-    its pullback d_z2 to the second pre-activation, and the loss value."""
+    the point and the batch themselves, activations, probabilities, rectifier
+    masks, the error g at the logits, its pullback d_z2 to the second
+    pre-activation, and the loss value."""
     if len(batch) == 0:
         raise ValueError("empty batch")
     y = batch.labels
@@ -275,14 +269,14 @@ def _linearize(p: ParameterSet, batch: Dataset) -> tuple:
     g.reshape(-1, g.shape[-1])[np.arange(y.size), y.ravel()] -= 1.0
     g /= len(batch)
     d_z2 = (g @ p["fc3_w"].swapaxes(-1, -2)) * mask2
-    return a1, a2, probs, mask1, mask2, g, d_z2, value
+    return p, batch, a1, a2, probs, mask1, mask2, g, d_z2, value
 
 
-def _r_op(p: ParameterSet, batch: Dataset, lin: tuple, tangent: np.ndarray) -> np.ndarray:
+def _r_op(lin: tuple, tangent: np.ndarray) -> np.ndarray:
     """H * tangent at the point that ``lin`` linearizes: the R-operator pass."""
+    p, batch, a1, a2, probs, mask1, mask2, g, d_z2, _ = lin
     x, n = batch.inputs, len(batch)
     w2, w3 = p["fc2_w"], p["fc3_w"]
-    a1, a2, probs, mask1, mask2, g, d_z2, _ = lin
     layout = p.layout
     if tangent.shape != (layout.size,):
         raise ValueError(f"tangent has {tangent.shape} entries, the model needs {layout.size}")
@@ -315,7 +309,12 @@ def _assemble(p: ParameterSet, layers) -> np.ndarray:
 def accuracy(p: ParameterSet, dataset: Dataset) -> float:
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    pred = forward(p, dataset.inputs).argmax(axis=1)
+    # An overflow is reported as the error below, not warned of.
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = forward(p, dataset.inputs)
+    if not np.isfinite(logits).all():
+        raise ValueError("non-finite logits")
+    pred = logits.argmax(axis=1)
     # int(): a Python float, equal to the mean of the matches.
     return int(np.count_nonzero(pred == dataset.labels)) / len(dataset)
 

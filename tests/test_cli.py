@@ -10,7 +10,14 @@ import pytest
 from conftest import rand_pset, twin_tasks
 from sparsemerge import cli
 from sparsemerge.cli import COMMAND_OPTS, main, read_config_file
-from sparsemerge.params import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, flatten, load_checkpoint, save_checkpoint
+from sparsemerge.params import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    flatten,
+    load_checkpoint,
+    save_checkpoint,
+    unflatten,
+)
 from sparsemerge.tasks import LAYER_NAMES, ExpertTrainConfig, MlpSpec, full_split, init_mlp, loss
 
 FAST_TRAIN = ["--base-epochs", "3", "--expert-epochs", "40", "--seed", "0"]
@@ -419,6 +426,14 @@ def _experts_without_config(experts: Path, tmp: Path) -> str:
     return str(copy)
 
 
+def _experts_with_scaled_add(experts: Path, tmp: Path, scale: float) -> Path:
+    """A copy of the experts run whose expert_add.ckpt holds its values times ``scale``."""
+    copy = shutil.copytree(experts, tmp / "experts")
+    add = load_checkpoint(experts / "expert_add.ckpt")
+    save_checkpoint(unflatten(add, flatten(add) * scale), copy / "expert_add.ckpt")
+    return copy
+
+
 def _checkpoint_away_from_its_run(experts: Path, tmp: Path) -> str:
     return str(shutil.copy(experts / "expert_add.ckpt", tmp / "alone.ckpt"))
 
@@ -506,6 +521,13 @@ BAD_INPUTS = {
     "experts-without-split-seed": lambda ex, tmp: (
         ["baseline", "--method", "weight-average", "--experts", _experts_without_split_seed(ex, tmp)],
         f"error: {tmp / 'experts' / 'config.txt'} has no split-seed, so the run's partition is unknown"),
+    # A finite model whose forward pass overflows has no score.
+    "baseline-overflowing-merge": lambda ex, tmp: (
+        ["baseline", "--method", "task-arithmetic", "--scale", "1e200", "--experts", str(ex)],
+        "error: non-finite logits"),
+    "eval-overflowing-checkpoint": lambda ex, tmp: (
+        ["eval", "--ckpt", str(_experts_with_scaled_add(ex, tmp, 1e160) / "expert_add.ckpt")],
+        "error: non-finite logits"),
     # A checkpoint's run gives its partition, and a score draws no randomness.
     "checkpoint-away-from-its-run": lambda ex, tmp: (
         ["eval", "--ckpt", _checkpoint_away_from_its_run(ex, tmp)],
@@ -612,6 +634,8 @@ def test_bad_input_exits_with_one_error_line(case, fast_experts_dir, tmp_path, c
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert expected in lines[0]
+    # A command that fails writes nothing.
+    assert not any((tmp_path / "o").glob("*"))
 
 
 # What _experts_with_truncated_sub's expert_sub.ckpt gets.

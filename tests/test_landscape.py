@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import twin_tasks
-from sparsemerge import landscape, tasks
+from sparsemerge import landscape
 from sparsemerge.landscape import (
     EigConfig,
     GridSpec,
@@ -26,6 +26,7 @@ from sparsemerge.tasks import (
     full_split,
     gen_dataset,
     init_mlp,
+    linearize,
     loss,
     loss_and_grad,
 )
@@ -49,8 +50,10 @@ def counting(fn):
 
 
 def hessian_of(theta: ParameterSet, batch):
-    """The Hessian of the batch's mean cross-entropy at theta, as extreme_eigs takes it."""
-    return (lambda v: hvp(theta, batch, v)), param_count(theta)
+    """The Hessian of the batch's mean cross-entropy at theta, as extreme_eigs
+    takes it, with one linearization for all its products."""
+    lin = linearize(theta, batch)
+    return (lambda v: hvp(theta, batch, v, lin)), param_count(theta)
 
 
 def small_net_and_batch():
@@ -170,18 +173,17 @@ def test_hvp_symmetry():
         assert abs(left - right) / max(abs(left), abs(right), 1e-12) < 1e-5
 
 
-def test_convexity_grid_linearizes_each_cell_once_on_a_read_only_copy(monkeypatch):
+def test_convexity_grid_linearizes_each_cell_once(monkeypatch):
     net, batch = small_net_and_batch()
     inputs, labels = batch.inputs.copy(), batch.labels.copy()
     hvp_counted, products = counting(landscape.hvp)
-    linearize_counted, linearized = counting(tasks._linearize)
+    linearize_counted, linearized = counting(landscape.linearize)
     monkeypatch.setattr(landscape, "hvp", hvp_counted)
-    monkeypatch.setattr(tasks, "_linearize", linearize_counted)
+    monkeypatch.setattr(landscape, "linearize", linearize_counted)
     grid = GridSpec(0.3, 0.3, 2)
     convexity_grid(net, random_directions(net, seed=7), grid, batch, EigConfig(iters=5))
     assert linearized[0] == 4 < products[0]
-    # The caller's batch stays its own: writable and unchanged.
-    assert batch.inputs.flags.writeable and batch.labels.flags.writeable
+    # The caller's batch is unchanged.
     assert np.array_equal(batch.inputs, inputs) and np.array_equal(batch.labels, labels)
 
 
@@ -243,8 +245,8 @@ def wider_net_and_batch():
 
 def exact_hessian(theta: ParameterSet, batch) -> np.ndarray:
     """Dense Hessian, column by column from hvp."""
-    n = param_count(theta)
-    return np.stack([hvp(theta, batch, e) for e in np.eye(n)], axis=1)
+    matvec, n = hessian_of(theta, batch)
+    return np.stack([matvec(e) for e in np.eye(n)], axis=1)
 
 
 def kink_margin(theta: ParameterSet, batch) -> float:
@@ -357,8 +359,6 @@ def test_lanczos_finds_the_extremes_of_a_trained_expert(experts_dir, i, j):
     times the spread, of the dense spectrum built from unit HVPs."""
     theta0 = load_checkpoint(experts_dir / "expert_add.ckpt")
     batch = gen_dataset(twin_tasks(13, 0)[0], "opt", 64, derive_seed(0, TAG_EIG))
-    # Read-only, so that the cell's products share one linearization, as in a map.
-    batch.inputs.flags.writeable = batch.labels.flags.writeable = False
     grid, cfg = GridSpec(), EigConfig(seed=derive_seed(0, TAG_EIG, i, j))
     theta = point_params(theta0, random_directions(theta0, 0), float(grid.alphas[i]), float(grid.betas[j]))
     hess = exact_hessian(theta, batch)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conftest import twin_tasks
-from sparsemerge import tasks
 from sparsemerge.params import (
     ParameterSet,
     flatten,
@@ -25,6 +24,7 @@ from sparsemerge.tasks import (
     full_split,
     gen_dataset,
     init_mlp,
+    linearize,
     loss,
     loss_and_grad,
     sample_pairs,
@@ -361,13 +361,6 @@ def test_stacked_gradient_slices_equal_single_model_gradients():
         assert np.array_equal(flatten(grad), single)
 
 
-def frozen(batch: Dataset) -> Dataset:
-    """A read-only copy of ``batch``, whose linearization loss_and_grad may reuse."""
-    inputs, labels = batch.inputs.copy(), batch.labels.copy()
-    inputs.flags.writeable = labels.flags.writeable = False
-    return Dataset(inputs, labels)
-
-
 def test_stacked_hessian_vector_products_equal_single_model_products():
     spec = MlpSpec(5, 8)
     models = [init_mlp(spec, seed) for seed in range(3)]
@@ -377,57 +370,69 @@ def test_stacked_hessian_vector_products_equal_single_model_products():
         gen_dataset(ModularTaskSpec(5, op, split_seed=1), "train", 7, seed=seed)
         for seed, op in enumerate((ModularOp.ADD, ModularOp.SUB, ModularOp.ADD))
     ]
-    # A read-only stack, so that the second stacked call reuses the first one's
-    # linearization; the per-model batches are writable and reuse nothing.
-    stacked_batch = frozen(Dataset(np.stack([b.inputs for b in batches]), np.stack([b.labels for b in batches])))
+    stacked_batch = Dataset(np.stack([b.inputs for b in batches]), np.stack([b.labels for b in batches]))
     stacked_models, stacked_tangents = stack(models), stack(tangents)
+    # The second stacked call reuses the first one's linearization; the
+    # per-model calls linearize afresh.
+    lin = linearize(stacked_models, stacked_batch)
     for _ in range(2):
-        stacked_values, stacked_hv = loss_and_grad(stacked_models, stacked_batch, flatten(stacked_tangents))
+        stacked_values, stacked_hv = loss_and_grad(stacked_models, stacked_batch, flatten(stacked_tangents), lin)
         for k, (model, batch, tangent) in enumerate(zip(models, batches, tangents)):
             value, hv = loss_and_grad(model, batch, flatten(tangent))
             assert stacked_values[k] == value
             assert np.array_equal(flatten(unstack(unflatten(stacked_models, stacked_hv))[k]), hv)
 
 
-def test_tangent_calls_reuse_a_linearization_only_where_it_is_the_same(monkeypatch):
-    """Interleaved tangents, points and batches give bit for bit what fresh
-    copies of the same point and batch give, while each run of calls at one
-    point on one read-only batch linearizes once."""
+def test_tangent_calls_reuse_a_linearization_only_where_it_is_the_same():
+    """Given the linearization of its point and batch, loss_and_grad returns
+    bit for bit what it returns without one, for a tangent or none, on one
+    model and on a stack; one of another point or batch is refused."""
     spec = MlpSpec(5, 8)
-    points = [init_mlp(spec, seed) for seed in range(2)]
     rng = np.random.default_rng(5)
-    tangents = [rng.standard_normal(param_count(points[0])) for _ in range(3)]
-    batches = [frozen(gen_dataset(ModularTaskSpec(5, ModularOp.ADD), "train", 9, seed=s)) for s in range(2)]
-
-    def fresh(p, batch, tangent):
-        return loss_and_grad(unflatten(p, flatten(p)), frozen(batch), tangent)
-
-    calls = [(0, 0, 0), (0, 0, 1), (1, 0, 0), (0, 0, 2), (0, 1, 0), (0, 1, 1), (0, 0, 0)]
-    expected = [fresh(points[i], batches[b], tangents[t]) for i, b, t in calls]
-    linearized = []
-    original = tasks._linearize
-
-    def counting(p, batch):
-        linearized.append(batch)
-        return original(p, batch)
-
-    monkeypatch.setattr(tasks, "_linearize", counting)
-    for (i, b, t), (value, hv) in zip(calls, expected):
-        got_value, got_hv = loss_and_grad(points[i], batches[b], tangents[t])
-        assert got_value == value
-        assert np.array_equal(got_hv, hv)
-    assert len(linearized) == 5
+    batches = [gen_dataset(ModularTaskSpec(5, ModularOp.ADD), "train", 9, seed=s) for s in range(2)]
+    single = (init_mlp(spec, 0), batches[0])
+    stacked = (stack([init_mlp(spec, 0), init_mlp(spec, 1)]),
+               Dataset(np.stack([b.inputs for b in batches]), np.stack([b.labels for b in batches])))
+    for p, batch in (single, stacked):
+        lin = linearize(p, batch)
+        for tangent in (None, rng.standard_normal(param_count(p)), rng.standard_normal(param_count(p))):
+            value, derivative = loss_and_grad(p, batch, tangent, lin)
+            fresh_value, fresh = loss_and_grad(p, batch, tangent)
+            assert np.array_equal(value, fresh_value) and np.array_equal(derivative, fresh)
+            # A stack's values are the caller's own: the next call, given the
+            # same lin, still returns the loss.
+            if isinstance(value, np.ndarray):
+                value[...] = 0.0
+        tangent = rng.standard_normal(param_count(p))
+        copy_of_p = unflatten(p, flatten(p))
+        copy_of_batch = Dataset(batch.inputs.copy(), batch.labels.copy())
+        for foreign in ((copy_of_p, batch), (p, copy_of_batch)):
+            with pytest.raises(ValueError, match="another point or on another batch"):
+                loss_and_grad(*foreign, tangent, lin)
+            with pytest.raises(ValueError, match="another point or on another batch"):
+                loss_and_grad(*foreign, None, lin)
 
 
 def test_a_writable_batch_is_linearized_afresh_after_it_changes():
+    """A product after the rows change equals the product on a fresh copy of
+    the new rows, whether the batch holds the changed arrays or read-only
+    views of them."""
     net = init_mlp(MlpSpec(5, 8), 0)
-    batch = gen_dataset(ModularTaskSpec(5, ModularOp.ADD), "train", 9, seed=0)
-    other = gen_dataset(ModularTaskSpec(5, ModularOp.SUB), "train", 9, seed=1)
     tangent = np.random.default_rng(1).standard_normal(param_count(net))
-    loss_and_grad(net, batch, tangent)
-    batch.inputs[...] = other.inputs
-    batch.labels[...] = other.labels
-    assert np.array_equal(loss_and_grad(net, batch, tangent)[1], loss_and_grad(net, other, tangent)[1])
+    other = gen_dataset(ModularTaskSpec(5, ModularOp.SUB), "train", 9, seed=1)
+    expected = loss_and_grad(net, other, tangent)[1]
+    for read_only_views in (False, True):
+        batch = gen_dataset(ModularTaskSpec(5, ModularOp.ADD), "train", 9, seed=0)
+        x, y = batch.inputs, batch.labels
+        if read_only_views:
+            batch = Dataset(x.view(), y.view())
+            batch.inputs.flags.writeable = batch.labels.flags.writeable = False
+        before = loss_and_grad(net, batch, tangent)[1]
+        x[...] = other.inputs
+        y[...] = other.labels
+        after = loss_and_grad(net, batch, tangent)[1]
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, expected)
 
 
 def test_a_tangent_leaves_the_loss_and_gradient_unchanged():
