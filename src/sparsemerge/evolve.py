@@ -233,8 +233,8 @@ def write_trace(path, records: list[TraceRecord]) -> None:
 
 
 # ----------------------------------------------------------------------------
-# Particle swarm baseline: searches dense per-layer mixing vectors, no
-# attraction rule, so it represents interpolation-based prior work.
+# Particle swarm baseline: searches one interpolation weight per layer between
+# the two experts, no attraction rule, so it represents interpolation-based prior work.
 # ----------------------------------------------------------------------------
 
 
@@ -272,15 +272,10 @@ class PsoTraceRecord:
 PSO_TRACE_HEADER = "iteration,gbest_fitness,iter_best,iter_mean"
 
 
-def _mix_position(experts: list[ParameterSet], position: np.ndarray) -> ParameterSet:
-    """Fold experts pairwise with per-layer interpolation weights."""
-    layout = experts[0]
-    lams = position.reshape(len(experts) - 1, len(layout.names))
-    current = flatten(layout)
-    for row, expert in zip(lams, experts[1:]):
-        lam = repeat_per_layer(layout, row)
-        current = lam * current + (1.0 - lam) * flatten(expert)
-    return unflatten(layout, current)
+def _mix_position(a: ParameterSet, b: ParameterSet, position: np.ndarray) -> ParameterSet:
+    """``lam * a + (1 - lam) * b`` with one interpolation weight lam per layer."""
+    lam = repeat_per_layer(a, position)
+    return unflatten(a, lam * flatten(a) + (1.0 - lam) * flatten(b))
 
 
 def pso_update(
@@ -304,10 +299,10 @@ def run_pso(
     cfg: PsoConfig,
     tasks: tuple[ModularTaskSpec, ...],
 ) -> tuple[ParameterSet, list[PsoTraceRecord]]:
-    if len(experts) < 2:
-        raise ValueError("need at least two experts")
+    if len(experts) != 2:
+        raise ValueError(f"PSO interpolates two experts, got {len(experts)}")
     require_compatible(*experts)
-    n_dim = (len(experts) - 1) * len(experts[0].names)
+    n_dim = len(experts[0].names)
     rng = substream(cfg.seed, TAG_PSO)
     x = rng.random((cfg.swarm, n_dim))
     v = np.zeros_like(x)
@@ -325,7 +320,7 @@ def run_pso(
         batches = _opt_batches(tasks, cfg.opt_batch, cfg.seed, TAG_PSO_BATCH, t)
         fits = np.zeros(cfg.swarm)
         for i in range(cfg.swarm):
-            model = _mix_position(experts, x[i])
+            model = _mix_position(*experts, x[i])
             fits[i] = float(np.mean([accuracy(model, b) for b in batches]))
             if fits[i] > pbest_f[i]:
                 pbest_f[i] = fits[i]
@@ -334,7 +329,7 @@ def run_pso(
                 gbest_f = fits[i]
                 gbest_x = x[i].copy()
         trace.append(PsoTraceRecord(t, gbest_f, float(fits.max()), float(fits.mean())))
-    return _mix_position(experts, gbest_x), trace
+    return _mix_position(*experts, gbest_x), trace
 
 
 def write_pso_trace(path, records: list[PsoTraceRecord]) -> None:

@@ -150,8 +150,7 @@ class MlpSpec:
         """The spec of the MLP ``params`` holds: the modulus and the hidden width are
         the output widths of fc3_w and fc1_w. Raises ValueError unless the layers
         are LAYER_NAMES, in order, with the shapes the spec gives them."""
-        if params.names != LAYER_NAMES:
-            raise ValueError(f"layers {', '.join(params.names)}, expected {', '.join(LAYER_NAMES)}")
+        _require_layer_order(params)
         m = params["fc3_w"].shape[-1]
         if m < 2:
             raise ValueError(f"fc3_w has {m} output, expected a modulus >= 2")
@@ -164,6 +163,12 @@ class MlpSpec:
 
 
 LAYER_NAMES = ("fc1_w", "fc1_b", "fc2_w", "fc2_b", "fc3_w", "fc3_b")
+
+
+def _require_layer_order(p: ParameterSet) -> None:
+    """Raise ValueError unless the layers of ``p`` are LAYER_NAMES, in order."""
+    if p.names != LAYER_NAMES:
+        raise ValueError(f"layers {', '.join(p.names)}, expected {', '.join(LAYER_NAMES)}")
 
 
 def init_mlp(spec: MlpSpec, seed: int) -> ParameterSet:
@@ -244,7 +249,7 @@ def loss_and_grad(p: ParameterSet, batch: Dataset, tangent: np.ndarray | None = 
         return value, _r_op(lin, tangent)
     _, _, a1, a2, _, mask1, _, g, d_z2, _ = lin
     d_z1 = (d_z2 @ p["fc2_w"].swapaxes(-1, -2)) * mask1
-    return value, _assemble(p, (
+    return value, _assemble((
         batch.inputs.swapaxes(-1, -2) @ d_z1, d_z1.sum(axis=-2),
         a1.swapaxes(-1, -2) @ d_z2, d_z2.sum(axis=-2),
         a2.swapaxes(-1, -2) @ g, g.sum(axis=-2),
@@ -255,7 +260,9 @@ def linearize(p: ParameterSet, batch: Dataset) -> tuple:
     """What ``loss_and_grad`` computes from the point and the batch alone:
     the point and the batch themselves, activations, probabilities, rectifier
     masks, the error g at the logits, its pullback d_z2 to the second
-    pre-activation, and the loss value."""
+    pre-activation, and the loss value. The derivative passes take the layers
+    of ``p`` by position, so they must be LAYER_NAMES in order."""
+    _require_layer_order(p)
     if len(batch) == 0:
         raise ValueError("empty batch")
     y = batch.labels
@@ -280,17 +287,15 @@ def _r_op(lin: tuple, tangent: np.ndarray) -> np.ndarray:
     layout = p.layout
     if tangent.shape != (layout.size,):
         raise ValueError(f"tangent has {tangent.shape} entries, the model needs {layout.size}")
-    # Each layer of the tangent is a view of its slice of the flat vector.
-    pieces = zip(layout.names, layout.slices, layout.shapes)
-    by_name = {name: tangent[s].reshape(shape) for name, s, shape in pieces}
-    v1, c1, v2, c2, v3, c3 = (by_name[name] for name in LAYER_NAMES)
+    # Each layer of the tangent, in order, is a view of its slice of the flat vector.
+    v1, c1, v2, c2, v3, c3 = (tangent[s].reshape(shape) for s, shape in zip(layout.slices, layout.shapes))
     r_a1 = (x @ v1 + c1[..., None, :]) * mask1
     r_a2 = (r_a1 @ w2 + a1 @ v2 + c2[..., None, :]) * mask2
     r_logits = r_a2 @ w3 + a2 @ v3 + c3[..., None, :]
     r_g = probs * (r_logits - (probs * r_logits).sum(axis=-1, keepdims=True)) / n
     r_d_z2 = (r_g @ w3.swapaxes(-1, -2) + g @ v3.swapaxes(-1, -2)) * mask2
     r_d_z1 = (r_d_z2 @ w2.swapaxes(-1, -2) + d_z2 @ v2.swapaxes(-1, -2)) * mask1
-    return _assemble(p, (
+    return _assemble((
         x.swapaxes(-1, -2) @ r_d_z1,
         r_d_z1.sum(axis=-2),
         r_a1.swapaxes(-1, -2) @ d_z2 + a1.swapaxes(-1, -2) @ r_d_z2,
@@ -300,10 +305,9 @@ def _r_op(lin: tuple, tangent: np.ndarray) -> np.ndarray:
     ))
 
 
-def _assemble(p: ParameterSet, layers) -> np.ndarray:
-    """One array per name in LAYER_NAMES, as one vector aligned with ``flatten(p)``."""
-    by_name = dict(zip(LAYER_NAMES, layers))
-    return np.concatenate([by_name[name].ravel() for name in p.names])
+def _assemble(layers) -> np.ndarray:
+    """One array per layer, in LAYER_NAMES order, as one vector aligned with ``flatten``."""
+    return np.concatenate([layer.ravel() for layer in layers])
 
 
 def accuracy(p: ParameterSet, dataset: Dataset) -> float:
@@ -400,6 +404,9 @@ class ExpertTrainConfig:
             (self.learning_rate > 0, "learning_rate", f"must be > 0, got {self.learning_rate}"),
             (self.batch_size >= 1, "batch_size", f"must be >= 1, got {self.batch_size}"),
             (self.weight_decay >= 0, "weight_decay", f"must be >= 0, got {self.weight_decay}"),
+            # Each step multiplies the weights by 1 - lr * wd, which must stay positive.
+            (self.learning_rate * self.weight_decay < 1, "weight_decay",
+             f"must be < 1 / learning rate, got {self.weight_decay} at learning rate {self.learning_rate}"),
         )
 
 

@@ -573,14 +573,16 @@ BAD_INPUTS = {
     "config-not-a-choice": lambda ex, tmp: (
         ["evolve", "--experts", str(ex), "--config", _write(tmp / "c.cfg", "measure=bogus\n")],
         f"measure in {tmp / 'c.cfg'}"),
+    # Each step's decay factor 1 - lr * wd is positive (0.9 here, else 1):
+    # the learning rate alone diverges.
     "train-experts-diverges": lambda ex, tmp: (
-        ["train-experts", "--lr", "1e4", "--base-epochs", "3", "--expert-epochs", "3"],
+        ["train-experts", "--lr", "1e30", "--weight-decay", "1e-31", "--base-epochs", "0", "--expert-epochs", "3"],
         "training diverged at epoch 2 of 3"),
     "train-experts-experts-diverge": lambda ex, tmp: (
-        ["train-experts", "--lr", "1e4", "--base-epochs", "0", "--expert-epochs", "3"],
+        ["train-experts", "--lr", "1e30", "--weight-decay", "0", "--base-epochs", "0", "--expert-epochs", "3"],
         "error: experts: training diverged at epoch 2 of 3"),
     "train-experts-base-diverges": lambda ex, tmp: (
-        ["train-experts", "--lr", "1e150", "--base-epochs", "3", "--expert-epochs", "3"],
+        ["train-experts", "--lr", "1e150", "--weight-decay", "0", "--base-epochs", "3", "--expert-epochs", "3"],
         "error: base: training diverged at epoch 1 of 3"),
     "config-non-finite-float": lambda ex, tmp: (
         ["evolve", "--experts", str(ex), "--config", _write(tmp / "g.cfg", "gamma=nan\n")],
@@ -648,6 +650,10 @@ BAD_SETTINGS = {
     "train-experts-recipe-and-sizes": (
         ["train-experts", "--m", "1", "--hidden", "0", "--lr", "0"],
         ["--m: must be >= 2, got 1", "--hidden: must be >= 1, got 0", "--lr: must be > 0, got 0.0"]),
+    # Each step multiplies the weights by 1 - lr * wd: 0 here, which zeroes them.
+    "train-experts-decay-factor-not-positive": (
+        ["train-experts", "--lr", "0.5", "--weight-decay", "2"],
+        ["--weight-decay: must be < 1 / learning rate, got 2.0 at learning rate 0.5"]),
     "convexity-grid-eigen-and-batch": (
         ["convexity", "--ckpt", "{experts}/expert_add.ckpt", "--grid", "1",
          "--eig-iters", "0", "--eig-tol", "0", "--hess-batch", "0"],

@@ -309,6 +309,12 @@ def test_pso_needs_two_experts(expert_bundle):
         run_pso([expert_add], PsoConfig(), specs)
 
 
+def test_pso_interpolates_exactly_two_experts(expert_bundle):
+    base, expert_add, expert_sub, specs = expert_bundle
+    with pytest.raises(ValueError, match="two experts, got 3"):
+        run_pso([base, expert_add, expert_sub], PsoConfig(), specs)
+
+
 def test_pso_config_validation():
     with pytest.raises(ValueError):
         PsoConfig(swarm=1)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import twin_tasks
+from sparsemerge.landscape import hvp
 from sparsemerge.params import (
     ParameterSet,
     flatten,
@@ -152,6 +153,25 @@ def test_mlp_spec_of_names_what_is_not_an_mlp(case):
     with pytest.raises(ValueError) as info:
         MlpSpec.of(change(init_mlp(MlpSpec(3, 4), 0)))
     assert str(info.value) == message
+
+
+def test_derivatives_refuse_layers_out_of_order():
+    """The derivative passes take the layers by position, so a model whose
+    layers are not LAYER_NAMES in order is refused, not differentiated."""
+    p = init_mlp(MlpSpec(3, 4), 0)
+    reordered = ParameterSet.from_pairs(reversed(p.layers))
+    batch = gen_dataset(ModularTaskSpec(3, ModularOp.ADD), "train", 5, seed=0)
+    tangent = np.ones(param_count(p))
+    expected = NOT_AN_MLP["layers out of order"][1]
+    for differentiate in (
+        lambda: linearize(reordered, batch),
+        lambda: loss_and_grad(reordered, batch),
+        lambda: loss_and_grad(reordered, batch, tangent),
+        lambda: hvp(reordered, batch, tangent),
+    ):
+        with pytest.raises(ValueError) as info:
+            differentiate()
+        assert str(info.value) == expected
 
 
 def test_zero_weight_network_gives_uniform_loss():
