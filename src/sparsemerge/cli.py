@@ -39,7 +39,6 @@ from .landscape import (
     GridSpec,
     convexity_grid,
     loss_grid,
-    random_directions,
     write_convexity_csv,
     write_grid_csv,
     write_pgm,
@@ -242,7 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def read_config_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -289,6 +292,11 @@ def resolve_options(ns: argparse.Namespace) -> dict[str, Any]:
         label = f"{opt.key} in {where}" if where else opt.flag
         if not raw.strip():
             raise ValueError(f"{label}: expected a value, got {raw!r}")
+        # config.txt holds each value as UTF-8 text on one line, which
+        # read_config_file strips: only such a string replays as itself.
+        if opt.kind is str and (raw != raw.strip() or not raw.isprintable()):
+            raise ValueError(f"{label}: expected printable text without surrounding whitespace, "
+                             f"got {raw!r}")
         try:
             value = opt.kind(raw)
         except ValueError:
@@ -591,7 +599,7 @@ def cmd_landscape(cfg: dict[str, Any], out_dir: Path) -> Outcome:
         (params,), (spec,) = load_run(s, [cfg["ckpt"]])
         grid = s.build(GridSpec)
     data = full_split(spec, cfg["split"])
-    losses = loss_grid(params, random_directions(params, cfg["seed"]), grid, data)
+    losses = loss_grid(params, grid, data, cfg["seed"])
     write_grid_csv(out_dir / "landscape.csv", grid, losses)
     write_pgm(out_dir / "landscape.pgm", losses)
     # The checkpoint itself: an even grid has no cell at alpha = beta = 0.
@@ -608,7 +616,7 @@ def cmd_convexity(cfg: dict[str, Any], out_dir: Path) -> Outcome:
         eig_cfg = s.build(EigConfig)
         check_draw(s, "hess_batch", spec, "opt")
     batch = gen_dataset(spec, "opt", cfg["hess_batch"], derive_seed(cfg["seed"], TAG_EIG))
-    result = convexity_grid(params, random_directions(params, cfg["seed"]), grid, batch, eig_cfg)
+    result = convexity_grid(params, grid, batch, eig_cfg, cfg["seed"])
     write_convexity_csv(out_dir / "convexity.csv", grid, result)
     write_pgm(out_dir / "convexity.pgm", result.convexity)
     return [], [

@@ -12,7 +12,6 @@ along two random directions rescaled layer-wise to the anchor model's norms.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
 import sys
 from dataclasses import dataclass
@@ -33,12 +32,6 @@ ZERO_TOL = 1e-9
 BREAKDOWN = 1e-12
 # Keeps the convexity score finite where lambda_max is exactly 0.
 SCORE_EPS = 1e-8
-
-
-@dataclass(frozen=True)
-class DirectionPair:
-    d1: ParameterSet
-    d2: ParameterSet
 
 
 @dataclass(frozen=True)
@@ -73,7 +66,7 @@ class GridSpec:
         return self.axis(self.beta_max)
 
 
-def random_directions(theta0: ParameterSet, seed: int) -> DirectionPair:
+def random_directions(theta0: ParameterSet, seed: int) -> tuple[ParameterSet, ParameterSet]:
     """Two random directions, each layer rescaled to the anchor layer's norm."""
     rng = substream(seed, TAG_DIRECTIONS)
     dirs = []
@@ -88,32 +81,43 @@ def random_directions(theta0: ParameterSet, seed: int) -> DirectionPair:
             else:
                 layers.append((name, raw * (target / raw_norm)))
         dirs.append(ParameterSet.from_pairs(layers))
-    return DirectionPair(dirs[0], dirs[1])
+    return dirs[0], dirs[1]
 
 
 def point_params(
-    theta0: ParameterSet, dirs: DirectionPair, alpha: float, beta: float
+    theta0: ParameterSet, dirs: tuple[ParameterSet, ParameterSet], alpha: float, beta: float
 ) -> ParameterSet:
-    return unflatten(theta0, flatten(theta0) + alpha * flatten(dirs.d1) + beta * flatten(dirs.d2))
+    d1, d2 = dirs
+    return unflatten(theta0, flatten(theta0) + alpha * flatten(d1) + beta * flatten(d2))
 
 
-def loss_grid(
-    theta0: ParameterSet, dirs: DirectionPair, grid: GridSpec, dataset: Dataset
-) -> np.ndarray:
-    """Loss at every cell; the first cell whose model or loss is not finite
-    (an overflow, which is not warned of) ends the scan with a ValueError
-    that names it."""
-    out = np.zeros((grid.resolution, grid.resolution))
+def _scan(theta0: ParameterSet, grid: GridSpec, seed: int, measure: Callable) -> list:
+    """``measure(theta, i, j)`` at the point theta of every cell (i, j), row by
+    row, along the directions that ``seed`` draws. The first cell whose model
+    or measure is not finite (an overflow, which is not warned of) ends the
+    scan with a ValueError that names it."""
+    dirs = random_directions(theta0, seed)
+    values = []
     with np.errstate(over="ignore", invalid="ignore"):
         for i, alpha in enumerate(map(float, grid.alphas)):
             for j, beta in enumerate(map(float, grid.betas)):
                 try:
-                    out[i, j] = loss(point_params(theta0, dirs, alpha, beta), dataset)
-                    if not np.isfinite(out[i, j]):
-                        raise ValueError("non-finite loss")
+                    values.append(measure(point_params(theta0, dirs, alpha, beta), i, j))
                 except ValueError as exc:
                     raise ValueError(f"cell ({i}, {j}, alpha={alpha!r}, beta={beta!r}): {exc}") from None
-    return out
+    return values
+
+
+def loss_grid(theta0: ParameterSet, grid: GridSpec, dataset: Dataset, seed: int) -> np.ndarray:
+    """Loss at every cell of the scan that ``seed`` keys (see ``_scan``)."""
+
+    def cell(theta: ParameterSet, i: int, j: int) -> float:
+        value = loss(theta, dataset)
+        if not math.isfinite(value):
+            raise ValueError("non-finite loss")
+        return value
+
+    return np.array(_scan(theta0, grid, seed, cell)).reshape(grid.resolution, grid.resolution)
 
 
 def hvp(theta: ParameterSet, batch: Dataset, v: np.ndarray, lin: tuple | None = None) -> np.ndarray:
@@ -128,12 +132,11 @@ def hvp(theta: ParameterSet, batch: Dataset, v: np.ndarray, lin: tuple | None = 
 
 @dataclass(frozen=True)
 class EigConfig:
-    """Lanczos step limit (capped at the parameter count), Ritz-residual
-    tolerance relative to the spread, and start-vector seed."""
+    """Lanczos step limit (capped at the parameter count) and Ritz-residual
+    tolerance relative to the spread."""
 
     iters: int = 100
     tol: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
         check_fields(
@@ -150,13 +153,13 @@ class EigResult:
 
 
 def extreme_eigs(
-    matvec: Callable[[np.ndarray], np.ndarray], n: int, cfg: EigConfig = EigConfig()
+    matvec: Callable[[np.ndarray], np.ndarray], start: np.ndarray, cfg: EigConfig
 ) -> EigResult:
     """Extreme eigenvalues of a symmetric operator by Lanczos with full
-    reorthogonalisation.
+    reorthogonalisation, started from ``start / ||start||``.
 
-    ``matvec`` maps a flat vector of length n to its product with the
-    operator (for a convexity cell, ``hvp`` at the cell's point). Each step
+    ``matvec`` maps a flat vector of length n = ``start.size`` to its product
+    with the operator (for a convexity cell, ``hvp`` at the cell's point). Each step
     takes one product of the newest basis vector, orthogonalises it against
     the whole basis (two Gram-Schmidt passes) and extends the tridiagonal
     matrix T whose eigenvalues (Ritz values) approximate the spectrum from
@@ -167,13 +170,13 @@ def extreme_eigs(
     False only when it stops at that limit. A product that is not finite
     raises ValueError.
     """
+    n = start.size
     steps = min(cfg.iters, n)
     basis = np.zeros((steps, n))
     # T, written in place: step j's alpha on the diagonal, its beta beside it
     # (the spare last row and column take the final step's beta).
     tri = np.zeros((steps + 1, steps + 1))
-    v0 = substream(cfg.seed, TAG_EIG, n).standard_normal(n)
-    q = v0 / np.linalg.norm(v0)
+    q = start / np.linalg.norm(start)
     converged = False
     for j in range(steps):
         basis[j] = q
@@ -215,37 +218,22 @@ class ConvexityResult:
 
 
 def convexity_grid(
-    theta0: ParameterSet,
-    dirs: DirectionPair,
-    grid: GridSpec,
-    dataset: Dataset,
-    eig_cfg: EigConfig = EigConfig(),
+    theta0: ParameterSet, grid: GridSpec, dataset: Dataset, eig_cfg: EigConfig, seed: int
 ) -> ConvexityResult:
-    """Convexity proxy per grid cell; non-converged cells are flagged, never
-    hidden. A cell whose model or Hessian products are not finite (an
-    overflow, which is not warned of) ends the map with a ValueError that
-    names it."""
-    r = grid.resolution
-    conv = np.zeros((r, r))
-    lmax = np.zeros((r, r))
-    lmin = np.zeros((r, r))
-    flags = np.zeros((r, r), dtype=bool)
+    """Convexity proxy at every cell of the scan that ``seed`` keys (see
+    ``_scan``); non-converged cells are flagged, never hidden. Cell (i, j)
+    starts Lanczos from the standard normal vector of
+    ``substream(derive_seed(seed, TAG_EIG, i, j), TAG_EIG, n)``."""
     n = param_count(theta0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, alpha in enumerate(map(float, grid.alphas)):
-            for j, beta in enumerate(map(float, grid.betas)):
-                cell_cfg = dataclasses.replace(eig_cfg, seed=derive_seed(eig_cfg.seed, TAG_EIG, i, j))
-                try:
-                    theta = point_params(theta0, dirs, alpha, beta)
-                    lin = linearize(theta, dataset)
-                    result = extreme_eigs(lambda v: hvp(theta, dataset, v, lin), n, cell_cfg)
-                except ValueError as exc:
-                    raise ValueError(f"cell ({i}, {j}, alpha={alpha!r}, beta={beta!r}): {exc}") from None
-                conv[i, j] = convexity_score(result.lam_max, result.lam_min)
-                lmax[i, j] = result.lam_max
-                lmin[i, j] = result.lam_min
-                flags[i, j] = result.converged
-    return ConvexityResult(conv, lmax, lmin, flags)
+
+    def cell(theta: ParameterSet, i: int, j: int) -> tuple:
+        lin = linearize(theta, dataset)
+        start = substream(derive_seed(seed, TAG_EIG, i, j), TAG_EIG, n).standard_normal(n)
+        r = extreme_eigs(lambda v: hvp(theta, dataset, v, lin), start, eig_cfg)
+        return convexity_score(r.lam_max, r.lam_min), r.lam_max, r.lam_min, r.converged
+
+    shape = (grid.resolution, grid.resolution)
+    return ConvexityResult(*(np.array(m).reshape(shape) for m in zip(*_scan(theta0, grid, seed, cell))))
 
 
 def write_grid_csv(path, grid: GridSpec, value: np.ndarray, **columns: np.ndarray) -> None:

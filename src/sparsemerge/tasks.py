@@ -209,7 +209,7 @@ def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     model, one value per model for a stack."""
     # Each row's label, picked through a (rows, m) view of the probabilities.
     picked = probs.reshape(-1, probs.shape[-1])[np.arange(labels.size), labels.ravel()]
-    return -np.log(np.maximum(picked.reshape(labels.shape), 1e-300)).mean(axis=-1)
+    return -np.log(np.maximum(picked.reshape(labels.shape), 1e-300)).sum(axis=-1) / labels.shape[-1]
 
 
 def loss(p: ParameterSet, batch: Dataset) -> float:

@@ -16,6 +16,7 @@ from sparsemerge.evolve import EvolveConfig, PsoConfig, run_pso, run_sae
 from sparsemerge.landscape import EigConfig, convexity_score, extreme_eigs, hvp
 from sparsemerge.merge import compute_lambda, merge_layer, redense, weight_average
 from sparsemerge.params import ParameterSet, flatten, param_count, unflatten
+from sparsemerge.seeding import TAG_EIG, substream
 from sparsemerge.sparsity import SparsitySchedule, prune, schedule_rate
 from sparsemerge.tasks import (
     MlpSpec,
@@ -157,6 +158,7 @@ def test_criterion_07_curvature_oracle():
         assert n <= 40
         batch = gen_dataset(ModularTaskSpec(2, ModularOp.ADD), "train", 3, seed=0)
         eig_cfg = EigConfig(iters=800, tol=1e-12)
+        start = substream(0, TAG_EIG, n).standard_normal(n)
         rng = np.random.default_rng(0)
         for _ in range(10):
             point = unflatten(net, flatten(net) + 0.2 * rng.standard_normal(n))
@@ -170,14 +172,15 @@ def test_criterion_07_curvature_oracle():
                 g_minus = loss_and_grad(unflatten(point, bumped), batch)[1]
                 hess[:, j] = (g_plus - g_minus) / 2e-5
             spectrum = np.linalg.eigvalsh((hess + hess.T) / 2.0)
-            result = extreme_eigs(lambda v: hvp(point, batch, v), n, eig_cfg)
+            result = extreme_eigs(lambda v: hvp(point, batch, v), start, eig_cfg)
             assert abs(result.lam_max - spectrum[-1]) <= 0.02 * abs(spectrum[-1])
             assert abs(result.lam_min - spectrum[0]) <= 0.02 * abs(spectrum[0])
 
         # Hessians of L = w1^2 + w2^2, of L = w1^2 - w2^2, and of L = w1^2 with w2 unused.
-        convex = extreme_eigs(lambda v: np.array([2.0, 2.0]) * v, 2, eig_cfg)
-        saddle = extreme_eigs(lambda v: np.array([2.0, -2.0]) * v, 2, eig_cfg)
-        flat_case = extreme_eigs(lambda v: np.array([2.0, 0.0]) * v, 2, eig_cfg)
+        pair = substream(0, TAG_EIG, 2).standard_normal(2)
+        convex = extreme_eigs(lambda v: np.array([2.0, 2.0]) * v, pair, eig_cfg)
+        saddle = extreme_eigs(lambda v: np.array([2.0, -2.0]) * v, pair, eig_cfg)
+        flat_case = extreme_eigs(lambda v: np.array([2.0, 0.0]) * v, pair, eig_cfg)
         assert convexity_score(convex.lam_max, convex.lam_min) == 0.5
         assert convexity_score(saddle.lam_max, saddle.lam_min) == 0.5
         assert convexity_score(flat_case.lam_max, flat_case.lam_min) == 0.0

@@ -375,6 +375,11 @@ def _write(path: Path, text: str) -> str:
     return str(path)
 
 
+def _write_bytes(path: Path, data: bytes) -> str:
+    path.write_bytes(data)
+    return str(path)
+
+
 def _truncated(src: Path, dst: Path) -> str:
     dst.write_bytes(src.read_bytes()[:50])
     return str(dst)
@@ -551,6 +556,20 @@ BAD_INPUTS = {
         ["gen-data", "--n", ""], "error: --n: expected a value, got ''"),
     "flag-empty-out": lambda ex, tmp: (
         ["gen-data", "--out", ""], "error: --out: expected a value, got ''"),
+    "config-not-utf8": lambda ex, tmp: (
+        ["gen-data", "--config", _write_bytes(tmp / "u.cfg", b"seed=\xff\n")],
+        f"error: {tmp / 'u.cfg'}: 'utf-8' codec can't decode byte 0xff in position 5: invalid start byte"),
+    # config.txt holds a string as UTF-8 on one line, stripped: any other would not replay.
+    "flag-label-with-a-line-break": lambda ex, tmp: (
+        ["eval", "--ckpt", str(ex / "expert_add.ckpt"), "--label", "x\ny"],
+        "error: --label: expected printable text without surrounding whitespace, got 'x\\ny'"),
+    "flag-label-padded": lambda ex, tmp: (
+        ["evolve", "--experts", str(ex), "--steps", "1", "--label", " padded "],
+        "error: --label: expected printable text without surrounding whitespace, got ' padded '"),
+    # A non-UTF-8 byte in an argument reaches Python as a lone surrogate.
+    "flag-label-not-utf8": lambda ex, tmp: (
+        ["eval", "--ckpt", str(ex / "expert_add.ckpt"), "--label", "x\udcff"],
+        "error: --label: expected printable text without surrounding whitespace, got 'x\\udcff'"),
     "config-empty-key": lambda ex, tmp: (
         ["gen-data", "--config", _write(tmp / "n.cfg", "n=\n")],
         f"error: n in {tmp / 'n.cfg'}: expected a value, got ''"),

@@ -18,7 +18,7 @@ from sparsemerge.landscape import (
     write_pgm,
 )
 from sparsemerge.params import ParameterSet, flatten, load_checkpoint, param_count, unflatten
-from sparsemerge.seeding import TAG_EIG, derive_seed
+from sparsemerge.seeding import TAG_EIG, derive_seed, substream
 from sparsemerge.tasks import (
     MlpSpec,
     ModularOp,
@@ -32,10 +32,15 @@ from sparsemerge.tasks import (
 )
 
 
+def start_vector(n: int, seed: int = 0) -> np.ndarray:
+    """The start vector that convexity_grid draws for a cell of seed ``seed``."""
+    return substream(seed, TAG_EIG, n).standard_normal(n)
+
+
 def diagonal(*entries: float):
-    """The symmetric operator diag(entries) and its size, as extreme_eigs takes them."""
+    """The symmetric operator diag(entries) and a start vector, as extreme_eigs takes them."""
     d = np.array(entries)
-    return (lambda v: d * v), d.size
+    return (lambda v: d * v), start_vector(d.size)
 
 
 def counting(fn):
@@ -50,10 +55,10 @@ def counting(fn):
 
 
 def hessian_of(theta: ParameterSet, batch):
-    """The Hessian of the batch's mean cross-entropy at theta, as extreme_eigs
-    takes it, with one linearization for all its products."""
+    """The Hessian of the batch's mean cross-entropy at theta and a start
+    vector, as extreme_eigs takes them, with one linearization for all its products."""
     lin = linearize(theta, batch)
-    return (lambda v: hvp(theta, batch, v, lin)), param_count(theta)
+    return (lambda v: hvp(theta, batch, v, lin)), start_vector(param_count(theta))
 
 
 def small_net_and_batch():
@@ -80,24 +85,22 @@ def dense_hessian(theta: ParameterSet, batch, h: float = 1e-5) -> np.ndarray:
 def test_direction_norms_match_anchor():
     theta = init_mlp(MlpSpec(13, 32), 0)
     dirs = random_directions(theta, seed=5)
-    for d in (dirs.d1, dirs.d2):
+    for d in dirs:
         for name, arr in theta.layers:
             assert np.linalg.norm(d[name]) == pytest.approx(np.linalg.norm(arr), abs=1e-9)
 
 
 def test_zero_norm_layer_gets_zero_direction():
     theta = ParameterSet.from_pairs([("a", np.ones(4)), ("b", np.zeros(3))])
-    dirs = random_directions(theta, seed=0)
-    assert np.array_equal(dirs.d1["b"], np.zeros(3))
-    assert np.array_equal(dirs.d2["b"], np.zeros(3))
+    d1, d2 = random_directions(theta, seed=0)
+    assert np.array_equal(d1["b"], np.zeros(3))
+    assert np.array_equal(d2["b"], np.zeros(3))
 
 
 def test_directions_deterministic():
     theta = init_mlp(MlpSpec(5, 4), 1)
-    d_a = random_directions(theta, seed=3)
-    d_b = random_directions(theta, seed=3)
-    assert np.array_equal(flatten(d_a.d1), flatten(d_b.d1))
-    assert np.array_equal(flatten(d_a.d2), flatten(d_b.d2))
+    for d_a, d_b in zip(random_directions(theta, seed=3), random_directions(theta, seed=3)):
+        assert np.array_equal(flatten(d_a), flatten(d_b))
 
 
 def test_point_params_identity_and_offsets():
@@ -106,7 +109,7 @@ def test_point_params_identity_and_offsets():
     center = point_params(theta, dirs, 0.0, 0.0)
     assert np.array_equal(flatten(center), flatten(theta))
     shifted = point_params(theta, dirs, 1.0, 0.0)
-    assert np.allclose(flatten(shifted), flatten(theta) + flatten(dirs.d1), atol=0, rtol=0)
+    assert np.allclose(flatten(shifted), flatten(theta) + flatten(dirs[0]), atol=0, rtol=0)
 
 
 def test_point_params_linearity():
@@ -116,27 +119,25 @@ def test_point_params_linearity():
     for _ in range(10):
         a1, a2 = rng.standard_normal(2)
         lhs = flatten(point_params(theta, dirs, a1 + a2, 0.0))
-        rhs = flatten(point_params(theta, dirs, a1, 0.0)) + a2 * flatten(dirs.d1)
+        rhs = flatten(point_params(theta, dirs, a1, 0.0)) + a2 * flatten(dirs[0])
         assert np.allclose(lhs, rhs, atol=1e-12, rtol=0)
 
 
 def test_loss_grid_center_and_determinism():
     net, batch = small_net_and_batch()
-    dirs = random_directions(net, seed=2)
     grid = GridSpec(0.5, 0.5, 5)
-    values = loss_grid(net, dirs, grid, batch)
+    values = loss_grid(net, grid, batch, 2)
     assert values.shape == (5, 5)
     assert values[2, 2] == loss(net, batch)
-    assert np.array_equal(values, loss_grid(net, dirs, grid, batch))
+    assert np.array_equal(values, loss_grid(net, grid, batch, 2))
     assert np.all(np.isfinite(values))
 
 
 def test_converged_expert_sits_in_local_basin(expert_bundle):
     _, expert_add, _, (add_spec, _) = expert_bundle
     train = full_split(add_spec, "train")
-    dirs = random_directions(expert_add, seed=0)
     grid = GridSpec(0.1, 0.1, 3)
-    m = loss_grid(expert_add, dirs, grid, train)
+    m = loss_grid(expert_add, grid, train, 0)
     assert m[1, 1] <= m[0, 1] and m[1, 1] <= m[2, 1]
     assert m[1, 1] <= m[1, 0] and m[1, 1] <= m[1, 2]
 
@@ -181,7 +182,7 @@ def test_convexity_grid_linearizes_each_cell_once(monkeypatch):
     monkeypatch.setattr(landscape, "hvp", hvp_counted)
     monkeypatch.setattr(landscape, "linearize", linearize_counted)
     grid = GridSpec(0.3, 0.3, 2)
-    convexity_grid(net, random_directions(net, seed=7), grid, batch, EigConfig(iters=5))
+    convexity_grid(net, grid, batch, EigConfig(iters=5), 7)
     assert linearized[0] == 4 < products[0]
     # The caller's batch is unchanged.
     assert np.array_equal(batch.inputs, inputs) and np.array_equal(batch.labels, labels)
@@ -245,8 +246,8 @@ def wider_net_and_batch():
 
 def exact_hessian(theta: ParameterSet, batch) -> np.ndarray:
     """Dense Hessian, column by column from hvp."""
-    matvec, n = hessian_of(theta, batch)
-    return np.stack([matvec(e) for e in np.eye(n)], axis=1)
+    matvec, start = hessian_of(theta, batch)
+    return np.stack([matvec(e) for e in np.eye(start.size)], axis=1)
 
 
 def kink_margin(theta: ParameterSet, batch) -> float:
@@ -298,10 +299,10 @@ def test_exact_hessian_is_symmetric_and_lanczos_finds_its_extremes():
 
 
 def test_lanczos_stops_by_breakdown_on_a_two_parameter_saddle():
-    matvec, n = diagonal(2.0, -2.0)
+    matvec, start = diagonal(2.0, -2.0)
     matvec, count = counting(matvec)
     # No residual meets this tolerance; only breakdown ends the run converged.
-    result = extreme_eigs(matvec, n, EigConfig(iters=500, tol=1e-300))
+    result = extreme_eigs(matvec, start, EigConfig(iters=500, tol=1e-300))
     assert result.converged
     assert count[0] <= 2
     assert result.lam_max == pytest.approx(2.0, abs=1e-6)
@@ -310,28 +311,28 @@ def test_lanczos_stops_by_breakdown_on_a_two_parameter_saddle():
 
 def test_lanczos_takes_at_most_one_step_per_parameter():
     net, batch = small_net_and_batch()
-    matvec, n = hessian_of(net, batch)
+    matvec, start = hessian_of(net, batch)
     matvec, count = counting(matvec)
-    extreme_eigs(matvec, n, EigConfig(iters=500, tol=1e-300))
-    assert 0 < count[0] <= n
+    extreme_eigs(matvec, start, EigConfig(iters=500, tol=1e-300))
+    assert 0 < count[0] <= start.size
 
 
 def test_too_few_lanczos_steps_are_not_converged():
     net, batch = wider_net_and_batch()
-    matvec, n = hessian_of(net, batch)
-    assert n >= 40
+    matvec, start = hessian_of(net, batch)
+    assert start.size >= 40
     matvec, count = counting(matvec)
-    result = extreme_eigs(matvec, n, EigConfig(iters=3))
+    result = extreme_eigs(matvec, start, EigConfig(iters=3))
     assert count[0] == 3
     assert not result.converged
 
 
 def test_lanczos_builds_no_parameter_set_inside_the_loop(built_sets):
     net, batch = wider_net_and_batch()
-    matvec, n = hessian_of(net, batch)
+    matvec, start = hessian_of(net, batch)
     matvec, count = counting(matvec)
     built_sets.clear()
-    extreme_eigs(matvec, n, EigConfig(iters=5))
+    extreme_eigs(matvec, start, EigConfig(iters=5))
     assert count[0] == 5
     assert built_sets == []
 
@@ -340,7 +341,7 @@ def test_converged_cells_match_the_dense_spectrum():
     net, batch = wider_net_and_batch()
     dirs = random_directions(net, seed=4)
     grid = GridSpec(0.5, 0.5, 3)
-    result = convexity_grid(net, dirs, grid, batch)
+    result = convexity_grid(net, grid, batch, EigConfig(), 4)
     assert result.converged.mean() >= 0.9
     for i, alpha in enumerate(grid.alphas):
         for j, beta in enumerate(grid.betas):
@@ -351,6 +352,26 @@ def test_converged_cells_match_the_dense_spectrum():
             assert result.lam_min[i, j] == pytest.approx(spectrum[0], rel=1e-4)
 
 
+def test_one_seed_keys_each_cell_of_both_maps():
+    """Cell (i, j) of either map measures point_params(theta0, random_directions(theta0,
+    seed), alpha_i, beta_j), and a convexity cell runs Lanczos from the start vector
+    of derive_seed(seed, TAG_EIG, i, j): bit for bit the solver's own result there."""
+    net, batch = wider_net_and_batch()
+    seed, grid, cfg = 3, GridSpec(0.5, 0.5, 3), EigConfig(iters=30)
+    losses = loss_grid(net, grid, batch, seed)
+    result = convexity_grid(net, grid, batch, cfg, seed)
+    dirs = random_directions(net, seed)
+    for i, alpha in enumerate(grid.alphas):
+        for j, beta in enumerate(grid.betas):
+            point = point_params(net, dirs, float(alpha), float(beta))
+            assert losses[i, j] == loss(point, batch)
+            matvec, _ = hessian_of(point, batch)
+            want = extreme_eigs(matvec, start_vector(param_count(net), derive_seed(seed, TAG_EIG, i, j)), cfg)
+            assert result.lam_max[i, j] == want.lam_max and result.lam_min[i, j] == want.lam_min
+            assert result.converged[i, j] == want.converged
+            assert result.convexity[i, j] == convexity_score(want.lam_max, want.lam_min)
+
+
 @pytest.mark.parametrize("i, j", [(10, 10), (0, 0)], ids=["centre", "corner"])
 def test_lanczos_finds_the_extremes_of_a_trained_expert(experts_dir, i, j):
     """Two cells of the default convexity map of seed 0's expert_add (2,349
@@ -359,14 +380,15 @@ def test_lanczos_finds_the_extremes_of_a_trained_expert(experts_dir, i, j):
     times the spread, of the dense spectrum built from unit HVPs."""
     theta0 = load_checkpoint(experts_dir / "expert_add.ckpt")
     batch = gen_dataset(twin_tasks(13, 0)[0], "opt", 64, derive_seed(0, TAG_EIG))
-    grid, cfg = GridSpec(), EigConfig(seed=derive_seed(0, TAG_EIG, i, j))
+    grid, cfg = GridSpec(), EigConfig()
     theta = point_params(theta0, random_directions(theta0, 0), float(grid.alphas[i]), float(grid.betas[j]))
     hess = exact_hessian(theta, batch)
     assert hess.shape == (2349, 2349)
     assert np.max(np.abs(hess - hess.T)) <= 1e-12 * np.max(np.abs(hess))
     spectrum = np.linalg.eigvalsh(hess)
     spread = max(abs(spectrum[0]), abs(spectrum[-1]))
-    result = extreme_eigs(*hessian_of(theta, batch), cfg)
+    matvec, _ = hessian_of(theta, batch)
+    result = extreme_eigs(matvec, start_vector(hess.shape[0], derive_seed(0, TAG_EIG, i, j)), cfg)
     assert result.converged
     assert abs(result.lam_max - spectrum[-1]) <= cfg.tol * spread
     assert abs(result.lam_min - spectrum[0]) <= cfg.tol * spread
@@ -384,30 +406,28 @@ def test_convexity_score_clipping():
 
 def test_convexity_grid_range_flags_and_determinism():
     net, batch = small_net_and_batch()
-    dirs = random_directions(net, seed=7)
     grid = GridSpec(0.3, 0.3, 3)
     eig_cfg = EigConfig(iters=300, tol=1e-9)
-    result = convexity_grid(net, dirs, grid, batch, eig_cfg)
+    result = convexity_grid(net, grid, batch, eig_cfg, 7)
     assert result.convexity.shape == (3, 3)
     assert np.all((result.convexity >= 0.0) & (result.convexity <= 0.5))
     assert result.converged.dtype == bool
-    again = convexity_grid(net, dirs, grid, batch, eig_cfg)
+    again = convexity_grid(net, grid, batch, eig_cfg, 7)
     assert np.array_equal(result.convexity, again.convexity)
     assert np.array_equal(result.lam_max, again.lam_max)
 
 
 def test_grid_csv_and_pgm_outputs(tmp_path):
     net, batch = small_net_and_batch()
-    dirs = random_directions(net, seed=7)
     grid = GridSpec(0.3, 0.3, 3)
-    values = loss_grid(net, dirs, grid, batch)
+    values = loss_grid(net, grid, batch, 7)
     csv_path = tmp_path / "landscape.csv"
     write_grid_csv(csv_path, grid, values)
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "i,j,alpha,beta,value"
     assert len(lines) == 1 + 9
 
-    result = convexity_grid(net, dirs, grid, batch, EigConfig(iters=100))
+    result = convexity_grid(net, grid, batch, EigConfig(iters=100), 7)
     conv_path = tmp_path / "convexity.csv"
     write_convexity_csv(conv_path, grid, result)
     header = conv_path.read_text().splitlines()[0]
