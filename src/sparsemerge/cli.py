@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import math
 import sys
 import time
@@ -548,10 +549,15 @@ def cmd_evolve(cfg: dict[str, Any], out_dir: Path) -> Outcome:
                              merge_cfg=s.build(MergeConfig), tasks=specs)
         check_draw(s, "opt_batch", specs[0], "opt")
     _, expert_add, expert_sub = experts
-    best, records = run_sae([expert_add, expert_sub], evolve_cfg)
-    write_trace(out_dir / "trace.csv", records)
+    trace = out_dir / "trace.csv"
+    try:
+        with open(trace, "w", newline="") as f:
+            best = run_sae([expert_add, expert_sub], evolve_cfg, functools.partial(write_trace, f))
+        row = (cfg["label"], *evaluate_model(best.params, specs))
+    except BaseException:
+        trace.unlink(missing_ok=True)  # a failed command writes nothing
+        raise
     save_checkpoint(best.params, out_dir / "best.ckpt")
-    row = (cfg["label"], *evaluate_model(best.params, specs))
     return [row], [
         f"{row[0]}: best id={best.id} total_score={best.total_score:.4f} "
         f"task_a={row[1]:.4f} task_b={row[2]:.4f} avg={row[3]:.4f}"

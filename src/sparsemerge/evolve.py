@@ -6,6 +6,7 @@ import csv
 import string
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -202,34 +203,40 @@ def best_member(archive: Archive) -> Individual:
 
 
 def run_sae(
-    dense_experts: list[ParameterSet], cfg: EvolveConfig
-) -> tuple[Individual, list[TraceRecord]]:
-    """Full evolutionary run; deterministic given (experts, cfg)."""
+    dense_experts: list[ParameterSet], cfg: EvolveConfig, sink: Callable[[list[TraceRecord]], None]
+) -> Individual:
+    """Full evolutionary run; deterministic given (experts, cfg). Returns the best member.
+
+    ``sink`` receives each step's trace records as the step ends, the initial
+    archive's first; the run keeps none, so its memory does not grow with its steps.
+    """
     archive = init_archive(dense_experts, cfg)
-    records = [_record(0, m, "init") for m in archive.members]
+    sink([_record(0, m, "init") for m in archive.members])
     for step in range(cfg.schedule.total_steps):
         rng = substream(cfg.seed, TAG_PAIRING, step)
-        archive, recs = evolve_step(archive, cfg, step, rng)
-        records.extend(recs)
-    return best_member(archive), records
+        archive, records = evolve_step(archive, cfg, step, rng)
+        sink(records)
+    return best_member(archive)
 
 
-def write_trace(path, records: list[TraceRecord]) -> None:
-    """One row per record, with one ``perf_task_<a, b, ...>`` column per task of the run."""
-    n_tasks = len(records[0].perf) if records else 0
-    perf_columns = [f"perf_task_{string.ascii_lowercase[k]}" for k in range(n_tasks)]
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
+def write_trace(f: TextIO, records: list[TraceRecord]) -> None:
+    """One row per record, appended to ``f``, a text file opened with
+    ``newline=""``. An empty file first gets the header, with one
+    ``perf_task_<a, b, ...>`` column per task of the run."""
+    writer = csv.writer(f)
+    if f.tell() == 0:
+        n_tasks = len(records[0].perf) if records else 0
+        perf_columns = [f"perf_task_{string.ascii_lowercase[k]}" for k in range(n_tasks)]
         writer.writerow(
             ["step", "member_id", *perf_columns, "perf_mean", "zero_frac", "total_score", "event"]
         )
-        for r in records:
-            writer.writerow(
-                [
-                    r.step, r.member_id, *map(repr, r.perf),
-                    repr(r.perf_mean), repr(r.zero_frac), repr(r.total_score), r.event,
-                ]
-            )
+    for r in records:
+        writer.writerow(
+            [
+                r.step, r.member_id, *map(repr, r.perf),
+                repr(r.perf_mean), repr(r.zero_frac), repr(r.total_score), r.event,
+            ]
+        )
 
 
 # ----------------------------------------------------------------------------

@@ -350,6 +350,9 @@ def train(
     lead = dataset.labels.shape[:-1]  # () for one model, (K,) for a stack
     if p["fc1_w"].shape[:-2] != lead:
         raise ValueError(f"stack of models {p['fc1_w'].shape[:-2]} does not match dataset stack {lead}")
+    n_models = lead[0] if lead else 1
+    if len(seeds) != n_models:
+        raise ValueError(f"train takes one shuffle seed per model, got {len(seeds)} for {n_models}")
     if p["fc1_w"].shape[-2] != dataset.inputs.shape[-1]:
         raise ValueError(
             f"inputs of width {dataset.inputs.shape[-1]} do not match fc1_w's {p['fc1_w'].shape[-2]} rows"

@@ -249,7 +249,8 @@ def seeded_runs(experts5):
     runs = {}
     for seed, (base, expert_add, expert_sub, specs) in experts5.items():
         cfg = EvolveConfig(capacity=8, seed=seed, tasks=specs)
-        best, records = run_sae([expert_add, expert_sub], cfg)
+        records = []
+        best = run_sae([expert_add, expert_sub], cfg, records.extend)
         pso_best, pso_trace = run_pso(
             [expert_add, expert_sub], PsoConfig(seed=seed), specs
         )

@@ -1,14 +1,16 @@
 import csv
+import hashlib
 import shlex
 import shutil
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import rand_pset, twin_tasks
-from sparsemerge import cli
+from sparsemerge import cli, evolve
 from sparsemerge.cli import COMMAND_OPTS, main, read_config_file
 from sparsemerge.params import (
     CHECKPOINT_MAGIC,
@@ -116,6 +118,44 @@ def test_evolve_run_and_determinism(fast_experts_dir, tmp_path):
     header = read_rows(run_a / "trace.csv")[0]
     assert header == ["step", "member_id", "perf_task_a", "perf_task_b",
                       "perf_mean", "zero_frac", "total_score", "event"]
+
+
+def test_evolve_memory_does_not_grow_with_its_steps(fast_experts_dir, tmp_path):
+    """evolve writes each step's trace rows as the step ends, so its peak
+    traced allocation at 64 steps stays near its peak at 8. Under numpy 2.4
+    it grew 557 -> 617 KiB; keeping the 672 more records until the end of the
+    run made it grow 570 -> 747 KiB."""
+    def peak_kib(steps: int) -> float:
+        tracemalloc.start()
+        try:
+            assert main(["evolve", "--experts", str(fast_experts_dir), "--pop", "8", "--steps", str(steps),
+                         "--out", str(tmp_path / f"run{steps}")]) == 0
+            return tracemalloc.get_traced_memory()[1] / 1024
+        finally:
+            tracemalloc.stop()
+
+    assert main(["evolve", "--experts", str(fast_experts_dir), "--pop", "8", "--steps", "8",
+                 "--out", str(tmp_path / "warm-up")]) == 0
+    short, long = peak_kib(8), peak_kib(64)
+    assert long - short < 120, f"peak {short:.0f} KiB at 8 steps, {long:.0f} KiB at 64"
+
+
+def test_a_failed_evolve_removes_the_rows_it_streamed(fast_experts_dir, tmp_path, monkeypatch, capsys):
+    """A run that fails after trace rows were written leaves no trace.csv:
+    a failed command writes nothing."""
+    out = tmp_path / "run"
+    real_step = evolve.evolve_step
+
+    def failing_step(archive, cfg, step, rng):
+        if step == 2:
+            assert (out / "trace.csv").is_file()
+            raise ValueError("step 2 failed")
+        return real_step(archive, cfg, step, rng)
+
+    monkeypatch.setattr(evolve, "evolve_step", failing_step)
+    assert main(["evolve", "--experts", str(fast_experts_dir), "--steps", "4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: step 2 failed"]
+    assert list(out.iterdir()) == []
 
 
 def test_pso_run_and_determinism(fast_experts_dir, tmp_path):
@@ -268,6 +308,78 @@ def test_replay_from_another_directory_names_the_missing_input(fast_experts_dir,
     assert main(["baseline", "--config", "../runs/wa/config.txt", "--out", "wa"]) == 2
     assert capsys.readouterr().err.splitlines() == ["error: runs/experts/base.ckpt: No such file or directory"]
     assert not Path("wa").exists()
+
+
+# A short seed-0 pipeline through every command but gen-data, with relative
+# paths, since config.txt records its inputs as given.
+PINNED_PIPELINE = [
+    ["train-experts", "--seed", "0", "--base-epochs", "3", "--expert-epochs", "40", "--out", "runs/experts"],
+    ["evolve", "--experts", "runs/experts", "--seed", "0", "--steps", "4", "--out", "runs/sae"],
+    ["pso", "--experts", "runs/experts", "--seed", "0", "--iters", "4", "--out", "runs/pso"],
+    ["baseline", "--method", "weight-average", "--experts", "runs/experts", "--out", "runs/wa"],
+    ["baseline", "--method", "task-arithmetic", "--experts", "runs/experts", "--out", "runs/ta"],
+    ["eval", "--ckpt", "runs/sae/best.ckpt", "--label", "sae", "--out", "runs/eval"],
+    ["report", "--runs", "runs/sae", "runs/pso", "runs/wa", "runs/ta", "runs/experts", "--out", "runs/report"],
+    ["landscape", "--ckpt", "runs/sae/best.ckpt", "--seed", "0", "--grid", "3", "--out", "runs/land"],
+    ["convexity", "--ckpt", "runs/sae/best.ckpt", "--seed", "0", "--grid", "3", "--out", "runs/conv"],
+]
+
+
+def pinned_artifacts(root: Path) -> dict[str, str]:
+    """sha256 of every checkpoint, CSV, heatmap and config.txt below ``root``, by relative path."""
+    return {
+        p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*"))
+        if p.suffix in (".ckpt", ".csv", ".pgm") or p.name == "config.txt"
+    }
+
+
+# Measured under numpy 2.x only; a run under another numpy major skips.
+PINNED_SHA256 = {
+    2: {
+        "conv/config.txt": "22297e39de75ccaf5e60fb83679b1a608a7a9350c26636309a6f52bc7427dc5f",
+        "conv/convexity.csv": "7b8af73df7414053fb05374ecc5f9fc307935e06a8adeb1725a08125feba2045",
+        "conv/convexity.pgm": "e9e4a11336da727e714114089026c28ca4ba28bdf3ad2518f967cd490056f9c0",
+        "eval/config.txt": "0798d657714b93bda82a7e83a5f1d01c1ccd5e5e729bd3a109f7c987a841a99d",
+        "eval/summary.csv": "6645f4c76466361f009975de9c6d3e79d5b1bcae1124957ffab4f17e1ad18907",
+        "experts/base.ckpt": "8750fbdbfa6fa4bff7fccec652cf8b2d2cb05f2d8c1f83968e9f81dda5d1d498",
+        "experts/config.txt": "78a228aedcdbd1dac0ddec62c5ee856312fca6486cde00d33333dd869f94a70e",
+        "experts/expert_add.ckpt": "1c07feff96ca09f8f91c97bb37304964901be810561a47d4d6f880953a3f76c5",
+        "experts/expert_sub.ckpt": "696d74cf8637e72a9e94a8551eb3a4371d484f0affd4cf4b0d82b27136db05e0",
+        "experts/summary.csv": "06b274d93cb0508faf10037715070fd7f7a431f28fc506bfc20f061181ea97e2",
+        "land/config.txt": "2aaf9890764eb250d8f56b4536c01bb82ee3eb70f18cc8327aaa9549701b050d",
+        "land/landscape.csv": "96fb758c9a54b79b42589b3011c10cf505e54cd416671dbcf40a716e6d1cf7f9",
+        "land/landscape.pgm": "475a79c246e634573bbab069a1a628e2a4b2b11347eabcc3aaaba1d107f68ffc",
+        "pso/best.ckpt": "ce08778092be13287261c0695bc6a154725f3928a75a47e88851b060cb8aa8de",
+        "pso/config.txt": "5a5f7eed32ca48873d629c688fdb7e2e860d6bb95c7c0347a2b7b0f3d17ebdbf",
+        "pso/summary.csv": "5b99c6a520cf34c74c4a35bfae9dc7c3eda461639c52bf6e893f526ac3ceebc4",
+        "pso/trace.csv": "e77a48f64cbf53a8ecf3c75fc6acf7adb7cf81e9158f0e7ef55e5fbafad84034",
+        "report/report.csv": "adb243a0b4a24aa3a9a44f887cc0ad347f6c6c33d3d53287ee36f59f166d4663",
+        "sae/best.ckpt": "d86461f758b5cbbc00e6fb5c1f240e4b58236f71dc31a2431581a636853cc7fc",
+        "sae/config.txt": "693a5bf357775be3b2baf135fdcd3dab0cce60cf854ff699dba966dc12e5d068",
+        "sae/summary.csv": "6645f4c76466361f009975de9c6d3e79d5b1bcae1124957ffab4f17e1ad18907",
+        "sae/trace.csv": "90506823d98680811ec57f91b8d01d79ca3c8c805b10b2609c0a8aa473bd09a2",
+        "ta/config.txt": "b7568864de7b521717ed6d58504b6f95940a2cbaf4c7d07713b9ad0fb010ddbd",
+        "ta/merged.ckpt": "11e133e7dd3a6ffb5037ff318f9c9fc1e275b9378cff2a84410457c266112ad7",
+        "ta/summary.csv": "109e75563bd7c6990a35cba3cf3afe186af81b64a953918833f47433dd985d56",
+        "wa/config.txt": "c07f501631037aa35455e0863b5cf1d61c8ccd4e29d4ca1d0bd04c9919b7872e",
+        "wa/merged.ckpt": "7ce92407eedd0d90a26f0e161b42ad34ac813c34289a77174640e8e382d07aea",
+        "wa/summary.csv": "2d52c488363a0f8655abd60906304791991a35012839d34577f3f69e4cb5dc9a",
+    },
+}
+
+
+def test_a_short_pipeline_writes_the_pinned_bytes(tmp_path, monkeypatch, capsys):
+    """Every artifact of a short seed-0 pipeline is the pinned bytes. A change
+    that moves any of them updates its pin and says why."""
+    major = int(np.__version__.split(".")[0])
+    if major not in PINNED_SHA256:
+        pytest.skip(f"no artifact pin measured for numpy {major}.x")
+    monkeypatch.chdir(tmp_path)
+    for argv in PINNED_PIPELINE:
+        assert main(argv) == 0, argv
+    assert capsys.readouterr().err == ""
+    assert pinned_artifacts(Path("runs")) == PINNED_SHA256[major]
 
 
 def test_readme_command_flags_parse():

@@ -96,7 +96,8 @@ def test_init_archive_composition(expert_bundle):
 def test_larger_archive_capacity(expert_bundle):
     _, expert_add, expert_sub, specs = expert_bundle
     cfg = make_cfg(specs, capacity=16, schedule=SparsitySchedule(total_steps=2))
-    best, records = run_sae([expert_add, expert_sub], cfg)
+    records = []
+    best = run_sae([expert_add, expert_sub], cfg, records.extend)
     member_rows = [r for r in records if r.step == 2 and r.event == "member"]
     assert len(member_rows) == 16
     assert 0.0 <= best.total_score <= 1.0
@@ -151,7 +152,8 @@ def parse_parents(event: str) -> tuple[int, int]:
 def test_run_invariants_from_trace(expert_bundle):
     _, expert_add, expert_sub, specs = expert_bundle
     cfg = make_cfg(specs)
-    best, records = run_sae([expert_add, expert_sub], cfg)
+    records = []
+    best = run_sae([expert_add, expert_sub], cfg, records.extend)
 
     member_rows = {}
     for r in records:
@@ -178,7 +180,8 @@ def test_run_invariants_from_trace(expert_bundle):
 def test_offspring_zero_fraction_respects_schedule(expert_bundle):
     _, expert_add, expert_sub, specs = expert_bundle
     cfg = make_cfg(specs)
-    _, records = run_sae([expert_add, expert_sub], cfg)
+    records = []
+    run_sae([expert_add, expert_sub], cfg, records.extend)
     n = sum(arr.size for _, arr in expert_add.layers)
     for r in records:
         if r.event.startswith("offspring"):
@@ -190,7 +193,8 @@ def test_offspring_zero_fraction_respects_schedule(expert_bundle):
 def test_zero_steps_returns_best_initial(expert_bundle):
     _, expert_add, expert_sub, specs = expert_bundle
     cfg = make_cfg(specs, schedule=SparsitySchedule(total_steps=0))
-    best, records = run_sae([expert_add, expert_sub], cfg)
+    records = []
+    best = run_sae([expert_add, expert_sub], cfg, records.extend)
     init_rows = [r for r in records if r.event == "init"]
     assert len(records) == len(init_rows) == 8
     assert best.total_score == max(r.total_score for r in init_rows)
@@ -199,16 +203,37 @@ def test_zero_steps_returns_best_initial(expert_bundle):
 def test_run_sae_deterministic(expert_bundle):
     _, expert_add, expert_sub, specs = expert_bundle
     cfg = make_cfg(specs)
-    best1, rec1 = run_sae([expert_add, expert_sub], cfg)
-    best2, rec2 = run_sae([expert_add, expert_sub], cfg)
+    rec1 = []
+    best1 = run_sae([expert_add, expert_sub], cfg, rec1.extend)
+    rec2 = []
+    best2 = run_sae([expert_add, expert_sub], cfg, rec2.extend)
     assert rec1 == rec2
     assert np.array_equal(flatten(best1.params), flatten(best2.params))
+
+
+def test_run_sae_hands_each_step_its_records_once_in_order(expert_bundle):
+    """The sink gets one list per step, the initial archive's first, holding
+    exactly what that step's evolve_step returned; run_sae keeps none of it."""
+    _, expert_add, expert_sub, specs = expert_bundle
+    cfg = make_cfg(specs, schedule=SparsitySchedule(total_steps=5))
+    handed = []
+    best = run_sae([expert_add, expert_sub], cfg, handed.append)
+    archive = init_archive([expert_add, expert_sub], cfg)
+    expected = [[evolve._record(0, m, "init") for m in archive.members]]
+    for step in range(5):
+        archive, records = evolve_step(archive, cfg, step, substream(cfg.seed, TAG_PAIRING, step))
+        expected.append(records)
+    assert handed == expected
+    assert [{r.step for r in records} for records in handed] == [{step} for step in range(6)]
+    assert best.id == best_member(archive).id
+    assert np.array_equal(flatten(best.params), flatten(best_member(archive).params))
 
 
 def test_redense_from_original_dense_restores_density(expert_bundle):
     _, expert_add, expert_sub, specs = expert_bundle
     cfg = make_cfg(specs, merge_cfg=MergeConfig(redense_mode=RedenseMode.FROM_ORIGINAL_DENSE))
-    _, records = run_sae([expert_add, expert_sub], cfg)
+    records = []
+    run_sae([expert_add, expert_sub], cfg, records.extend)
     reference_zero = collect_stats(
         init_archive([expert_add, expert_sub], cfg).dense_reference
     ).zero_frac
@@ -250,7 +275,8 @@ def test_statistics_are_collected_once_per_model(anneal, monkeypatch):
     capacity, steps = 6, 4
     cfg = make_cfg(specs, capacity=capacity, schedule=SparsitySchedule(total_steps=steps), opt_batch=8,
                    anneal=anneal)
-    _, records = run_sae(experts, cfg)
+    records = []
+    run_sae(experts, cfg, records.extend)
     offspring = sum(r.event.startswith("offspring") for r in records)
     assert offspring == steps * capacity // 2
     # Annealing re-scores every member but the surviving dense experts (ids 0 and 1).
@@ -339,8 +365,10 @@ def test_best_member_tie_breaks_to_lower_id(expert_bundle):
 def test_write_trace_has_one_column_per_task(perf, columns, tmp_path):
     """No padding for one task, and no accuracy dropped for three."""
     record = TraceRecord(1, 4, perf, sum(perf) / len(perf), 0.25, 0.5, "member")
-    write_trace(tmp_path / "trace.csv", [record])
+    with open(tmp_path / "trace.csv", "w", newline="") as f:
+        write_trace(f, [record])
+        write_trace(f, [record])  # rows appended as a run streams them, under one header
     with open(tmp_path / "trace.csv", newline="") as f:
-        header, row = list(csv.reader(f))
+        header, *rows = list(csv.reader(f))
     assert header == ["step", "member_id", *columns, "perf_mean", "zero_frac", "total_score", "event"]
-    assert row == ["1", "4", *map(repr, perf), repr(record.perf_mean), "0.25", "0.5", "member"]
+    assert rows == [["1", "4", *map(repr, perf), repr(record.perf_mean), "0.25", "0.5", "member"]] * 2

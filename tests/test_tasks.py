@@ -522,6 +522,18 @@ def test_train_rejects_a_model_stack_that_does_not_match_the_dataset():
             train(model, data, learning_rate=0.1, epochs=1, batch_size=32, seeds=[0])
 
 
+def test_train_rejects_a_seed_count_that_is_not_the_stack_size():
+    spec = ModularTaskSpec(5, ModularOp.ADD)
+    one = full_split(spec, "train")
+    two = Dataset(np.stack([one.inputs] * 2), np.stack([one.labels] * 2))
+    net = init_mlp(MlpSpec(5, 4), 0)
+    for model, data, seeds, message in ((net, one, [0, 1], "got 2 for 1"),
+                                        (stack([net, net]), two, [0], "got 1 for 2"),
+                                        (stack([net, net]), two, [0, 1, 2], "got 3 for 2")):
+        with pytest.raises(ValueError, match=message):
+            train(model, data, learning_rate=0.1, epochs=1, batch_size=32, seeds=seeds)
+
+
 def test_train_rejects_inputs_of_another_width():
     """A net for m=13 on m=7 data is a shape error up front, not a divergence."""
     net = init_mlp(MlpSpec(13, 8), 0)
