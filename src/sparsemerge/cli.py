@@ -628,7 +628,8 @@ def cmd_convexity(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     return [], [
         f"convexity grid {grid.resolution}x{grid.resolution}: "
         f"mean={result.convexity.mean():.4f} "
-        f"converged={int(result.converged.sum())}/{result.converged.size}"
+        f"converged={int(result.converged.sum())}/{result.converged.size} "
+        f"steps={int(result.steps.sum())} max_steps={int(result.steps.max())}"
     ]
 
 

@@ -5,8 +5,12 @@ Lanczos run with full reorthogonalisation. Its Hessian-vector products are
 exact on a batch's cross-entropy (Pearlmutter's R-operator, computed by
 ``tasks.loss_and_grad``). Each cell linearizes once at its point
 (``tasks.linearize``: the forward and backward pass) and hands that to every
-product it takes, so each product adds only the tangent's pass. Scans move
-along two random directions rescaled layer-wise to the anchor model's norms.
+product it takes, so each product adds only the tangent's pass. A Lanczos
+step takes only the eigenvalues of its tridiagonal matrix and screens the
+stop test on them; the eigenvectors are taken only where the screen cannot
+rule a stop out. Each cell after the first starts from the previous cell's
+extreme Ritz vectors. Scans move along two random directions rescaled
+layer-wise to the anchor model's norms.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -147,9 +151,42 @@ class EigConfig:
 
 @dataclass(frozen=True)
 class EigResult:
+    """The extreme Ritz values, whether the run converged, the operator
+    products it took, and the unit Ritz vectors of both extremes (which ``==``
+    and repr leave out)."""
+
     lam_max: float
     lam_min: float
     converged: bool
+    steps: int
+    vec_max: np.ndarray = field(compare=False, repr=False)
+    vec_min: np.ndarray = field(compare=False, repr=False)
+
+
+def _may_stop(ritz: np.ndarray, previous: np.ndarray, beta: float, tol: float) -> bool:
+    """Whether a Lanczos step may pass the stop test of ``extreme_eigs``:
+    False only when the Ritz values of this step (``ritz``, of T_k, ascending)
+    and of the last (``previous``, of T_{k-1}) show that it fails. By
+    interlacing, the last component s_i of the unit eigenvector of T_k for
+    theta_i has |s_i|^2 = prod_j (theta_i - mu_j) / prod_{j != i} (theta_i - theta_j).
+    Each extreme's is taken as a product of ratios of paired factors, each in
+    [0, 1] in exact arithmetic. Every numerator is shrunk and every
+    denominator grown by the Ritz values' rounding error (k * eps * spread,
+    plus the smallest normal float so that no denominator is 0), and every
+    ratio is clipped to [0, 1]. So the product is a lower bound on |s_i|^2
+    that is always finite, and it reads 0 where a Ritz value moved by less
+    than rounding."""
+    spread = max(abs(ritz[0]), abs(ritz[-1]))
+    if beta <= BREAKDOWN * spread:
+        return True
+    noise = ritz.size * sys.float_info.epsilon * spread + sys.float_info.min
+    top, bottom = ritz[-1], ritz[0]
+    top_s2 = np.minimum(np.maximum((top - noise) - previous, 0.0)
+                        / ((top + noise) - ritz[:-1]), 1.0).prod()
+    bottom_s2 = np.minimum(np.maximum(previous - (bottom + noise), 0.0)
+                           / (ritz[1:] - (bottom - noise)), 1.0).prod()
+    bound = tol * spread
+    return beta * math.sqrt(top_s2) <= bound and beta * math.sqrt(bottom_s2) <= bound
 
 
 def extreme_eigs(
@@ -158,50 +195,57 @@ def extreme_eigs(
     """Extreme eigenvalues of a symmetric operator by Lanczos with full
     reorthogonalisation, started from ``start / ||start||``.
 
-    ``matvec`` maps a flat vector of length n = ``start.size`` to its product
-    with the operator (for a convexity cell, ``hvp`` at the cell's point). Each step
-    takes one product of the newest basis vector, orthogonalises it against
+    ``matvec`` maps a flat vector of length n = ``start.size`` to a new float
+    vector, its product with the operator (for a convexity cell, ``hvp`` at
+    the cell's point); the run overwrites that vector. Each step takes one
+    product of the newest basis vector, orthogonalises it in place against
     the whole basis (two Gram-Schmidt passes) and extends the tridiagonal
     matrix T whose eigenvalues (Ritz values) approximate the spectrum from
     the inside. The run stops when the residuals |beta * s_last| of both
     extreme Ritz pairs are at most ``cfg.tol`` times the spread (the largest
     Ritz magnitude), or at breakdown (beta at rounding level: the Ritz values
     are exact), and takes at most min(cfg.iters, n) steps. ``converged`` is
-    False only when it stops at that limit. A product that is not finite
-    raises ValueError.
+    False only when it stops at that limit. Each step takes only T's
+    eigenvalues and screens the test on them (``_may_stop``); a step that
+    passes the screen, and the last allowed one, take T's eigenvectors, which
+    decide the stop and give the reported values and Ritz vectors. A product
+    that is not finite raises ValueError.
     """
     n = start.size
-    steps = min(cfg.iters, n)
-    basis = np.zeros((steps, n))
+    limit = min(cfg.iters, n)
+    basis = np.empty((limit, n))  # row j is written at step j, before it is read
     # T, written in place: step j's alpha on the diagonal, its beta beside it
     # (the spare last row and column take the final step's beta).
-    tri = np.zeros((steps + 1, steps + 1))
+    tri = np.zeros((limit + 1, limit + 1))
     q = start / np.linalg.norm(start)
-    converged = False
-    for j in range(steps):
+    previous = np.empty(0)
+    for j in range(limit):
         basis[j] = q
         w = matvec(q)
         tri[j, j] = q @ w
         span = basis[: j + 1]
         for _ in range(2):
-            w = w - span.T @ (span @ w)
-        beta = float(np.linalg.norm(w))
+            w -= span.T @ (span @ w)
+        beta = math.sqrt(w.dot(w))
         if not math.isfinite(beta):
             raise ValueError(f"non-finite operator product at Lanczos step {j + 1}")
-        ritz, vecs = np.linalg.eigh(tri[: j + 1, : j + 1])
-        spread = max(abs(ritz[0]), abs(ritz[-1]))
-        residual = beta * max(abs(vecs[-1, 0]), abs(vecs[-1, -1]))
-        if beta <= BREAKDOWN * spread or residual <= cfg.tol * spread:
-            converged = True
-            break
+        ritz = np.linalg.eigvalsh(tri[: j + 1, : j + 1])
+        if j + 1 == limit or _may_stop(ritz, previous, beta, cfg.tol):
+            values, vecs = np.linalg.eigh(tri[: j + 1, : j + 1])
+            spread = max(abs(values[0]), abs(values[-1]))
+            residual = beta * max(abs(vecs[-1, 0]), abs(vecs[-1, -1]))
+            converged = beta <= BREAKDOWN * spread or residual <= cfg.tol * spread
+            if converged:
+                break
         tri[j, j + 1] = tri[j + 1, j] = beta
         q = w / beta
-    lam_max, lam_min = float(ritz[-1]), float(ritz[0])
+        previous = ritz
+    lam_max, lam_min = float(values[-1]), float(values[0])
     if abs(lam_max) <= ZERO_TOL * spread:
         lam_max = 0.0
     if abs(lam_min) <= ZERO_TOL * spread:
         lam_min = 0.0
-    return EigResult(lam_max, lam_min, converged)
+    return EigResult(lam_max, lam_min, bool(converged), j + 1, vecs[:, -1] @ span, vecs[:, 0] @ span)
 
 
 def convexity_score(lam_max: float, lam_min: float) -> float:
@@ -215,22 +259,31 @@ class ConvexityResult:
     lam_max: np.ndarray
     lam_min: np.ndarray
     converged: np.ndarray
+    steps: np.ndarray
 
 
 def convexity_grid(
     theta0: ParameterSet, grid: GridSpec, dataset: Dataset, eig_cfg: EigConfig, seed: int
 ) -> ConvexityResult:
     """Convexity proxy at every cell of the scan that ``seed`` keys (see
-    ``_scan``); non-converged cells are flagged, never hidden. Cell (i, j)
-    starts Lanczos from the standard normal vector of
-    ``substream(derive_seed(seed, TAG_EIG, i, j), TAG_EIG, n)``."""
+    ``_scan``); non-converged cells are flagged, never hidden, and ``steps``
+    counts each cell's Hessian-vector products. Cell (i, j) draws the standard
+    normal vector s of ``substream(derive_seed(seed, TAG_EIG, i, j), TAG_EIG, n)``.
+    Cell (0, 0) starts Lanczos from s; every later cell, in the scan's
+    row-by-row order, from the sum of the previous cell's two extreme Ritz
+    vectors plus 0.1 * s / ||s||, so a cell depends on the cells scanned
+    before it and runs stay deterministic."""
     n = param_count(theta0)
+    previous = None  # the last cell's EigResult, the only one kept
 
     def cell(theta: ParameterSet, i: int, j: int) -> tuple:
+        nonlocal previous
         lin = linearize(theta, dataset)
         start = substream(derive_seed(seed, TAG_EIG, i, j), TAG_EIG, n).standard_normal(n)
-        r = extreme_eigs(lambda v: hvp(theta, dataset, v, lin), start, eig_cfg)
-        return convexity_score(r.lam_max, r.lam_min), r.lam_max, r.lam_min, r.converged
+        if previous is not None:
+            start = previous.vec_max + previous.vec_min + 0.1 * start / np.linalg.norm(start)
+        r = previous = extreme_eigs(lambda v: hvp(theta, dataset, v, lin), start, eig_cfg)
+        return convexity_score(r.lam_max, r.lam_min), r.lam_max, r.lam_min, r.converged, r.steps
 
     shape = (grid.resolution, grid.resolution)
     return ConvexityResult(*(np.array(m).reshape(shape) for m in zip(*_scan(theta0, grid, seed, cell))))

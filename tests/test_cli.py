@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_pset, twin_tasks
-from sparsemerge import cli, evolve
+from sparsemerge import cli, evolve, landscape
 from sparsemerge.cli import COMMAND_OPTS, main, read_config_file
 from sparsemerge.params import (
     CHECKPOINT_MAGIC,
@@ -338,7 +338,7 @@ def pinned_artifacts(root: Path) -> dict[str, str]:
 PINNED_SHA256 = {
     2: {
         "conv/config.txt": "22297e39de75ccaf5e60fb83679b1a608a7a9350c26636309a6f52bc7427dc5f",
-        "conv/convexity.csv": "7b8af73df7414053fb05374ecc5f9fc307935e06a8adeb1725a08125feba2045",
+        "conv/convexity.csv": "e937615bff1515141782dc692d71dbeb2de4945964377275d55f8d40bcd4d5a6",
         "conv/convexity.pgm": "e9e4a11336da727e714114089026c28ca4ba28bdf3ad2518f967cd490056f9c0",
         "eval/config.txt": "0798d657714b93bda82a7e83a5f1d01c1ccd5e5e729bd3a109f7c987a841a99d",
         "eval/summary.csv": "6645f4c76466361f009975de9c6d3e79d5b1bcae1124957ffab4f17e1ad18907",
@@ -471,6 +471,29 @@ def test_landscape_and_convexity_outputs(fast_experts_dir, tmp_path):
     assert rows[0] == ["i", "j", "alpha", "beta", "value", "lambda_max", "lambda_min", "converged"]
     values = [float(r[4]) for r in rows[1:]]
     assert all(0.0 <= v <= 0.5 for v in values)
+
+
+def test_convexity_prints_the_products_each_cell_took(fast_experts_dir, tmp_path, monkeypatch, capsys):
+    """steps= is the sum of the Hessian-vector products over the cells of a 3x3
+    map and max_steps= the most any one cell took, after the converged= count."""
+    per_cell = []
+    original_hvp, original_eigs = landscape.hvp, landscape.extreme_eigs
+
+    def counted_hvp(*args):
+        per_cell[-1] += 1
+        return original_hvp(*args)
+
+    def counted_eigs(*args):
+        per_cell.append(0)
+        return original_eigs(*args)
+
+    monkeypatch.setattr(landscape, "hvp", counted_hvp)
+    monkeypatch.setattr(landscape, "extreme_eigs", counted_eigs)
+    assert main(["convexity", "--ckpt", str(fast_experts_dir / "expert_add.ckpt"), "--grid", "3",
+                 "--out", str(tmp_path / "conv")]) == 0
+    assert len(per_cell) == 9
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert line.endswith(f" converged=9/9 steps={sum(per_cell)} max_steps={max(per_cell)}")
 
 
 def test_landscape_center_is_the_checkpoint_on_an_even_grid(fast_experts_dir, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -354,22 +356,170 @@ def test_converged_cells_match_the_dense_spectrum():
 
 def test_one_seed_keys_each_cell_of_both_maps():
     """Cell (i, j) of either map measures point_params(theta0, random_directions(theta0,
-    seed), alpha_i, beta_j), and a convexity cell runs Lanczos from the start vector
-    of derive_seed(seed, TAG_EIG, i, j): bit for bit the solver's own result there."""
+    seed), alpha_i, beta_j). Convexity cell (0, 0) runs Lanczos from the start vector s
+    of derive_seed(seed, TAG_EIG, 0, 0), bit for bit as a run with no chained start
+    stops there; every later cell, row by row, starts from the previous cell's two
+    extreme Ritz vectors plus 0.1 * s / ||s|| of its own s: bit for bit the solver's
+    own result from that start."""
     net, batch = wider_net_and_batch()
     seed, grid, cfg = 3, GridSpec(0.5, 0.5, 3), EigConfig(iters=30)
+    n = param_count(net)
     losses = loss_grid(net, grid, batch, seed)
     result = convexity_grid(net, grid, batch, cfg, seed)
     dirs = random_directions(net, seed)
+    previous = None
     for i, alpha in enumerate(grid.alphas):
         for j, beta in enumerate(grid.betas):
             point = point_params(net, dirs, float(alpha), float(beta))
             assert losses[i, j] == loss(point, batch)
             matvec, _ = hessian_of(point, batch)
-            want = extreme_eigs(matvec, start_vector(param_count(net), derive_seed(seed, TAG_EIG, i, j)), cfg)
+            s = start_vector(n, derive_seed(seed, TAG_EIG, i, j))
+            if previous is None:
+                steps, tri, _ = unscreened_run(matvec, s, cfg)
+                ritz = np.linalg.eigh(tri)[0]
+                assert (result.lam_max[0, 0], result.lam_min[0, 0]) == (ritz[-1], ritz[0])
+                assert result.steps[0, 0] == steps
+                start = s
+            else:
+                start = previous.vec_max + previous.vec_min + 0.1 * s / np.linalg.norm(s)
+            want = previous = extreme_eigs(matvec, start, cfg)
             assert result.lam_max[i, j] == want.lam_max and result.lam_min[i, j] == want.lam_min
-            assert result.converged[i, j] == want.converged
+            assert result.converged[i, j] == want.converged and result.steps[i, j] == want.steps
             assert result.convexity[i, j] == convexity_score(want.lam_max, want.lam_min)
+
+
+def lanczos_recurrence(matvec, start: np.ndarray, steps: int):
+    """T and the step's beta after each of up to ``steps`` Lanczos steps of the
+    recurrence extreme_eigs runs (full reorthogonalisation by two Gram-Schmidt
+    passes, beta = ||w||), computed without its screen and never stopping early."""
+    basis = np.zeros((steps, start.size))
+    alphas, betas = [], []
+    q = start / np.linalg.norm(start)
+    for j in range(steps):
+        if j:
+            betas.append(beta)
+            q = w / beta
+        basis[j] = q
+        w = matvec(q)
+        alphas.append(q @ w)
+        span = basis[: j + 1]
+        for _ in range(2):
+            w = w - span.T @ (span @ w)
+        beta = float(np.linalg.norm(w))
+        yield np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1), beta
+
+
+def passes_stop_test(tri: np.ndarray, beta: float, tol: float) -> bool:
+    """The stop test on T's eigenvectors: breakdown, or both extreme Ritz
+    residuals |beta * s_last| at most tol times the spread."""
+    ritz, vecs = np.linalg.eigh(tri)
+    spread = max(abs(ritz[0]), abs(ritz[-1]))
+    residual = beta * max(abs(vecs[-1, 0]), abs(vecs[-1, -1]))
+    return bool(beta <= landscape.BREAKDOWN * spread or residual <= tol * spread)
+
+
+def unscreened_run(matvec, start: np.ndarray, cfg: EigConfig) -> tuple[int, np.ndarray, bool]:
+    """The steps, final T and stop-test outcome of a run that takes the test on
+    T's eigenvectors at every step: where extreme_eigs stopped before screening."""
+    for steps, (tri, beta) in enumerate(lanczos_recurrence(matvec, start, min(cfg.iters, start.size)), 1):
+        passed = passes_stop_test(tri, beta, cfg.tol)
+        if passed:
+            break
+    return steps, tri, passed
+
+
+def dense_operator(spectrum, seed: int = 0):
+    """A dense symmetric matrix with the given eigenvalues in a random orthonormal basis."""
+    spectrum = np.asarray(spectrum, dtype=float)
+    basis, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((spectrum.size, spectrum.size)))
+    hess = (basis * spectrum) @ basis.T
+    return (hess + hess.T) / 2.0
+
+
+SPECTRA = {
+    "separated": np.linspace(-3.0, 5.0, 40),
+    "clustered": np.concatenate([[-2.0, -2.0 + 1e-14], np.linspace(-1.0, 1.0, 26), [4.0 - 1e-14, 4.0]]),
+    "repeated": np.repeat([-1.0, 0.5, 3.0], 20),
+    "scalar": np.full(10, 1.5),
+    "rank_one": np.concatenate([[2.5], np.zeros(79)]),
+    "all_zero": np.zeros(10),
+}
+SCREEN_CONFIGS = {"default": EigConfig(), "tight": EigConfig(tol=1e-10), "five_steps": EigConfig(iters=5),
+                  "one_step": EigConfig(iters=1)}
+
+
+@pytest.mark.parametrize("spectrum", SPECTRA.values(), ids=SPECTRA)
+@pytest.mark.parametrize("cfg", SCREEN_CONFIGS.values(), ids=SCREEN_CONFIGS)
+def test_screened_stop_decides_as_the_eigenvector_test_on_the_final_T(spectrum, cfg):
+    """On dense operators of 10 to 80 parameters, the run warns of nothing, stops
+    at the first step whose T passes the stop test on its eigenvectors (or at the
+    step limit), and reports converged exactly when its final T passes; its values
+    are then the extreme eigenvalues of that T. A converged run finds both
+    extremes within tol times the spread, with unit Ritz vectors whose residuals
+    are within the same bound."""
+    hess = dense_operator(spectrum)
+    matvec, count = counting(lambda v: hess @ v)
+    start = start_vector(hess.shape[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = extreme_eigs(matvec, start, cfg)
+    steps, tri, passed = unscreened_run(lambda v: hess @ v, start, cfg)
+    assert result.steps == count[0] == steps
+    assert result.converged == passed
+    ritz = np.linalg.eigh(tri)[0]
+    spread = np.abs(spectrum).max()
+    for got, value in ((result.lam_max, ritz[-1]), (result.lam_min, ritz[0])):
+        assert got == value or (got == 0.0 and abs(value) <= landscape.ZERO_TOL * spread)
+    if not result.converged:
+        return
+    exact = np.linalg.eigvalsh(hess)
+    assert abs(result.lam_max - exact[-1]) <= cfg.tol * spread
+    assert abs(result.lam_min - exact[0]) <= cfg.tol * spread
+    for vec, value in ((result.vec_max, result.lam_max), (result.vec_min, result.lam_min)):
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(hess @ vec - value * vec) <= cfg.tol * spread
+
+
+@pytest.mark.parametrize("spectrum", [SPECTRA["separated"], SPECTRA["clustered"]], ids=["separated", "clustered"])
+def test_a_screened_run_takes_eigenvectors_only_where_it_stops(spectrum, monkeypatch):
+    """Every step before the stop is ruled out on its eigenvalues alone, so T's
+    eigenvectors are taken once, at the step that stops the run."""
+    hess = dense_operator(spectrum)
+    eigh, calls = counting(np.linalg.eigh)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    result = extreme_eigs(lambda v: hess @ v, start_vector(hess.shape[0]), EigConfig())
+    assert result.converged and result.steps > 10
+    assert calls[0] == 1
+
+
+def test_a_screen_that_cannot_tell_defers_to_the_eigenvector_test_without_a_warning():
+    """Coincident Ritz values, or a Ritz value that did not move, are within
+    rounding of each other: their interlacing ratio reads 0 and shows no
+    failure (all-zero values divide by no 0), so the step takes eigh. A
+    residual the screen can show is too large still skips it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert landscape._may_stop(np.array([1.0, 1.0, 2.0]), np.array([1.0, 2.0]), 0.5, 1e-6)
+        assert landscape._may_stop(np.array([0.0, 0.0]), np.array([0.0]), 0.5, 1e-6)
+        assert not landscape._may_stop(np.array([1.0, 1.0, 2.0]), np.array([1.0, 1.5]), 0.5, 1e-6)
+        assert not landscape._may_stop(np.array([0.0]), np.empty(0), 0.5, 1e-6)
+
+
+def test_chained_starts_take_fewer_products_than_seeded_ones():
+    """Warm starts pay: the chained map takes fewer Hessian-vector products in
+    all than the same cells started from their own seeded vectors."""
+    net, batch = wider_net_and_batch()
+    seed, grid, cfg = 4, GridSpec(0.5, 0.5, 3), EigConfig()
+    result = convexity_grid(net, grid, batch, cfg, seed)
+    dirs = random_directions(net, seed)
+    seeded = 0
+    for i, alpha in enumerate(grid.alphas):
+        for j, beta in enumerate(grid.betas):
+            matvec, _ = hessian_of(point_params(net, dirs, float(alpha), float(beta)), batch)
+            start = start_vector(param_count(net), derive_seed(seed, TAG_EIG, i, j))
+            seeded += extreme_eigs(matvec, start, cfg).steps
+    assert result.converged.all()
+    assert result.steps.sum() < seeded
 
 
 @pytest.mark.parametrize("i, j", [(10, 10), (0, 0)], ids=["centre", "corner"])
