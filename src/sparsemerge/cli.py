@@ -140,10 +140,6 @@ PSO_OPTS = [
     EXPERTS_OPT,
     Opt("--swarm", int, PsoConfig.swarm),
     Opt("--iters", int, PsoConfig.iters),
-    Opt("--w", float, PsoConfig.w),
-    Opt("--c1", float, PsoConfig.c1),
-    Opt("--c2", float, PsoConfig.c2),
-    Opt("--vmax", float, PsoConfig.vmax),
     Opt("--opt-batch", int, PsoConfig.opt_batch),
     Opt("--label", str, "pso"),
 ]

@@ -245,14 +245,17 @@ def write_trace(f: TextIO, records: list[TraceRecord]) -> None:
 # ----------------------------------------------------------------------------
 
 
+# Clerc & Kennedy's (2002) constriction swarm: inertia, cognitive and social
+# weights, and a speed limit of half the [0, 1] position range.
+PSO_W = 0.729
+PSO_C1 = PSO_C2 = 1.49445
+PSO_VMAX = 0.5
+
+
 @dataclass(frozen=True)
 class PsoConfig:
     swarm: int = 8
     iters: int = 12
-    w: float = 0.729
-    c1: float = 1.49445
-    c2: float = 1.49445
-    vmax: float = 0.5
     opt_batch: int = 64
     seed: int = 0
 
@@ -260,10 +263,6 @@ class PsoConfig:
         check_fields(
             (self.swarm >= 2, "swarm", f"must be >= 2, got {self.swarm}"),
             (self.iters >= 1, "iters", f"must be >= 1, got {self.iters}"),
-            (self.w > 0, "w", f"must be > 0, got {self.w}"),
-            (self.c1 > 0, "c1", f"must be > 0, got {self.c1}"),
-            (self.c2 > 0, "c2", f"must be > 0, got {self.c2}"),
-            (self.vmax > 0, "vmax", f"must be > 0, got {self.vmax}"),
             (self.opt_batch >= 1, "opt_batch", f"must be >= 1, got {self.opt_batch}"),
         )
 
@@ -290,13 +289,12 @@ def pso_update(
     v: np.ndarray,
     pbest_x: np.ndarray,
     gbest_x: np.ndarray,
-    cfg: PsoConfig,
     r1: np.ndarray,
     r2: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One velocity/position step; positions stay clamped to [0, 1]."""
-    v = cfg.w * v + cfg.c1 * r1 * (pbest_x - x) + cfg.c2 * r2 * (gbest_x - x)
-    v = np.clip(v, -cfg.vmax, cfg.vmax)
+    v = PSO_W * v + PSO_C1 * r1 * (pbest_x - x) + PSO_C2 * r2 * (gbest_x - x)
+    v = np.clip(v, -PSO_VMAX, PSO_VMAX)
     x = np.clip(x + v, 0.0, 1.0)
     return x, v
 
@@ -323,7 +321,7 @@ def run_pso(
         if t > 0:
             r1 = rng.random((cfg.swarm, n_dim))
             r2 = rng.random((cfg.swarm, n_dim))
-            x, v = pso_update(x, v, pbest_x, gbest_x, cfg, r1, r2)
+            x, v = pso_update(x, v, pbest_x, gbest_x, r1, r2)
         batches = _opt_batches(tasks, cfg.opt_batch, cfg.seed, TAG_PSO_BATCH, t)
         fits = np.zeros(cfg.swarm)
         for i in range(cfg.swarm):
@@ -333,7 +331,7 @@ def run_pso(
                 pbest_f[i] = fits[i]
                 pbest_x[i] = x[i].copy()
             if fits[i] > gbest_f:
-                gbest_f = fits[i]
+                gbest_f = float(fits[i])
                 gbest_x = x[i].copy()
         trace.append(PsoTraceRecord(t, gbest_f, float(fits.max()), float(fits.mean())))
     return _mix_position(*experts, gbest_x), trace

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -80,3 +82,21 @@ def experts_run(tmp_path_factory):
 def experts_dir(experts_run):
     """CLI-produced experts run directory (seed 0, default recipe)."""
     return experts_run[0]
+
+
+@pytest.fixture(scope="session")
+def convexity_runs(experts_dir, tmp_path_factory):
+    """Two CLI runs of the default 21x21 convexity map of seed 0's expert_add:
+    their directories and wall times."""
+    ckpt = experts_dir / "expert_add.ckpt"
+    dirs = []
+    durations = []
+    for tag in ("one", "two"):
+        out = tmp_path_factory.mktemp(f"conv_{tag}")
+        started = time.time()
+        code = cli_main(["convexity", "--ckpt", str(ckpt), "--grid", "21",
+                         "--seed", "0", "--out", str(out)])
+        durations.append(time.time() - started)
+        assert code == 0
+        dirs.append(out)
+    return dirs, durations

@@ -186,22 +186,6 @@ def test_criterion_07_curvature_oracle():
         assert convexity_score(flat_case.lam_max, flat_case.lam_min) == 0.0
 
 
-@pytest.fixture(scope="module")
-def convexity_runs(experts_dir, tmp_path_factory):
-    ckpt = experts_dir / "expert_add.ckpt"
-    dirs = []
-    durations = []
-    for tag in ("one", "two"):
-        out = tmp_path_factory.mktemp(f"conv_{tag}")
-        started = time.time()
-        code = cli(["convexity", "--ckpt", str(ckpt), "--grid", "21",
-                    "--seed", "0", "--out", str(out)])
-        durations.append(time.time() - started)
-        assert code == 0
-        dirs.append(out)
-    return dirs, durations
-
-
 def test_criterion_08_convexity_range(convexity_runs):
     (first, _), (dur_first, _) = (convexity_runs[0], convexity_runs[1])
     assert dur_first < 300.0, f"21x21 convexity grid took {dur_first:.0f}s"

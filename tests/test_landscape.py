@@ -1,3 +1,4 @@
+import csv
 import warnings
 
 import numpy as np
@@ -523,11 +524,12 @@ def test_chained_starts_take_fewer_products_than_seeded_ones():
 
 
 @pytest.mark.parametrize("i, j", [(10, 10), (0, 0)], ids=["centre", "corner"])
-def test_lanczos_finds_the_extremes_of_a_trained_expert(experts_dir, i, j):
+def test_lanczos_finds_the_extremes_of_a_trained_expert(experts_dir, convexity_runs, i, j):
     """Two cells of the default convexity map of seed 0's expert_add (2,349
     parameters), with the batch, directions and cell seed that ``convexity``
-    uses: both extremes are within the solver's own contract, EigConfig.tol
-    times the spread, of the dense spectrum built from unit HVPs."""
+    uses: both extremes, from the cell's seeded start and as the map wrote
+    them from its chained start, are within the solver's own contract,
+    EigConfig.tol times the spread, of the dense spectrum built from unit HVPs."""
     theta0 = load_checkpoint(experts_dir / "expert_add.ckpt")
     batch = gen_dataset(twin_tasks(13, 0)[0], "opt", 64, derive_seed(0, TAG_EIG))
     grid, cfg = GridSpec(), EigConfig()
@@ -542,6 +544,12 @@ def test_lanczos_finds_the_extremes_of_a_trained_expert(experts_dir, i, j):
     assert result.converged
     assert abs(result.lam_max - spectrum[-1]) <= cfg.tol * spread
     assert abs(result.lam_min - spectrum[0]) <= cfg.tol * spread
+    (written, _), _ = convexity_runs
+    with open(written / "convexity.csv", newline="") as f:
+        (row,) = [r for r in csv.DictReader(f) if (int(r["i"]), int(r["j"])) == (i, j)]
+    assert row["converged"] == "1"
+    assert abs(float(row["lambda_max"]) - spectrum[-1]) <= cfg.tol * spread
+    assert abs(float(row["lambda_min"]) - spectrum[0]) <= cfg.tol * spread
 
 
 def test_convexity_score_clipping():
