@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 def read_config_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -316,17 +316,17 @@ def echo_config(out_dir: Path, values: dict[str, Any]) -> None:
         value = values[key]
         rendered = repr(value) if isinstance(value, float) else str(value)
         lines.append(f"{key.replace('_', '-')}={rendered}")
-    (out_dir / "config.txt").write_text("\n".join(lines) + "\n")
+    (out_dir / "config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def log_line(out_dir: Path, message: str) -> None:
     stamp = time.strftime("%Y-%m-%d %H:%M:%S")
-    with open(out_dir / "run.log", "a") as f:
+    with open(out_dir / "run.log", "a", encoding="utf-8") as f:
         f.write(f"[{stamp}] {message}\n")
 
 
 def write_summary(path: Path, rows: list[Row]) -> None:
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(SUMMARY_HEADER)
         for method, a, b, avg in rows:
@@ -334,7 +334,7 @@ def write_summary(path: Path, rows: list[Row]) -> None:
 
 
 def read_summary(path: Path) -> list[list[str]]:
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8") as f:
         rows = list(csv.reader(f))
     if not rows or rows[0] != SUMMARY_HEADER:
         raise ValueError(f"{path} is not a summary file")
@@ -517,7 +517,7 @@ def cmd_gen_data(cfg: dict[str, Any], out_dir: Path) -> Outcome:
         pool = check_draw(s, "n", spec, cfg["which"], low=0)
     pairs = sample_pairs(spec, cfg["which"], cfg["n"] or pool, cfg["seed"])
     path = out_dir / f"{cfg['op']}_{cfg['which']}.csv"
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["a", "b", "label"])
         for a, b in pairs:
@@ -531,10 +531,10 @@ def cmd_train_experts(cfg: dict[str, Any], out_dir: Path) -> Outcome:
         net = s.build(MlpSpec)
         recipe = s.build(ExpertTrainConfig)
     models = build_experts(specs, cfg["seed"], net.hidden, recipe)
-    rows = []
+    # Scored first: a model that cannot be scored writes nothing.
+    rows = [(name, *evaluate_model(model, specs)) for name, model in zip(EXPERT_NAMES, models)]
     for name, model in zip(EXPERT_NAMES, models):
         save_checkpoint(model, out_dir / f"{name}.ckpt")
-        rows.append((name, *evaluate_model(model, specs)))
     return rows, [score_line(*row) for row in rows]
 
 
@@ -547,7 +547,7 @@ def cmd_evolve(cfg: dict[str, Any], out_dir: Path) -> Outcome:
     _, expert_add, expert_sub = experts
     trace = out_dir / "trace.csv"
     try:
-        with open(trace, "w", newline="") as f:
+        with open(trace, "w", newline="", encoding="utf-8") as f:
             best = run_sae([expert_add, expert_sub], evolve_cfg, functools.partial(write_trace, f))
         row = (cfg["label"], *evaluate_model(best.params, specs))
     except BaseException:
@@ -567,9 +567,10 @@ def cmd_pso(cfg: dict[str, Any], out_dir: Path) -> Outcome:
         check_draw(s, "opt_batch", specs[0], "opt")
     _, expert_add, expert_sub = experts
     best, trace = run_pso([expert_add, expert_sub], pso_cfg, specs)
+    # Scored first: a merge that cannot be scored writes nothing.
+    row = (cfg["label"], *evaluate_model(best, specs))
     write_pso_trace(out_dir / "trace.csv", trace)
     save_checkpoint(best, out_dir / "best.ckpt")
-    row = (cfg["label"], *evaluate_model(best, specs))
     return [row], [score_line(*row)]
 
 
@@ -634,7 +635,7 @@ def cmd_report(cfg: dict[str, Any], out_dir: Path) -> Outcome:
         summaries = [s.load(read_summary, Path(run) / "summary.csv") for run in cfg["runs"]]
     rows = [row for summary in summaries for row in summary]
     path = out_dir / "report.csv"
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(SUMMARY_HEADER)
         writer.writerows(rows)

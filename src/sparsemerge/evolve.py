@@ -137,13 +137,12 @@ def _worst_index(members: list[Individual]) -> int:
     return min(range(len(members)), key=lambda i: (members[i].total_score, members[i].id))
 
 
-def evolve_step(
-    archive: Archive, cfg: EvolveConfig, step: int, rng: np.random.Generator
-) -> tuple[Archive, list[TraceRecord]]:
+def evolve_step(archive: Archive, cfg: EvolveConfig, step: int) -> tuple[Archive, list[TraceRecord]]:
     """One generation: pair, merge, prune, evaluate, replace.
 
-    All offspring are built from the step-start archive snapshot; replacement
-    decisions are then applied sequentially in pair order, so a concurrent
+    The pairing is ``substream(cfg.seed, TAG_PAIRING, step)``'s permutation.
+    Every parent comes from the step-start archive; each offspring in turn
+    replaces the worst of a copy of it if strictly better, so a concurrent
     evaluation of the pairs would produce identical results.
     """
     if len(archive.members) != cfg.capacity:
@@ -151,13 +150,11 @@ def evolve_step(
     rate = schedule_rate(cfg.schedule, step)
     gamma = cfg.merge_cfg.gamma
     batches = _opt_batches(cfg.tasks, cfg.opt_batch, cfg.seed, TAG_OPT_BATCH, step)
-    snapshot = list(archive.members)
-    perm = rng.permutation(cfg.capacity)
-    pairs = [(int(perm[2 * k]), int(perm[2 * k + 1])) for k in range(cfg.capacity // 2)]
-
-    offspring = []
+    pairs = substream(cfg.seed, TAG_PAIRING, step).permutation(cfg.capacity).reshape(-1, 2)
+    members = list(archive.members)
+    records = []
     for k, (i, j) in enumerate(pairs):
-        parent_a, parent_b = snapshot[i], snapshot[j]
+        parent_a, parent_b = archive.members[i], archive.members[j]
         merged, lambdas = merge_models(
             parent_a.params,
             parent_b.params,
@@ -171,19 +168,14 @@ def evolve_step(
         if cfg.merge_cfg.redense_mode is RedenseMode.FROM_ORIGINAL_DENSE:
             child_params = redense(child_params, archive.dense_reference)
         child = _evaluate(child_params, batches, gamma, archive.next_id + k)
-        origin = f"offspring parents={parent_a.id}|{parent_b.id} rate={rate!r}"
-        packed_lams = ";".join(f"{name}={lam!r}" for name, lam in lambdas.items())
-        offspring.append((child, origin, packed_lams))
-
-    records = []
-    members = list(snapshot)
-    for child, origin, packed_lams in offspring:
+        event = f"offspring parents={parent_a.id}|{parent_b.id} rate={rate!r}"
         target = _worst_index(members)
         if child.total_score > members[target].total_score:
-            event = f"{origin} accepted replaced={members[target].id} lambdas={packed_lams}"
+            event += f" accepted replaced={members[target].id}"
             members[target] = child
         else:
-            event = f"{origin} rejected lambdas={packed_lams}"
+            event += " rejected"
+        event += " lambdas=" + ";".join(f"{name}={lam!r}" for name, lam in lambdas.items())
         records.append(_record(step + 1, child, event))
 
     if cfg.anneal is AnnealTarget.OFFSPRING_AND_ARCHIVE:
@@ -195,7 +187,7 @@ def evolve_step(
             members[idx] = _evaluate(prune(member.params, rate), batches, gamma, member.id)
 
     records.extend(_record(step + 1, member, "member") for member in members)
-    return Archive(members, archive.next_id + len(offspring), archive.dense_reference), records
+    return Archive(members, archive.next_id + len(pairs), archive.dense_reference), records
 
 
 def best_member(archive: Archive) -> Individual:
@@ -213,8 +205,7 @@ def run_sae(
     archive = init_archive(dense_experts, cfg)
     sink([_record(0, m, "init") for m in archive.members])
     for step in range(cfg.schedule.total_steps):
-        rng = substream(cfg.seed, TAG_PAIRING, step)
-        archive, records = evolve_step(archive, cfg, step, rng)
+        archive, records = evolve_step(archive, cfg, step)
         sink(records)
     return best_member(archive)
 
@@ -338,7 +329,7 @@ def run_pso(
 
 
 def write_pso_trace(path, records: list[PsoTraceRecord]) -> None:
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(PSO_TRACE_HEADER.split(","))
         for r in records:

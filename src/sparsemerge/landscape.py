@@ -124,14 +124,14 @@ def loss_grid(theta0: ParameterSet, grid: GridSpec, dataset: Dataset, seed: int)
     return np.array(_scan(theta0, grid, seed, cell)).reshape(grid.resolution, grid.resolution)
 
 
-def hvp(theta: ParameterSet, batch: Dataset, v: np.ndarray, lin: tuple | None = None) -> np.ndarray:
-    """Exact Hessian-vector product H(theta) * v of the mean cross-entropy on
-    ``batch``: one backpropagation with the tangent v (``tasks.loss_and_grad``),
-    which given ``lin = linearize(theta, batch)`` runs only the tangent's pass.
+def hvp(lin: tuple, v: np.ndarray) -> np.ndarray:
+    """Exact Hessian-vector product H * v of the mean cross-entropy on
+    ``batch`` at ``theta``, given ``lin = linearize(theta, batch)``: one
+    ``tasks.loss_and_grad`` call, which runs only the tangent's pass.
 
     ``v`` and the product are flat vectors aligned with ``flatten(theta)``.
     """
-    return loss_and_grad(theta, batch, v, lin)[1]
+    return loss_and_grad(lin[0], lin[1], v, lin)[1]
 
 
 @dataclass(frozen=True)
@@ -282,7 +282,7 @@ def convexity_grid(
         start = substream(derive_seed(seed, TAG_EIG, i, j), TAG_EIG, n).standard_normal(n)
         if previous is not None:
             start = previous.vec_max + previous.vec_min + 0.1 * start / np.linalg.norm(start)
-        r = previous = extreme_eigs(lambda v: hvp(theta, dataset, v, lin), start, eig_cfg)
+        r = previous = extreme_eigs(lambda v: hvp(lin, v), start, eig_cfg)
         return convexity_score(r.lam_max, r.lam_min), r.lam_max, r.lam_min, r.converged, r.steps
 
     shape = (grid.resolution, grid.resolution)
@@ -293,7 +293,7 @@ def write_grid_csv(path, grid: GridSpec, value: np.ndarray, **columns: np.ndarra
     """One row per cell: i, j, alpha, beta, value, then each extra column;
     floats are written as repr, boolean flags as 0/1."""
     maps = [value, *columns.values()]
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["i", "j", "alpha", "beta", "value", *columns])
         for i, alpha in enumerate(grid.alphas):

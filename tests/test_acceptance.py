@@ -26,6 +26,7 @@ from sparsemerge.tasks import (
     full_split,
     gen_dataset,
     init_mlp,
+    linearize,
     loss,
     loss_and_grad,
 )
@@ -172,7 +173,7 @@ def test_criterion_07_curvature_oracle():
                 g_minus = loss_and_grad(unflatten(point, bumped), batch)[1]
                 hess[:, j] = (g_plus - g_minus) / 2e-5
             spectrum = np.linalg.eigvalsh((hess + hess.T) / 2.0)
-            result = extreme_eigs(lambda v: hvp(point, batch, v), start, eig_cfg)
+            result = extreme_eigs(lambda v: hvp(linearize(point, batch), v), start, eig_cfg)
             assert abs(result.lam_max - spectrum[-1]) <= 0.02 * abs(spectrum[-1])
             assert abs(result.lam_min - spectrum[0]) <= 0.02 * abs(spectrum[0])
 

@@ -1,8 +1,11 @@
 import csv
 import hashlib
+import os
 import shlex
 import shutil
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -146,11 +149,11 @@ def test_a_failed_evolve_removes_the_rows_it_streamed(fast_experts_dir, tmp_path
     out = tmp_path / "run"
     real_step = evolve.evolve_step
 
-    def failing_step(archive, cfg, step, rng):
+    def failing_step(archive, cfg, step):
         if step == 2:
             assert (out / "trace.csv").is_file()
             raise ValueError("step 2 failed")
-        return real_step(archive, cfg, step, rng)
+        return real_step(archive, cfg, step)
 
     monkeypatch.setattr(evolve, "evolve_step", failing_step)
     assert main(["evolve", "--experts", str(fast_experts_dir), "--steps", "4", "--out", str(out)]) == 2
@@ -311,6 +314,50 @@ def test_replay_from_another_directory_names_the_missing_input(fast_experts_dir,
     assert main(["baseline", "--config", "../runs/wa/config.txt", "--out", "wa"]) == 2
     assert capsys.readouterr().err.splitlines() == ["error: runs/experts/base.ckpt: No such file or directory"]
     assert not Path("wa").exists()
+
+
+def test_a_config_replays_as_utf8_under_any_locale(fast_experts_dir, tmp_path):
+    """config.txt holds UTF-8, and so does every text file a command reads or
+    writes: a non-ASCII --label replays under the C locale with UTF-8 mode off
+    and writes the bytes a UTF-8 run writes. Stdout is UTF-8 in both, so only
+    the files are tested."""
+    config = tmp_path / "config.txt"
+    config.write_bytes(f"ckpt={fast_experts_dir / 'expert_add.ckpt'}\nlabel=café\n".encode())
+    src = str(Path(cli.__file__).parents[1])
+    runs = {}
+    for name, locale_env in [("utf8", {"PYTHONUTF8": "1"}),
+                             ("c", {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})]:
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8", **locale_env}
+        out = tmp_path / name
+        done = subprocess.run(
+            [sys.executable, "-m", "sparsemerge.cli", "eval", "--config", str(config), "--out", str(out)],
+            env=env, capture_output=True, text=True, encoding="utf-8", timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, ""), name
+        runs[name] = {f: (out / f).read_bytes() for f in ("config.txt", "summary.csv")}
+    assert "label=café".encode() in runs["utf8"]["config.txt"]
+    assert runs["c"] == runs["utf8"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["pso", "--experts", "EXPERTS", "--iters", "2"],
+    ["train-experts", *FAST_TRAIN],
+    ["evolve", "--experts", "EXPERTS", "--steps", "2"],
+    ["baseline", "--method", "weight-average", "--experts", "EXPERTS"],
+], ids=["pso", "train-experts", "evolve", "baseline"])
+def test_a_command_scores_before_it_writes(argv, fast_experts_dir, tmp_path, monkeypatch, capsys):
+    """A model that cannot be scored is never written: each command scores
+    before its first write, so a failed score leaves --out empty."""
+
+    def failing_score(*args):
+        raise ValueError("scoring failed")
+
+    monkeypatch.setattr(cli, "evaluate_model", failing_score)
+    out = tmp_path / "o"
+    argv = [str(fast_experts_dir) if arg == "EXPERTS" else arg for arg in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: scoring failed"]
+    assert list(out.iterdir()) == []
 
 
 # A short seed-0 pipeline through every command but gen-data, with relative

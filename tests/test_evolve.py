@@ -22,7 +22,6 @@ from sparsemerge.evolve import (
 )
 from sparsemerge.merge import MergeConfig, RedenseMode
 from sparsemerge.params import flatten
-from sparsemerge.seeding import TAG_PAIRING, substream
 from sparsemerge.sparsity import SparsitySchedule, collect_stats
 from sparsemerge.tasks import Dataset, MlpSpec, full_split, init_mlp
 
@@ -128,7 +127,7 @@ def test_tie_keeps_incumbent(expert_bundle):
         opt_batch=pool,
     )
     archive = init_archive([expert_add, expert_add], cfg)
-    stepped, records = evolve_step(archive, cfg, 0, substream(cfg.seed, TAG_PAIRING, 0))
+    stepped, records = evolve_step(archive, cfg, 0)
     assert {m.id for m in stepped.members} == {0, 1}
     offspring_events = [r for r in records if r.event.startswith("offspring")]
     assert len(offspring_events) == 1
@@ -141,7 +140,7 @@ def test_step_requires_full_archive(expert_bundle):
     archive = init_archive([expert_add, expert_sub], cfg)
     archive.members.pop()
     with pytest.raises(ValueError):
-        evolve_step(archive, cfg, 0, substream(0, TAG_PAIRING, 0))
+        evolve_step(archive, cfg, 0)
 
 
 def parse_parents(event: str) -> tuple[int, int]:
@@ -222,7 +221,7 @@ def test_run_sae_hands_each_step_its_records_once_in_order(expert_bundle):
     archive = init_archive([expert_add, expert_sub], cfg)
     expected = [[evolve._record(0, m, "init") for m in archive.members]]
     for step in range(5):
-        archive, records = evolve_step(archive, cfg, step, substream(cfg.seed, TAG_PAIRING, step))
+        archive, records = evolve_step(archive, cfg, step)
         expected.append(records)
     assert handed == expected
     assert [{r.step for r in records} for records in handed] == [{step} for step in range(6)]
@@ -248,7 +247,7 @@ def test_archive_annealing_never_touches_roots(expert_bundle):
     cfg = make_cfg(specs, anneal=AnnealTarget.OFFSPRING_AND_ARCHIVE)
     archive = init_archive([expert_add, expert_sub], cfg)
     root_params = [flatten(m.params) for m in archive.members if m.root_dense]
-    stepped, _ = evolve_step(archive, cfg, 2, substream(cfg.seed, TAG_PAIRING, 2))
+    stepped, _ = evolve_step(archive, cfg, 2)
     surviving_roots = [m for m in stepped.members if m.root_dense]
     for member in surviving_roots:
         assert any(np.array_equal(flatten(member.params), rp) for rp in root_params)

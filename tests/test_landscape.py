@@ -61,7 +61,7 @@ def hessian_of(theta: ParameterSet, batch):
     """The Hessian of the batch's mean cross-entropy at theta and a start
     vector, as extreme_eigs takes them, with one linearization for all its products."""
     lin = linearize(theta, batch)
-    return (lambda v: hvp(theta, batch, v, lin)), start_vector(param_count(theta))
+    return (lambda v: hvp(lin, v)), start_vector(param_count(theta))
 
 
 def small_net_and_batch():
@@ -156,9 +156,10 @@ def test_hvp_linearity():
     net, batch = small_net_and_batch()
     rng = np.random.default_rng(4)
     v = rng.standard_normal(flatten(net).size)
+    lin = linearize(net, batch)
     for scale in (0.5, 2.0, -3.0):
-        lhs = hvp(net, batch, scale * v)
-        rhs = scale * hvp(net, batch, v)
+        lhs = hvp(lin, scale * v)
+        rhs = scale * hvp(lin, v)
         denom = max(np.max(np.abs(rhs)), 1e-12)
         assert np.max(np.abs(lhs - rhs)) / denom < 1e-5
 
@@ -169,11 +170,12 @@ def test_hvp_symmetry():
     n = flatten(net).size
     assert n <= 100
     point = unflatten(net, flatten(net) + 0.2 * rng.standard_normal(n))
+    lin = linearize(point, batch)
     for _ in range(5):
         u = rng.standard_normal(n)
         v = rng.standard_normal(n)
-        left = float(hvp(point, batch, u) @ v)
-        right = float(u @ hvp(point, batch, v))
+        left = float(hvp(lin, u) @ v)
+        right = float(u @ hvp(lin, v))
         assert abs(left - right) / max(abs(left), abs(right), 1e-12) < 1e-5
 
 
@@ -236,7 +238,7 @@ def test_rayleigh_quotients_inside_extreme_bounds():
     slack = 0.02 * max(abs(result.lam_max), abs(result.lam_min))
     for _ in range(10):
         probe = rng.standard_normal(n)
-        rayleigh = float(hvp(point, batch, probe) @ probe) / float(probe @ probe)
+        rayleigh = float(hvp(linearize(point, batch), probe) @ probe) / float(probe @ probe)
         assert result.lam_min - slack <= rayleigh <= result.lam_max + slack
 
 
@@ -282,7 +284,7 @@ def test_exact_hvp_matches_finite_differences_away_from_kinks():
             continue
         v = rng.standard_normal(n)
         want = finite_difference_hvp(point, batch, v)
-        got = hvp(point, batch, v)
+        got = hvp(linearize(point, batch), v)
         assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
         checked += 1
 

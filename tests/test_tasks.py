@@ -167,7 +167,7 @@ def test_derivatives_refuse_layers_out_of_order():
         lambda: linearize(reordered, batch),
         lambda: loss_and_grad(reordered, batch),
         lambda: loss_and_grad(reordered, batch, tangent),
-        lambda: hvp(reordered, batch, tangent),
+        lambda: hvp(linearize(reordered, batch), tangent),
     ):
         with pytest.raises(ValueError) as info:
             differentiate()
