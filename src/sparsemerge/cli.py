@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .evolve import (
-    AnnealTarget,
     EvolveConfig,
     PsoConfig,
     run_pso,
@@ -131,7 +130,6 @@ EVOLVE_OPTS = [
     Opt("--granularity", str, MergeConfig.granularity.value, choices=_choices(Granularity)),
     Opt("--redense", str, MergeConfig.redense_mode.value, choices=_choices(RedenseMode)),
     Opt("--gamma", float, MergeConfig.gamma),
-    Opt("--anneal", str, EvolveConfig.anneal.value, choices=_choices(AnnealTarget)),
     Opt("--opt-batch", int, EvolveConfig.opt_batch),
     Opt("--label", str, "sae"),
 ]
@@ -154,8 +152,7 @@ SCAN_OPTS = [
     Opt("--ckpt", str, None, help="checkpoint to scan around; its run gives the partition", required=True),
     Opt("--op", str, ModularTaskSpec.op.value, choices=_choices(ModularOp)),
     Opt("--grid", int, GridSpec.resolution),
-    Opt("--alpha-max", float, GridSpec.alpha_max),
-    Opt("--beta-max", float, GridSpec.beta_max),
+    Opt("--extent", float, GridSpec.extent, help="each axis runs from -extent to extent"),
 ]
 
 LANDSCAPE_OPTS = [Opt("--split", str, "train", choices=("train", "test"))]
@@ -501,7 +498,13 @@ def run_command(command: str, cfg: dict[str, Any]) -> int:
     if command != "report":
         echo_config(out_dir, cfg)
         log_line(out_dir, f"{command} finished in {time.time() - started:.1f}s")
-    print("\n".join(lines))
+    # The files are written: a character of --label that stdout cannot encode
+    # (any non-ASCII one under the C locale) is escaped, not an error.
+    text = "\n".join(lines)
+    encoding = getattr(sys.stdout, "encoding", None)
+    if encoding:
+        text = text.encode(encoding, "backslashreplace").decode(encoding)
+    print(text)
     return 0
 
 

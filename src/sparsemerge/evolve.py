@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import string
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, TextIO
 
 import numpy as np
@@ -32,11 +31,6 @@ from .sparsity import (
 from .tasks import Dataset, ModularTaskSpec, accuracy, gen_dataset
 
 
-class AnnealTarget(Enum):
-    OFFSPRING_ONLY = "offspring"
-    OFFSPRING_AND_ARCHIVE = "archive"
-
-
 @dataclass(frozen=True)
 class Individual:
     id: int
@@ -45,7 +39,6 @@ class Individual:
     perf_mean: float
     stats: SparsityStats
     total_score: float
-    root_dense: bool = False  # a dense expert the archive started from
 
 
 @dataclass
@@ -63,7 +56,6 @@ class EvolveConfig:
     seed: int = 0
     tasks: tuple[ModularTaskSpec, ...] = ()
     opt_batch: int = 64
-    anneal: AnnealTarget = AnnealTarget.OFFSPRING_ONLY
 
     def __post_init__(self):
         check_fields(
@@ -90,9 +82,7 @@ def blend_score(perf_mean: float, zero_frac: float, gamma: float) -> float:
     return (1.0 - gamma) * perf_mean + gamma * zero_frac
 
 
-def _evaluate(
-    params: ParameterSet, batches: list[Dataset], gamma: float, ind_id: int, root_dense: bool = False
-) -> Individual:
+def _evaluate(params: ParameterSet, batches: list[Dataset], gamma: float, ind_id: int) -> Individual:
     """Per-task accuracy, sparsity statistics and the gamma-blended selection score."""
     if not batches or any(len(b) == 0 for b in batches):
         raise ValueError("empty optimization batch")
@@ -100,7 +90,7 @@ def _evaluate(
     perf_mean = float(np.mean(perf))
     stats = collect_stats(params)
     total = blend_score(perf_mean, stats.zero_frac, gamma)
-    return Individual(ind_id, params, perf, perf_mean, stats, total, root_dense)
+    return Individual(ind_id, params, perf, perf_mean, stats, total)
 
 
 def _record(step: int, member: Individual, event: str) -> TraceRecord:
@@ -126,10 +116,7 @@ def init_archive(dense_experts: list[ParameterSet], cfg: EvolveConfig) -> Archiv
     require_compatible(*dense_experts)
     models = [*dense_experts, *make_sparse_variants(dense_experts, cfg.capacity, cfg.schedule)]
     batches = _opt_batches(cfg.tasks, cfg.opt_batch, cfg.seed, TAG_INIT_EVAL, 0)
-    members = [
-        _evaluate(model, batches, cfg.merge_cfg.gamma, i, root_dense=i < len(dense_experts))
-        for i, model in enumerate(models)
-    ]
+    members = [_evaluate(model, batches, cfg.merge_cfg.gamma, i) for i, model in enumerate(models)]
     return Archive(members, next_id=cfg.capacity, dense_reference=weight_average(dense_experts))
 
 
@@ -138,7 +125,7 @@ def _worst_index(members: list[Individual]) -> int:
 
 
 def evolve_step(archive: Archive, cfg: EvolveConfig, step: int) -> tuple[Archive, list[TraceRecord]]:
-    """One generation: pair, merge, prune, evaluate, replace.
+    """One generation: pair, merge, prune, (redense), score, replace-worst.
 
     The pairing is ``substream(cfg.seed, TAG_PAIRING, step)``'s permutation.
     Every parent comes from the step-start archive; each offspring in turn
@@ -148,7 +135,6 @@ def evolve_step(archive: Archive, cfg: EvolveConfig, step: int) -> tuple[Archive
     if len(archive.members) != cfg.capacity:
         raise ValueError(f"archive has {len(archive.members)} members, capacity {cfg.capacity}")
     rate = schedule_rate(cfg.schedule, step)
-    gamma = cfg.merge_cfg.gamma
     batches = _opt_batches(cfg.tasks, cfg.opt_batch, cfg.seed, TAG_OPT_BATCH, step)
     pairs = substream(cfg.seed, TAG_PAIRING, step).permutation(cfg.capacity).reshape(-1, 2)
     members = list(archive.members)
@@ -167,7 +153,7 @@ def evolve_step(archive: Archive, cfg: EvolveConfig, step: int) -> tuple[Archive
         child_params = prune(merged, rate)
         if cfg.merge_cfg.redense_mode is RedenseMode.FROM_ORIGINAL_DENSE:
             child_params = redense(child_params, archive.dense_reference)
-        child = _evaluate(child_params, batches, gamma, archive.next_id + k)
+        child = _evaluate(child_params, batches, cfg.merge_cfg.gamma, archive.next_id + k)
         event = f"offspring parents={parent_a.id}|{parent_b.id} rate={rate!r}"
         target = _worst_index(members)
         if child.total_score > members[target].total_score:
@@ -177,14 +163,6 @@ def evolve_step(archive: Archive, cfg: EvolveConfig, step: int) -> tuple[Archive
             event += " rejected"
         event += " lambdas=" + ";".join(f"{name}={lam!r}" for name, lam in lambdas.items())
         records.append(_record(step + 1, child, event))
-
-    if cfg.anneal is AnnealTarget.OFFSPRING_AND_ARCHIVE:
-        # Root dense experts are never re-pruned, so dense ancestors survive
-        # for re-densification.
-        for idx, member in enumerate(members):
-            if member.root_dense:
-                continue
-            members[idx] = _evaluate(prune(member.params, rate), batches, gamma, member.id)
 
     records.extend(_record(step + 1, member, "member") for member in members)
     return Archive(members, archive.next_id + len(pairs), archive.dense_reference), records

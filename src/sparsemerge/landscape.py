@@ -40,34 +40,27 @@ SCORE_EPS = 1e-8
 
 @dataclass(frozen=True)
 class GridSpec:
-    alpha_max: float = 1.0
-    beta_max: float = 1.0
+    """A square scan: ``resolution`` points from -extent to extent on each axis."""
+
+    extent: float = 1.0
     resolution: int = 21
 
     def __post_init__(self):
-        # An axis spans 2 * extent, which must itself be a finite float.
+        # The axis spans 2 * extent, which must itself be a finite float.
         widest = sys.float_info.max / 2
         check_fields(
-            (self.alpha_max > 0, "alpha_max", f"must be > 0, got {self.alpha_max}"),
-            (self.alpha_max <= widest, "alpha_max", f"must be <= {widest!r}, got {self.alpha_max}"),
-            (self.beta_max > 0, "beta_max", f"must be > 0, got {self.beta_max}"),
-            (self.beta_max <= widest, "beta_max", f"must be <= {widest!r}, got {self.beta_max}"),
+            (self.extent > 0, "extent", f"must be > 0, got {self.extent}"),
+            (self.extent <= widest, "extent", f"must be <= {widest!r}, got {self.extent}"),
             (self.resolution >= 2, "resolution", f"must be >= 2, got {self.resolution}"),
         )
 
-    def axis(self, extent: float) -> np.ndarray:
-        values = np.linspace(-extent, extent, self.resolution)
+    @property
+    def axis(self) -> np.ndarray:
+        """The alpha values of the rows, and the beta values of the columns."""
+        values = np.linspace(-self.extent, self.extent, self.resolution)
         if self.resolution % 2 == 1:
             values[self.resolution // 2] = 0.0  # center cell must be theta0 exactly
         return values
-
-    @property
-    def alphas(self) -> np.ndarray:
-        return self.axis(self.alpha_max)
-
-    @property
-    def betas(self) -> np.ndarray:
-        return self.axis(self.beta_max)
 
 
 def random_directions(theta0: ParameterSet, seed: int) -> tuple[ParameterSet, ParameterSet]:
@@ -101,10 +94,11 @@ def _scan(theta0: ParameterSet, grid: GridSpec, seed: int, measure: Callable) ->
     or measure is not finite (an overflow, which is not warned of) ends the
     scan with a ValueError that names it."""
     dirs = random_directions(theta0, seed)
+    axis = list(map(float, grid.axis))
     values = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, alpha in enumerate(map(float, grid.alphas)):
-            for j, beta in enumerate(map(float, grid.betas)):
+        for i, alpha in enumerate(axis):
+            for j, beta in enumerate(axis):
                 try:
                     values.append(measure(point_params(theta0, dirs, alpha, beta), i, j))
                 except ValueError as exc:
@@ -296,8 +290,9 @@ def write_grid_csv(path, grid: GridSpec, value: np.ndarray, **columns: np.ndarra
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["i", "j", "alpha", "beta", "value", *columns])
-        for i, alpha in enumerate(grid.alphas):
-            for j, beta in enumerate(grid.betas):
+        axis = grid.axis
+        for i, alpha in enumerate(axis):
+            for j, beta in enumerate(axis):
                 cells = [int(m[i, j]) if m.dtype == bool else repr(float(m[i, j])) for m in maps]
                 writer.writerow([i, j, repr(float(alpha)), repr(float(beta)), *cells])
 

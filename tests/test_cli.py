@@ -205,7 +205,7 @@ def test_inputs_fix_the_modulus_and_the_partition():
     assert commands == {"--m": ["gen-data", "train-experts"],
                         "--split-seed": [],
                         "--seed": ["gen-data", "train-experts", "evolve", "pso", "landscape", "convexity"]}
-    assert sum(len(opts) for opts in COMMAND_OPTS.values()) == 64
+    assert sum(len(opts) for opts in COMMAND_OPTS.values()) == 61
 
 
 def test_baseline_scores_on_the_partition_the_experts_run_records(fast_experts_dir, tmp_path):
@@ -255,7 +255,7 @@ def test_eval_scores_each_checkpoint_on_the_partition_its_run_records(tmp_path, 
 
 def readme_pipeline() -> list[list[str]]:
     """The command lines of README's Pipeline block, each split into words."""
-    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Pipeline", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
 
@@ -339,6 +339,32 @@ def test_a_config_replays_as_utf8_under_any_locale(fast_experts_dir, tmp_path):
     assert runs["c"] == runs["utf8"]
 
 
+@pytest.mark.parametrize("command, inputs, files", [
+    ("eval", "ckpt={experts}/expert_add.ckpt", ["config.txt", "run.log", "summary.csv"]),
+    ("evolve", "experts={experts}\nsteps=1",
+     ["best.ckpt", "config.txt", "run.log", "summary.csv", "trace.csv"]),
+], ids=["eval", "evolve"])
+def test_a_report_line_stdout_cannot_encode_is_escaped(command, inputs, files, fast_experts_dir, tmp_path):
+    """Under the C locale with UTF-8 mode off, stdout is ASCII: a non-ASCII
+    --label prints escaped, and the command ends with exit 0 and every file
+    written, the label in them as UTF-8."""
+    config = tmp_path / "c.cfg"
+    config.write_bytes(f"{inputs.format(experts=fast_experts_dir)}\nlabel=café\n".encode())
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONIOENCODING"}
+    env.update(PYTHONPATH=str(Path(cli.__file__).parents[1]), LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0")
+    out = tmp_path / "o"
+    done = subprocess.run(
+        [sys.executable, "-m", "sparsemerge.cli", command, "--config", str(config), "--out", str(out)],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.startswith(b"caf\\xe9: ")
+    assert sorted(p.name for p in out.iterdir()) == files
+    assert read_config_file(out / "config.txt")["label"] == "café"
+    assert (out / "summary.csv").read_text(encoding="utf-8").splitlines()[1].startswith("café,")
+
+
 @pytest.mark.parametrize("argv", [
     ["pso", "--experts", "EXPERTS", "--iters", "2"],
     ["train-experts", *FAST_TRAIN],
@@ -388,7 +414,7 @@ def pinned_artifacts(root: Path) -> dict[str, str]:
 # names the digests it measured, which are its pin once checked.
 PINNED_SHA256 = {
     2: {
-        "conv/config.txt": "22297e39de75ccaf5e60fb83679b1a608a7a9350c26636309a6f52bc7427dc5f",
+        "conv/config.txt": "1224849ce615af8f1108ac70142c26bba5605c60b3c87fc0f5cdb1c41c2cc6f9",
         "conv/convexity.csv": "e937615bff1515141782dc692d71dbeb2de4945964377275d55f8d40bcd4d5a6",
         "conv/convexity.pgm": "e9e4a11336da727e714114089026c28ca4ba28bdf3ad2518f967cd490056f9c0",
         "eval/config.txt": "0798d657714b93bda82a7e83a5f1d01c1ccd5e5e729bd3a109f7c987a841a99d",
@@ -398,7 +424,7 @@ PINNED_SHA256 = {
         "experts/expert_add.ckpt": "1c07feff96ca09f8f91c97bb37304964901be810561a47d4d6f880953a3f76c5",
         "experts/expert_sub.ckpt": "696d74cf8637e72a9e94a8551eb3a4371d484f0affd4cf4b0d82b27136db05e0",
         "experts/summary.csv": "06b274d93cb0508faf10037715070fd7f7a431f28fc506bfc20f061181ea97e2",
-        "land/config.txt": "2aaf9890764eb250d8f56b4536c01bb82ee3eb70f18cc8327aaa9549701b050d",
+        "land/config.txt": "00954e7b7b4ff5d1bf423950164cd31d1bc4c5e0181199e836c6e66a075eaf28",
         "land/landscape.csv": "96fb758c9a54b79b42589b3011c10cf505e54cd416671dbcf40a716e6d1cf7f9",
         "land/landscape.pgm": "475a79c246e634573bbab069a1a628e2a4b2b11347eabcc3aaaba1d107f68ffc",
         "pso/best.ckpt": "ce08778092be13287261c0695bc6a154725f3928a75a47e88851b060cb8aa8de",
@@ -407,7 +433,7 @@ PINNED_SHA256 = {
         "pso/trace.csv": "d254a9a8cf53aba2bf4d77046f29a9f889f0f9fe1ae7f29827abfc794d9ac41b",
         "report/report.csv": "adb243a0b4a24aa3a9a44f887cc0ad347f6c6c33d3d53287ee36f59f166d4663",
         "sae/best.ckpt": "d86461f758b5cbbc00e6fb5c1f240e4b58236f71dc31a2431581a636853cc7fc",
-        "sae/config.txt": "693a5bf357775be3b2baf135fdcd3dab0cce60cf854ff699dba966dc12e5d068",
+        "sae/config.txt": "b024f7e50b5ceb1549bcd3ed8a490c44bd83af08ca092e596ca9dda9de80a3fb",
         "sae/summary.csv": "6645f4c76466361f009975de9c6d3e79d5b1bcae1124957ffab4f17e1ad18907",
         "sae/trace.csv": "90506823d98680811ec57f91b8d01d79ca3c8c805b10b2609c0a8aa473bd09a2",
         "ta/config.txt": "b7568864de7b521717ed6d58504b6f95940a2cbaf4c7d07713b9ad0fb010ddbd",
@@ -436,7 +462,7 @@ def test_a_short_pipeline_writes_the_pinned_bytes(tmp_path, monkeypatch, capsys)
 
 def test_readme_command_flags_parse():
     """Every flag in the key-flags column of README's Commands table is one its command takes."""
-    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     table = readme.split("### Commands", 1)[1].split("\nShared flags", 1)[0]
     rows = [line.strip("|").split("|") for line in table.splitlines() if line.startswith("| `")]
     flags = {command.strip(" `"): key_flags.strip(" `").split() for command, *_, key_flags in rows}
@@ -509,16 +535,16 @@ def test_bad_expert_recipe_names_every_flag_before_training(tmp_path, capsys):
 def test_landscape_and_convexity_outputs(fast_experts_dir, tmp_path):
     ckpt = fast_experts_dir / "expert_add.ckpt"
     land = tmp_path / "land"
-    assert main(["landscape", "--ckpt", str(ckpt), "--grid", "5", "--alpha-max", "0.5",
-                 "--beta-max", "0.5", "--out", str(land)]) == 0
+    assert main(["landscape", "--ckpt", str(ckpt), "--grid", "5", "--extent", "0.5",
+                 "--out", str(land)]) == 0
     rows = read_rows(land / "landscape.csv")
     assert rows[0] == ["i", "j", "alpha", "beta", "value"]
     assert len(rows) == 1 + 25
     assert (land / "landscape.pgm").read_bytes().startswith(b"P5\n5 5\n255\n")
 
     conv = tmp_path / "conv"
-    assert main(["convexity", "--ckpt", str(ckpt), "--grid", "3", "--alpha-max", "0.3",
-                 "--beta-max", "0.3", "--eig-iters", "60", "--out", str(conv)]) == 0
+    assert main(["convexity", "--ckpt", str(ckpt), "--grid", "3", "--extent", "0.3",
+                 "--eig-iters", "60", "--out", str(conv)]) == 0
     rows = read_rows(conv / "convexity.csv")
     assert rows[0] == ["i", "j", "alpha", "beta", "value", "lambda_max", "lambda_min", "converged"]
     values = [float(r[4]) for r in rows[1:]]
@@ -795,11 +821,11 @@ BAD_INPUTS = {
         f"error: gamma in {tmp / 'g.cfg'}: expected a finite float, got 'nan'"),
     # A finite extent whose scan overflows names the first cell it reached.
     "landscape-overflowing-extent": lambda ex, tmp: (
-        ["landscape", "--ckpt", str(ex / "expert_add.ckpt"), "--grid", "3", "--alpha-max", "1e200"],
-        "error: cell (0, 0, alpha=-1e+200, beta=-1.0): non-finite loss"),
+        ["landscape", "--ckpt", str(ex / "expert_add.ckpt"), "--grid", "3", "--extent", "1e200"],
+        "error: cell (0, 0, alpha=-1e+200, beta=-1e+200): non-finite loss"),
     "convexity-overflowing-extent": lambda ex, tmp: (
-        ["convexity", "--ckpt", str(ex / "expert_add.ckpt"), "--grid", "3", "--alpha-max", "1e200"],
-        "error: cell (0, 0, alpha=-1e+200, beta=-1.0): non-finite operator product at Lanczos step 1"),
+        ["convexity", "--ckpt", str(ex / "expert_add.ckpt"), "--grid", "3", "--extent", "1e200"],
+        "error: cell (0, 0, alpha=-1e+200, beta=-1e+200): non-finite operator product at Lanczos step 1"),
     "flag-overflowing-float": lambda ex, tmp: (
         ["baseline", "--method", "task-arithmetic", "--experts", str(ex), "--scale", "1e999"],
         "error: --scale: expected a finite float, got '1e999'"),
@@ -814,12 +840,19 @@ BAD_INPUTS = {
     ["pso", "--experts", "nope", "--c1", "1"],
     ["pso", "--experts", "nope", "--c2", "1"],
     ["pso", "--experts", "nope", "--vmax", "0.5"],
+    ["evolve", "--experts", "nope", "--anneal", "archive"],
+    ["landscape", "--ckpt", "nope.ckpt", "--alpha-max", "0.5"],
+    ["landscape", "--ckpt", "nope.ckpt", "--beta-max", "0.5"],
+    ["convexity", "--ckpt", "nope.ckpt", "--alpha-max", "0.5"],
+    ["convexity", "--ckpt", "nope.ckpt", "--beta-max", "0.5"],
 ], ids=["train-experts-split-seed", "gen-data-split-seed", "convexity-eps",
-        "pso-w", "pso-c1", "pso-c2", "pso-vmax"])
+        "pso-w", "pso-c1", "pso-c2", "pso-vmax", "evolve-anneal",
+        "landscape-alpha-max", "landscape-beta-max", "convexity-alpha-max", "convexity-beta-max"])
 def test_train_experts_rejects_split_seed(argv, tmp_path, capsys):
     """Data and experts take the partition of --seed, where a second seed would
-    only mislabel them, and the convexity score's guard and the swarm's
-    constriction weights are constants."""
+    only mislabel them; the convexity score's guard and the swarm's
+    constriction weights are constants; the archive changes only through its
+    offspring; and a scan has one --extent for both axes."""
     assert main([*argv, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: unrecognized arguments: {' '.join(argv[-2:])}"]
     assert not (tmp_path / "o").exists()
@@ -873,8 +906,8 @@ BAD_SETTINGS = {
          "--eig-iters: must be >= 1, got 0", "--eig-tol: must be > 0, got 0.0",
          "--hess-batch: must be >= 1, got 0"]),
     "landscape-grid": (
-        ["landscape", "--ckpt", "{experts}/expert_add.ckpt", "--grid", "1", "--alpha-max", "-1"],
-        ["--alpha-max: must be > 0, got -1.0", "--grid: must be >= 2, got 1"]),
+        ["landscape", "--ckpt", "{experts}/expert_add.ckpt", "--grid", "1", "--extent", "-1"],
+        ["--extent: must be > 0, got -1.0", "--grid: must be >= 2, got 1"]),
     "pso-swarm-and-batch": (
         ["pso", "--experts", "{experts}", "--swarm", "1", "--opt-batch", "0"],
         ["--swarm: must be >= 2, got 1", "--opt-batch: must be >= 1, got 0"]),
@@ -900,12 +933,12 @@ BAD_SETTINGS = {
     "convexity-infinite-eig-tol": (
         ["convexity", "--ckpt", "{experts}/expert_add.ckpt", "--grid", "3", "--eig-tol", "inf"],
         ["error: --eig-tol: expected a finite float, got 'inf'"]),
-    "landscape-infinite-alpha-max": (
-        ["landscape", "--ckpt", "{experts}/expert_add.ckpt", "--grid", "3", "--alpha-max", "inf"],
-        ["error: --alpha-max: expected a finite float, got 'inf'"]),
-    "landscape-alpha-max-without-a-finite-axis": (
-        ["landscape", "--ckpt", "{experts}/expert_add.ckpt", "--grid", "2", "--alpha-max", "1e308"],
-        ["--alpha-max: must be <= 8.988465674311579e+307, got 1e+308"]),
+    "landscape-infinite-extent": (
+        ["landscape", "--ckpt", "{experts}/expert_add.ckpt", "--grid", "3", "--extent", "inf"],
+        ["error: --extent: expected a finite float, got 'inf'"]),
+    "landscape-extent-without-a-finite-axis": (
+        ["landscape", "--ckpt", "{experts}/expert_add.ckpt", "--grid", "2", "--extent", "1e308"],
+        ["--extent: must be <= 8.988465674311579e+307, got 1e+308"]),
     "weight-average-with-scale": (
         ["baseline", "--method", "weight-average", "--scale", "2", "--experts", "{experts}/nonexistent"],
         ["--scale: applies only to --method task-arithmetic, got 2.0",

@@ -7,7 +7,6 @@ from conftest import twin_tasks
 from sparsemerge import evolve, sparsity
 from sparsemerge.evolve import (
     PSO_VMAX,
-    AnnealTarget,
     EvolveConfig,
     PsoConfig,
     TraceRecord,
@@ -85,8 +84,10 @@ def test_init_archive_composition(expert_bundle):
     _, expert_add, expert_sub, specs = expert_bundle
     archive = init_archive([expert_add, expert_sub], make_cfg(specs))
     assert len(archive.members) == 8
-    roots = [m for m in archive.members if m.root_dense]
-    assert len(roots) == 2
+    # The dense experts are members 0 and 1.
+    for member, expert in zip(archive.members, [expert_add, expert_sub]):
+        assert np.array_equal(flatten(member.params), flatten(expert))
+    assert all(m.stats.zero_frac > 0 for m in archive.members[2:])
     assert len({m.id for m in archive.members}) == 8
     for member in archive.members:
         assert 0.0 <= member.total_score <= 1.0
@@ -106,8 +107,8 @@ def test_larger_archive_capacity(expert_bundle):
 def test_init_archive_at_minimum_capacity(expert_bundle):
     _, expert_add, expert_sub, specs = expert_bundle
     archive = init_archive([expert_add, expert_sub], make_cfg(specs, capacity=2))
-    assert len(archive.members) == 2
-    assert all(m.root_dense for m in archive.members)
+    assert [flatten(m.params).tolist() for m in archive.members] == [
+        flatten(expert_add).tolist(), flatten(expert_sub).tolist()]
 
 
 def test_init_archive_needs_two_experts(expert_bundle):
@@ -242,24 +243,7 @@ def test_redense_from_original_dense_restores_density(expert_bundle):
             assert r.zero_frac <= reference_zero + 1e-12
 
 
-def test_archive_annealing_never_touches_roots(expert_bundle):
-    _, expert_add, expert_sub, specs = expert_bundle
-    cfg = make_cfg(specs, anneal=AnnealTarget.OFFSPRING_AND_ARCHIVE)
-    archive = init_archive([expert_add, expert_sub], cfg)
-    root_params = [flatten(m.params) for m in archive.members if m.root_dense]
-    stepped, _ = evolve_step(archive, cfg, 2)
-    surviving_roots = [m for m in stepped.members if m.root_dense]
-    for member in surviving_roots:
-        assert any(np.array_equal(flatten(member.params), rp) for rp in root_params)
-    rate = 0.6  # schedule_rate(defaults, 2)
-    n = sum(arr.size for _, arr in expert_add.layers)
-    for member in stepped.members:
-        if not member.root_dense:
-            assert member.stats.zero_frac >= np.floor(rate * n) / n - 1e-12
-
-
-@pytest.mark.parametrize("anneal", list(AnnealTarget))
-def test_statistics_are_collected_once_per_model(anneal, monkeypatch):
+def test_statistics_are_collected_once_per_model(monkeypatch):
     """Each scored model gets one collect_stats call; a merge reads its
     parents' statistics instead of collecting them again."""
     calls = []
@@ -273,17 +257,12 @@ def test_statistics_are_collected_once_per_model(anneal, monkeypatch):
     specs = twin_tasks(5, split_seed=1)
     experts = [init_mlp(MlpSpec(5, 8), seed) for seed in (1, 2)]
     capacity, steps = 6, 4
-    cfg = make_cfg(specs, capacity=capacity, schedule=SparsitySchedule(total_steps=steps), opt_batch=8,
-                   anneal=anneal)
+    cfg = make_cfg(specs, capacity=capacity, schedule=SparsitySchedule(total_steps=steps), opt_batch=8)
     records = []
     run_sae(experts, cfg, records.extend)
     offspring = sum(r.event.startswith("offspring") for r in records)
     assert offspring == steps * capacity // 2
-    # Annealing re-scores every member but the surviving dense experts (ids 0 and 1).
-    members = sum(r.event == "member" and r.member_id >= 2 for r in records)
-    rescored = members if anneal is AnnealTarget.OFFSPRING_AND_ARCHIVE else 0
-    assert members > 0
-    assert len(calls) == capacity + offspring + rescored
+    assert len(calls) == capacity + offspring
 
 
 def test_pso_update_clamps_positions_and_velocity():

@@ -128,7 +128,7 @@ def test_point_params_linearity():
 
 def test_loss_grid_center_and_determinism():
     net, batch = small_net_and_batch()
-    grid = GridSpec(0.5, 0.5, 5)
+    grid = GridSpec(0.5, 5)
     values = loss_grid(net, grid, batch, 2)
     assert values.shape == (5, 5)
     assert values[2, 2] == loss(net, batch)
@@ -139,7 +139,7 @@ def test_loss_grid_center_and_determinism():
 def test_converged_expert_sits_in_local_basin(expert_bundle):
     _, expert_add, _, (add_spec, _) = expert_bundle
     train = full_split(add_spec, "train")
-    grid = GridSpec(0.1, 0.1, 3)
+    grid = GridSpec(0.1, 3)
     m = loss_grid(expert_add, grid, train, 0)
     assert m[1, 1] <= m[0, 1] and m[1, 1] <= m[2, 1]
     assert m[1, 1] <= m[1, 0] and m[1, 1] <= m[1, 2]
@@ -149,7 +149,7 @@ def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(resolution=1)
     with pytest.raises(ValueError):
-        GridSpec(alpha_max=0.0)
+        GridSpec(extent=0.0)
 
 
 def test_hvp_linearity():
@@ -186,7 +186,7 @@ def test_convexity_grid_linearizes_each_cell_once(monkeypatch):
     linearize_counted, linearized = counting(landscape.linearize)
     monkeypatch.setattr(landscape, "hvp", hvp_counted)
     monkeypatch.setattr(landscape, "linearize", linearize_counted)
-    grid = GridSpec(0.3, 0.3, 2)
+    grid = GridSpec(0.3, 2)
     convexity_grid(net, grid, batch, EigConfig(iters=5), 7)
     assert linearized[0] == 4 < products[0]
     # The caller's batch is unchanged.
@@ -345,11 +345,11 @@ def test_lanczos_builds_no_parameter_set_inside_the_loop(built_sets):
 def test_converged_cells_match_the_dense_spectrum():
     net, batch = wider_net_and_batch()
     dirs = random_directions(net, seed=4)
-    grid = GridSpec(0.5, 0.5, 3)
+    grid = GridSpec(0.5, 3)
     result = convexity_grid(net, grid, batch, EigConfig(), 4)
     assert result.converged.mean() >= 0.9
-    for i, alpha in enumerate(grid.alphas):
-        for j, beta in enumerate(grid.betas):
+    for i, alpha in enumerate(grid.axis):
+        for j, beta in enumerate(grid.axis):
             if not result.converged[i, j]:
                 continue
             spectrum = np.linalg.eigvalsh(exact_hessian(point_params(net, dirs, alpha, beta), batch))
@@ -365,14 +365,14 @@ def test_one_seed_keys_each_cell_of_both_maps():
     extreme Ritz vectors plus 0.1 * s / ||s|| of its own s: bit for bit the solver's
     own result from that start."""
     net, batch = wider_net_and_batch()
-    seed, grid, cfg = 3, GridSpec(0.5, 0.5, 3), EigConfig(iters=30)
+    seed, grid, cfg = 3, GridSpec(0.5, 3), EigConfig(iters=30)
     n = param_count(net)
     losses = loss_grid(net, grid, batch, seed)
     result = convexity_grid(net, grid, batch, cfg, seed)
     dirs = random_directions(net, seed)
     previous = None
-    for i, alpha in enumerate(grid.alphas):
-        for j, beta in enumerate(grid.betas):
+    for i, alpha in enumerate(grid.axis):
+        for j, beta in enumerate(grid.axis):
             point = point_params(net, dirs, float(alpha), float(beta))
             assert losses[i, j] == loss(point, batch)
             matvec, _ = hessian_of(point, batch)
@@ -512,12 +512,12 @@ def test_chained_starts_take_fewer_products_than_seeded_ones():
     """Warm starts pay: the chained map takes fewer Hessian-vector products in
     all than the same cells started from their own seeded vectors."""
     net, batch = wider_net_and_batch()
-    seed, grid, cfg = 4, GridSpec(0.5, 0.5, 3), EigConfig()
+    seed, grid, cfg = 4, GridSpec(0.5, 3), EigConfig()
     result = convexity_grid(net, grid, batch, cfg, seed)
     dirs = random_directions(net, seed)
     seeded = 0
-    for i, alpha in enumerate(grid.alphas):
-        for j, beta in enumerate(grid.betas):
+    for i, alpha in enumerate(grid.axis):
+        for j, beta in enumerate(grid.axis):
             matvec, _ = hessian_of(point_params(net, dirs, float(alpha), float(beta)), batch)
             start = start_vector(param_count(net), derive_seed(seed, TAG_EIG, i, j))
             seeded += extreme_eigs(matvec, start, cfg).steps
@@ -535,7 +535,7 @@ def test_lanczos_finds_the_extremes_of_a_trained_expert(experts_dir, convexity_r
     theta0 = load_checkpoint(experts_dir / "expert_add.ckpt")
     batch = gen_dataset(twin_tasks(13, 0)[0], "opt", 64, derive_seed(0, TAG_EIG))
     grid, cfg = GridSpec(), EigConfig()
-    theta = point_params(theta0, random_directions(theta0, 0), float(grid.alphas[i]), float(grid.betas[j]))
+    theta = point_params(theta0, random_directions(theta0, 0), float(grid.axis[i]), float(grid.axis[j]))
     hess = exact_hessian(theta, batch)
     assert hess.shape == (2349, 2349)
     assert np.max(np.abs(hess - hess.T)) <= 1e-12 * np.max(np.abs(hess))
@@ -566,7 +566,7 @@ def test_convexity_score_clipping():
 
 def test_convexity_grid_range_flags_and_determinism():
     net, batch = small_net_and_batch()
-    grid = GridSpec(0.3, 0.3, 3)
+    grid = GridSpec(0.3, 3)
     eig_cfg = EigConfig(iters=300, tol=1e-9)
     result = convexity_grid(net, grid, batch, eig_cfg, 7)
     assert result.convexity.shape == (3, 3)
@@ -579,7 +579,7 @@ def test_convexity_grid_range_flags_and_determinism():
 
 def test_grid_csv_and_pgm_outputs(tmp_path):
     net, batch = small_net_and_batch()
-    grid = GridSpec(0.3, 0.3, 3)
+    grid = GridSpec(0.3, 3)
     values = loss_grid(net, grid, batch, 7)
     csv_path = tmp_path / "landscape.csv"
     write_grid_csv(csv_path, grid, values)
