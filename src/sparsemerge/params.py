@@ -11,7 +11,10 @@ it; each set's values are checked once, when the set is built.
 
 Everything downstream (pruning, merging, evolution, curvature scans) operates
 on ``ParameterSet`` values. Sets are immutable after construction and all
-operations on them are pure, so they can be shared freely.
+operations on them are pure, so they can be shared freely. One set has a
+writer: the private copy that ``tasks.train`` makes of the set it is given.
+Each SGD step updates that copy's buffer in place, and the copy never leaves
+``train``, which returns its values as a new set.
 """
 
 from __future__ import annotations

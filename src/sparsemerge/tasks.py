@@ -186,11 +186,14 @@ def init_mlp(spec: MlpSpec, seed: int) -> ParameterSet:
 def _forward_cached(p: ParameterSet, x: np.ndarray):
     """Pre- and post-activations of one model on x (b, 2m), or of a stack of
     K models (every layer with a leading model axis) on x (K, b, 2m)."""
-    z1 = x @ p["fc1_w"] + p["fc1_b"][..., None, :]
+    z1 = x @ p["fc1_w"]
+    z1 += p["fc1_b"][..., None, :]
     a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ p["fc2_w"] + p["fc2_b"][..., None, :]
+    z2 = a1 @ p["fc2_w"]
+    z2 += p["fc2_b"][..., None, :]
     a2 = np.maximum(z2, 0.0)
-    logits = a2 @ p["fc3_w"] + p["fc3_b"][..., None, :]
+    logits = a2 @ p["fc3_w"]
+    logits += p["fc3_b"][..., None, :]
     return z1, a1, z2, a2, logits
 
 
@@ -199,9 +202,11 @@ def forward(p: ParameterSet, inputs: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Probabilities over the last axis, in a new array; ``logits`` is left as it is."""
+    e = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -209,7 +214,8 @@ def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     model, one value per model for a stack."""
     # Each row's label, picked through a (rows, m) view of the probabilities.
     picked = probs.reshape(-1, probs.shape[-1])[np.arange(labels.size), labels.ravel()]
-    return -np.log(np.maximum(picked.reshape(labels.shape), 1e-300)).sum(axis=-1) / labels.shape[-1]
+    log_p = np.log(np.maximum(picked.reshape(labels.shape), 1e-300))
+    return -np.add.reduce(log_p, axis=-1) / labels.shape[-1]
 
 
 def loss(p: ParameterSet, batch: Dataset) -> float:
@@ -240,7 +246,8 @@ def loss_and_grad(p: ParameterSet, batch: Dataset, tangent: np.ndarray | None = 
     raises ValueError.
     """
     if lin is None:
-        lin = linearize(p, batch)
+        # Only the R-operator needs linearize's float masks.
+        lin = _backprop_head(p, batch) if tangent is None else linearize(p, batch)
     elif lin[0] is not p or lin[1] is not batch:
         raise ValueError("the linearization was taken at another point or on another batch")
     # A copy, so that no caller can write into the linearization's value.
@@ -248,12 +255,27 @@ def loss_and_grad(p: ParameterSet, batch: Dataset, tangent: np.ndarray | None = 
     if tangent is not None:
         return value, _r_op(lin, tangent)
     _, _, a1, a2, _, mask1, _, g, d_z2, _ = lin
-    d_z1 = (d_z2 @ p["fc2_w"].swapaxes(-1, -2)) * mask1
-    return value, _assemble((
-        batch.inputs.swapaxes(-1, -2) @ d_z1, d_z1.sum(axis=-2),
-        a1.swapaxes(-1, -2) @ d_z2, d_z2.sum(axis=-2),
-        a2.swapaxes(-1, -2) @ g, g.sum(axis=-2),
-    ))
+    d_z1 = d_z2 @ p["fc2_w"].swapaxes(-1, -2)
+    d_z1 *= mask1
+    return value, _pull_back(p.layout, batch.inputs, a1, a2, d_z1, d_z2, g)[0]
+
+
+def _backprop_head(p: ParameterSet, batch: Dataset) -> tuple:
+    """``linearize``'s tuple, with bool rectifier masks."""
+    _require_layer_order(p)
+    if len(batch) == 0:
+        raise ValueError("empty batch")
+    y = batch.labels
+    z1, a1, z2, a2, logits = _forward_cached(p, batch.inputs)
+    probs = softmax(logits)
+    value = _cross_entropy(probs, y)
+    mask2 = z2 > 0
+    g = probs.copy()
+    g.reshape(-1, g.shape[-1])[np.arange(y.size), y.ravel()] -= 1.0
+    g /= len(batch)
+    d_z2 = g @ p["fc3_w"].swapaxes(-1, -2)
+    d_z2 *= mask2
+    return p, batch, a1, a2, probs, z1 > 0, mask2, g, d_z2, value
 
 
 def linearize(p: ParameterSet, batch: Dataset) -> tuple:
@@ -262,21 +284,30 @@ def linearize(p: ParameterSet, batch: Dataset) -> tuple:
     masks, the error g at the logits, its pullback d_z2 to the second
     pre-activation, and the loss value. The derivative passes take the layers
     of ``p`` by position, so they must be LAYER_NAMES in order."""
-    _require_layer_order(p)
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    y = batch.labels
-    z1, a1, z2, a2, logits = _forward_cached(p, batch.inputs)
-    probs = softmax(logits)
-    value = _cross_entropy(probs, y)
+    p, batch, a1, a2, probs, mask1, mask2, g, d_z2, value = _backprop_head(p, batch)
     # Float masks: a product with a bool mask casts the mask on every use,
     # and each R-operator pass uses both twice.
-    mask1, mask2 = (z1 > 0).astype(np.float64), (z2 > 0).astype(np.float64)
-    g = probs.copy()
-    g.reshape(-1, g.shape[-1])[np.arange(y.size), y.ravel()] -= 1.0
-    g /= len(batch)
-    d_z2 = (g @ p["fc3_w"].swapaxes(-1, -2)) * mask2
-    return p, batch, a1, a2, probs, mask1, mask2, g, d_z2, value
+    return p, batch, a1, a2, probs, mask1.astype(np.float64), mask2.astype(np.float64), g, d_z2, value
+
+
+def _layer_views(layout, flat: np.ndarray) -> tuple:
+    """Each layer of a vector aligned with ``flatten``, in order, as a view of its slice."""
+    return tuple(flat[s].reshape(shape) for s, shape in zip(layout.slices, layout.shapes))
+
+
+def _pull_back(layout, x, a1, a2, d_z1, d_z2, d_logits) -> tuple:
+    """The layer derivatives that the errors at the three pre-activations give,
+    each written into its slice of one new vector aligned with ``flatten``:
+    that vector and its layer views."""
+    flat = np.empty(layout.size)
+    views = d_w1, d_b1, d_w2, d_b2, d_w3, d_b3 = _layer_views(layout, flat)
+    np.matmul(x.swapaxes(-1, -2), d_z1, out=d_w1)
+    np.add.reduce(d_z1, axis=-2, out=d_b1)
+    np.matmul(a1.swapaxes(-1, -2), d_z2, out=d_w2)
+    np.add.reduce(d_z2, axis=-2, out=d_b2)
+    np.matmul(a2.swapaxes(-1, -2), d_logits, out=d_w3)
+    np.add.reduce(d_logits, axis=-2, out=d_b3)
+    return flat, views
 
 
 def _r_op(lin: tuple, tangent: np.ndarray) -> np.ndarray:
@@ -287,27 +318,34 @@ def _r_op(lin: tuple, tangent: np.ndarray) -> np.ndarray:
     layout = p.layout
     if tangent.shape != (layout.size,):
         raise ValueError(f"tangent has {tangent.shape} entries, the model needs {layout.size}")
-    # Each layer of the tangent, in order, is a view of its slice of the flat vector.
-    v1, c1, v2, c2, v3, c3 = (tangent[s].reshape(shape) for s, shape in zip(layout.slices, layout.shapes))
-    r_a1 = (x @ v1 + c1[..., None, :]) * mask1
-    r_a2 = (r_a1 @ w2 + a1 @ v2 + c2[..., None, :]) * mask2
-    r_logits = r_a2 @ w3 + a2 @ v3 + c3[..., None, :]
-    r_g = probs * (r_logits - (probs * r_logits).sum(axis=-1, keepdims=True)) / n
-    r_d_z2 = (r_g @ w3.swapaxes(-1, -2) + g @ v3.swapaxes(-1, -2)) * mask2
-    r_d_z1 = (r_d_z2 @ w2.swapaxes(-1, -2) + d_z2 @ v2.swapaxes(-1, -2)) * mask1
-    return _assemble((
-        x.swapaxes(-1, -2) @ r_d_z1,
-        r_d_z1.sum(axis=-2),
-        r_a1.swapaxes(-1, -2) @ d_z2 + a1.swapaxes(-1, -2) @ r_d_z2,
-        r_d_z2.sum(axis=-2),
-        r_a2.swapaxes(-1, -2) @ g + a2.swapaxes(-1, -2) @ r_g,
-        r_g.sum(axis=-2),
-    ))
-
-
-def _assemble(layers) -> np.ndarray:
-    """One array per layer, in LAYER_NAMES order, as one vector aligned with ``flatten``."""
-    return np.concatenate([layer.ravel() for layer in layers])
+    v1, c1, v2, c2, v3, c3 = _layer_views(layout, tangent)
+    r_a1 = x @ v1
+    r_a1 += c1[..., None, :]
+    r_a1 *= mask1
+    r_a2 = r_a1 @ w2
+    r_a2 += a1 @ v2
+    r_a2 += c2[..., None, :]
+    r_a2 *= mask2
+    r_logits = r_a2 @ w3
+    r_logits += a2 @ v3
+    r_logits += c3[..., None, :]
+    # r_g = probs * (r_logits - sum(probs * r_logits)) / n, in r_logits' buffer.
+    r_g = r_logits
+    r_g -= np.add.reduce(probs * r_logits, axis=-1, keepdims=True)
+    r_g *= probs
+    r_g /= n
+    r_d_z2 = r_g @ w3.swapaxes(-1, -2)
+    r_d_z2 += g @ v3.swapaxes(-1, -2)
+    r_d_z2 *= mask2
+    r_d_z1 = r_d_z2 @ w2.swapaxes(-1, -2)
+    r_d_z1 += d_z2 @ v2.swapaxes(-1, -2)
+    r_d_z1 *= mask1
+    hv, (_, _, h_w2, _, h_w3, _) = _pull_back(layout, x, a1, a2, r_d_z1, r_d_z2, r_g)
+    # fc2_w's and fc3_w's terms are sums of two products, and a sum of two
+    # terms has the same bits in either order.
+    h_w2 += r_a1.swapaxes(-1, -2) @ d_z2
+    h_w3 += r_a2.swapaxes(-1, -2) @ g
+    return hv
 
 
 def accuracy(p: ParameterSet, dataset: Dataset) -> float:
@@ -342,7 +380,9 @@ def train(
     exactly the steps it would take alone with that seed.
 
     Each step takes the flat gradient from one ``loss_and_grad`` call and
-    builds one set, ``flatten(params) * shrink - learning_rate * grad``.
+    updates, in place, the buffer of one private copy of ``p``: the values
+    become ``values * shrink - learning_rate * grad``. ``train`` builds two
+    sets, that copy and the result; the set it was given is never written.
     """
     n = len(dataset)
     if n == 0:
@@ -361,11 +401,14 @@ def train(
     offsets = n * np.arange(len(seeds)).reshape(lead + (1,))
     inputs = dataset.inputs.reshape(-1, dataset.inputs.shape[-1])
     labels = dataset.labels.reshape(-1)
-    params = p
+    # The one writable set: a private copy whose buffer each step updates in
+    # place. It never leaves this function.
+    params = unflatten(p, flatten(p))
+    values = flatten(params)
+    values.flags.writeable = True
     shrink = 1.0 - learning_rate * weight_decay
-    # A non-finite gradient or an overflow leaves non-finite values, which the
-    # ParameterSet built at each step rejects; that error, with its epoch, is
-    # the one report.
+    # A non-finite gradient or an overflow leaves non-finite values, which a
+    # set built from them rejects; that error, with its epoch, is the one report.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
             orders = [substream(model_seed, TAG_SHUFFLE, epoch).permutation(n) for model_seed in seeds]
@@ -374,13 +417,17 @@ def train(
                 idx = order[..., start : start + batch_size]
                 try:
                     _, grad = loss_and_grad(params, Dataset(inputs[idx], labels[idx]))
-                    params = unflatten(params, flatten(params) * shrink - learning_rate * grad)
+                    values *= shrink
+                    grad *= learning_rate
+                    values -= grad
+                    if not np.isfinite(values).all():
+                        unflatten(params, values)  # raises, naming the first non-finite layer
                 except ValueError as exc:
                     raise ValueError(
                         f"training diverged at epoch {epoch + 1} of {epochs} "
                         f"(learning rate {learning_rate!r}): {exc}"
                     ) from None
-    return params
+    return unflatten(params, values)
 
 
 @dataclass(frozen=True)

@@ -410,10 +410,28 @@ def pinned_artifacts(root: Path) -> dict[str, str]:
     }
 
 
-# Measured under numpy 2.x only; a run under another numpy major skips and
-# names the digests it measured, which are its pin once checked.
+def numeric_environment() -> tuple:
+    """What the pinned bytes depend on besides the program: the numpy major,
+    the OpenBLAS kernel that runtime dispatch picks (the ``Core:`` line that
+    ``OPENBLAS_VERBOSE=2`` prints, or None for another BLAS), and the SIMD
+    features numpy dispatches to on this CPU."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    blas = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True, text=True,
+                          env={**os.environ, "OPENBLAS_VERBOSE": "2"}, check=True)
+    cores = [line.split(":", 1)[1].strip() for line in (blas.stdout + blas.stderr).splitlines()
+             if line.startswith("Core:")]
+    simd = tuple(f for f in __cpu_dispatch__ if __cpu_features__.get(f))
+    return int(np.__version__.split(".")[0]), cores[0] if cores else None, simd
+
+
+# Keyed by numeric_environment(), since another OpenBLAS kernel or SIMD level
+# gives other bytes. Measured in one environment only; a run in another skips
+# and names its key and the digests it measured, which are its pin once checked.
 PINNED_SHA256 = {
-    2: {
+    (2, "SkylakeX", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")): {
         "conv/config.txt": "1224849ce615af8f1108ac70142c26bba5605c60b3c87fc0f5cdb1c41c2cc6f9",
         "conv/convexity.csv": "e937615bff1515141782dc692d71dbeb2de4945964377275d55f8d40bcd4d5a6",
         "conv/convexity.pgm": "e9e4a11336da727e714114089026c28ca4ba28bdf3ad2518f967cd490056f9c0",
@@ -454,10 +472,10 @@ def test_a_short_pipeline_writes_the_pinned_bytes(tmp_path, monkeypatch, capsys)
         assert main(argv) == 0, argv
     assert capsys.readouterr().err == ""
     measured = pinned_artifacts(Path("runs"))
-    major = int(np.__version__.split(".")[0])
-    if major not in PINNED_SHA256:
-        pytest.skip(f"no artifact pin for numpy {major}.x; measured {measured}")
-    assert measured == PINNED_SHA256[major]
+    key = numeric_environment()
+    if key not in PINNED_SHA256:
+        pytest.skip(f"no artifact pin for {key}; measured {measured}")
+    assert measured == PINNED_SHA256[key]
 
 
 def test_readme_command_flags_parse():

@@ -498,18 +498,57 @@ def test_a_tangent_of_another_length_is_rejected():
             loss_and_grad(net, batch, np.ones(size))
 
 
-def test_train_builds_one_parameter_set_per_step(built_sets):
+def test_train_builds_two_parameter_sets_whatever_the_step_count(built_sets):
+    """Its private copy and its result: no step builds a set."""
     spec = ModularTaskSpec(5, ModularOp.ADD)
     one = full_split(spec, "train")
     two = Dataset(np.stack([one.inputs] * 2), np.stack([one.labels] * 2))
     net = init_mlp(MlpSpec(5, 4), 0)
-    epochs, batch_size = 3, 5
-    steps = epochs * -(-len(one) // batch_size)
-    assert len(one) % batch_size != 0  # the last batch of each epoch is short
     for model, data, seeds in ((net, one, [0]), (stack([net, net]), two, [0, 1])):
-        built_sets.clear()
-        train(model, data, learning_rate=0.1, epochs=epochs, batch_size=batch_size, seeds=seeds)
-        assert len(built_sets) == steps
+        for epochs, batch_size in ((0, 5), (1, 64), (3, 5)):
+            built_sets.clear()
+            train(model, data, learning_rate=0.1, epochs=epochs, batch_size=batch_size, seeds=seeds)
+            assert built_sets == [model.layout] * 2
+
+
+def test_train_leaves_its_input_as_it_was_and_returns_a_read_only_set():
+    spec = ModularTaskSpec(5, ModularOp.ADD)
+    one = full_split(spec, "train")
+    two = Dataset(np.stack([one.inputs] * 2), np.stack([one.labels] * 2))
+    net = init_mlp(MlpSpec(5, 4), 0)
+    for model, data, seeds in ((net, one, [0]), (stack([net, net]), two, [0, 1])):
+        before = flatten(model).tobytes()
+        sgd = dict(learning_rate=0.1, epochs=3, batch_size=5, seeds=seeds, weight_decay=0.01)
+        first, second = train(model, data, **sgd), train(model, data, **sgd)
+        assert flatten(model).tobytes() == before
+        assert not flatten(model).flags.writeable
+        assert not flatten(first).flags.writeable
+        assert all(not arr.flags.writeable for _, arr in first.layers)
+        assert flatten(first).tobytes() == flatten(second).tobytes() != before
+
+
+def _pools(m: int, ops) -> Dataset:
+    """The train pools of ``ops`` on modulus m: one dataset, or a stack of several."""
+    pools = [full_split(ModularTaskSpec(m, op), "train") for op in ops]
+    if len(pools) == 1:
+        return pools[0]
+    return Dataset(np.stack([d.inputs for d in pools]), np.stack([d.labels for d in pools]))
+
+
+@pytest.mark.parametrize("m, hidden, ops, seeds, lr, batch_size, epoch, layer", [
+    (13, 32, [ModularOp.SUB], [2], 1e30, 32, 2, "fc1_w"),
+    (13, 32, [ModularOp.ADD, ModularOp.SUB], [1, 2], 1e30, 32, 2, "fc1_w"),
+    (5, 4, [ModularOp.ADD], [0], 1e100, 5, 1, "fc2_w"),
+    (5, 4, [ModularOp.ADD, ModularOp.ADD], [0, 1], 1e100, 5, 1, "fc2_w"),
+])
+def test_a_diverging_train_names_its_epoch_and_the_first_non_finite_layer(
+        m, hidden, ops, seeds, lr, batch_size, epoch, layer):
+    net = init_mlp(MlpSpec(m, hidden), 0)
+    model = net if len(seeds) == 1 else stack([net] * len(seeds))
+    with pytest.raises(ValueError) as caught:
+        train(model, _pools(m, ops), learning_rate=lr, epochs=3, batch_size=batch_size, seeds=seeds)
+    assert str(caught.value) == (f"training diverged at epoch {epoch} of 3 (learning rate {lr!r}): "
+                                 f"layer '{layer}' contains non-finite values")
 
 
 def test_train_rejects_a_model_stack_that_does_not_match_the_dataset():
