@@ -671,7 +671,7 @@ def main(argv: list[str] | None = None) -> int:
                 flag = "--" + option_for(field, options).replace("_", "-")
                 print(f"invalid config: {flag}: {reason}", file=sys.stderr)
         return 2
-    except (CheckpointError, OSError, ValueError) as exc:
+    except (CheckpointError, MemoryError, OSError, ValueError) as exc:
         print(f"error: {_error_text(exc)}", file=sys.stderr)
         return 2
 

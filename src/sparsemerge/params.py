@@ -80,6 +80,10 @@ class Layout:
         object.__setattr__(self, "slices", tuple(map(slice, [0, *ends], ends)))
         object.__setattr__(self, "size", ends[-1] if ends else 0)
 
+    def views(self, flat: np.ndarray) -> tuple:
+        """Each layer of a vector of ``size`` entries, in order, as a view of its slice."""
+        return tuple(flat[s].reshape(shape) for s, shape in zip(self.slices, self.shapes))
+
     def __setattr__(self, name, value):
         raise AttributeError(f"Layout is immutable; cannot set {name!r}")
 
@@ -111,7 +115,7 @@ class ParameterSet:
             raise ValueError(f"flat vector has {flat.shape} entries, layout needs {layout.size}")
         # Freeze before slicing, so that every view inherits read-only.
         flat.flags.writeable = False
-        views = [flat[s].reshape(shape) for s, shape in zip(layout.slices, layout.shapes)]
+        views = layout.views(flat)
         if not np.isfinite(flat).all():
             bad = next(name for name, v in zip(layout.names, views) if not np.isfinite(v).all())
             raise ValueError(f"layer {bad!r} contains non-finite values")

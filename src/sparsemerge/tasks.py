@@ -184,20 +184,23 @@ def init_mlp(spec: MlpSpec, seed: int) -> ParameterSet:
 
 
 def _forward_cached(p: ParameterSet, x: np.ndarray):
-    """Pre- and post-activations of one model on x (b, 2m), or of a stack of
-    K models (every layer with a leading model axis) on x (K, b, 2m)."""
-    z1 = x @ p["fc1_w"]
-    z1 += p["fc1_b"][..., None, :]
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ p["fc2_w"]
-    z2 += p["fc2_b"][..., None, :]
-    a2 = np.maximum(z2, 0.0)
+    """Both hidden activations and the logits of one model on x (b, 2m), or
+    of a stack of K models (every layer with a leading model axis) on x
+    (K, b, 2m). Each rectifier works in place on its pre-activation."""
+    a1 = x @ p["fc1_w"]
+    a1 += p["fc1_b"][..., None, :]
+    np.maximum(a1, 0.0, out=a1)
+    a2 = a1 @ p["fc2_w"]
+    a2 += p["fc2_b"][..., None, :]
+    np.maximum(a2, 0.0, out=a2)
     logits = a2 @ p["fc3_w"]
     logits += p["fc3_b"][..., None, :]
-    return z1, a1, z2, a2, logits
+    return a1, a2, logits
 
 
 def forward(p: ParameterSet, inputs: np.ndarray) -> np.ndarray:
+    """The logits of one model on ``inputs`` (b, 2m), or of a stack of K
+    models on inputs (K, b, 2m): one row of m class scores per input."""
     return _forward_cached(p, inputs)[-1]
 
 
@@ -246,8 +249,7 @@ def loss_and_grad(p: ParameterSet, batch: Dataset, tangent: np.ndarray | None = 
     raises ValueError.
     """
     if lin is None:
-        # Only the R-operator needs linearize's float masks.
-        lin = _backprop_head(p, batch) if tangent is None else linearize(p, batch)
+        lin = linearize(p, batch)
     elif lin[0] is not p or lin[1] is not batch:
         raise ValueError("the linearization was taken at another point or on another batch")
     # A copy, so that no caller can write into the linearization's value.
@@ -260,39 +262,30 @@ def loss_and_grad(p: ParameterSet, batch: Dataset, tangent: np.ndarray | None = 
     return value, _pull_back(p.layout, batch.inputs, a1, a2, d_z1, d_z2, g)[0]
 
 
-def _backprop_head(p: ParameterSet, batch: Dataset) -> tuple:
-    """``linearize``'s tuple, with bool rectifier masks."""
-    _require_layer_order(p)
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    y = batch.labels
-    z1, a1, z2, a2, logits = _forward_cached(p, batch.inputs)
-    probs = softmax(logits)
-    value = _cross_entropy(probs, y)
-    mask2 = z2 > 0
-    g = probs.copy()
-    g.reshape(-1, g.shape[-1])[np.arange(y.size), y.ravel()] -= 1.0
-    g /= len(batch)
-    d_z2 = g @ p["fc3_w"].swapaxes(-1, -2)
-    d_z2 *= mask2
-    return p, batch, a1, a2, probs, z1 > 0, mask2, g, d_z2, value
-
-
 def linearize(p: ParameterSet, batch: Dataset) -> tuple:
     """What ``loss_and_grad`` computes from the point and the batch alone:
     the point and the batch themselves, activations, probabilities, rectifier
     masks, the error g at the logits, its pullback d_z2 to the second
     pre-activation, and the loss value. The derivative passes take the layers
     of ``p`` by position, so they must be LAYER_NAMES in order."""
-    p, batch, a1, a2, probs, mask1, mask2, g, d_z2, value = _backprop_head(p, batch)
+    _require_layer_order(p)
+    if len(batch) == 0:
+        raise ValueError("empty batch")
+    y = batch.labels
+    a1, a2, logits = _forward_cached(p, batch.inputs)
+    probs = softmax(logits)
+    value = _cross_entropy(probs, y)
     # Float masks: a product with a bool mask casts the mask on every use,
-    # and each R-operator pass uses both twice.
-    return p, batch, a1, a2, probs, mask1.astype(np.float64), mask2.astype(np.float64), g, d_z2, value
-
-
-def _layer_views(layout, flat: np.ndarray) -> tuple:
-    """Each layer of a vector aligned with ``flatten``, in order, as a view of its slice."""
-    return tuple(flat[s].reshape(shape) for s, shape in zip(layout.slices, layout.shapes))
+    # and an R-operator pass uses both twice. A rectifier's output is
+    # positive exactly where its input is, NaN included.
+    mask1 = (a1 > 0).astype(np.float64)
+    mask2 = (a2 > 0).astype(np.float64)
+    g = probs.copy()
+    g.reshape(-1, g.shape[-1])[np.arange(y.size), y.ravel()] -= 1.0
+    g /= len(batch)
+    d_z2 = g @ p["fc3_w"].swapaxes(-1, -2)
+    d_z2 *= mask2
+    return p, batch, a1, a2, probs, mask1, mask2, g, d_z2, value
 
 
 def _pull_back(layout, x, a1, a2, d_z1, d_z2, d_logits) -> tuple:
@@ -300,7 +293,7 @@ def _pull_back(layout, x, a1, a2, d_z1, d_z2, d_logits) -> tuple:
     each written into its slice of one new vector aligned with ``flatten``:
     that vector and its layer views."""
     flat = np.empty(layout.size)
-    views = d_w1, d_b1, d_w2, d_b2, d_w3, d_b3 = _layer_views(layout, flat)
+    views = d_w1, d_b1, d_w2, d_b2, d_w3, d_b3 = layout.views(flat)
     np.matmul(x.swapaxes(-1, -2), d_z1, out=d_w1)
     np.add.reduce(d_z1, axis=-2, out=d_b1)
     np.matmul(a1.swapaxes(-1, -2), d_z2, out=d_w2)
@@ -318,7 +311,7 @@ def _r_op(lin: tuple, tangent: np.ndarray) -> np.ndarray:
     layout = p.layout
     if tangent.shape != (layout.size,):
         raise ValueError(f"tangent has {tangent.shape} entries, the model needs {layout.size}")
-    v1, c1, v2, c2, v3, c3 = _layer_views(layout, tangent)
+    v1, c1, v2, c2, v3, c3 = layout.views(tangent)
     r_a1 = x @ v1
     r_a1 += c1[..., None, :]
     r_a1 *= mask1

@@ -903,6 +903,26 @@ def test_bad_input_exits_with_one_error_line(case, fast_experts_dir, tmp_path, c
     assert not any((tmp_path / "o").glob("*"))
 
 
+# Each asks numpy for one array of 2^59 to 1.5 * 2^60 bytes: past any 64-bit
+# address space (so the request fails at once and allocates nothing) and
+# below numpy's 2^63-byte limit (past which it raises ValueError instead).
+@pytest.mark.parametrize("argv", [
+    ["pso", "--experts", "{experts}", "--swarm", str(2**55)],
+    ["train-experts", "--hidden", str(2**52)],
+    ["train-experts", "--m", str(2**28)],
+    ["gen-data", "--m", str(2**28)],
+    ["landscape", "--ckpt", "{experts}/expert_add.ckpt", "--grid", str(2**56)],
+    ["convexity", "--ckpt", "{experts}/expert_add.ckpt", "--grid", str(2**56)],
+    ["evolve", "--experts", "{experts}", "--pop", str(2**56)],
+], ids=lambda argv: argv[0] + argv[-2])
+def test_a_size_too_large_to_allocate_is_one_error_line(argv, fast_experts_dir, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main([a.format(experts=fast_experts_dir) for a in argv] + ["--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate "), lines
+    assert not any(out.glob("*"))
+
+
 # What _experts_with_truncated_sub's expert_sub.ckpt gets.
 TRUNCATED = "truncated checkpoint: ran out of bytes reading layer 0 values"
 

@@ -490,6 +490,34 @@ def test_derivatives_are_flat_vectors_and_a_stack_gives_flatten_of_the_stacked_d
     assert np.array_equal(stacked_product, as_stack(products))
 
 
+def test_a_rectifier_at_exactly_zero_passes_no_derivative():
+    """With fc1_w and fc1_b zero, every first pre-activation is exactly 0, so
+    the first rectifier passes nothing back: the gradient and H * tangent are
+    exactly 0 in fc1_w, fc1_b and fc2_w (whose input, the first activation,
+    is 0), for one model and for a stack. The second pre-activations are then
+    fc2_b: its zero half passes nothing back either, and its other half keeps
+    the derivatives further up from being 0."""
+    spec = MlpSpec(5, 8)
+    rng = np.random.default_rng(11)
+    models = []
+    for seed in (0, 1):
+        p = init_mlp(spec, seed)
+        fc2_b = np.concatenate([np.zeros(4), rng.uniform(0.5, 1.0, 4)])
+        for name, arr in (("fc1_w", np.zeros((10, 8))), ("fc1_b", np.zeros(8)), ("fc2_b", fc2_b)):
+            p = _with_layer(p, name, arr)
+        models.append(p)
+    batches = [gen_dataset(ModularTaskSpec(5, op), "train", 9, seed=0) for op in ModularOp]
+    stacked_batch = Dataset(np.stack([b.inputs for b in batches]), np.stack([b.labels for b in batches]))
+    for p, batch in ((models[0], batches[0]), (stack(models), stacked_batch)):
+        tangent = rng.standard_normal(param_count(p))
+        for derivative in (loss_and_grad(p, batch)[1], loss_and_grad(p, batch, tangent)[1]):
+            layers = dict(unflatten(p, derivative).layers)
+            for name in ("fc1_w", "fc1_b", "fc2_w"):
+                assert np.all(layers[name] == 0.0), name
+            assert np.all(layers["fc2_b"][..., :4] == 0.0)
+            assert np.all(layers["fc2_b"][..., 4:] != 0.0) and np.any(layers["fc3_w"] != 0.0)
+
+
 def test_a_tangent_of_another_length_is_rejected():
     net = init_mlp(MlpSpec(5, 8), 0)
     batch = gen_dataset(ModularTaskSpec(5, ModularOp.ADD), "train", 9, seed=0)
